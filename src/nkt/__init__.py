@@ -7,8 +7,9 @@ Layers, bottom up:
   functions with the sqrt(n) extension and a linear solver;
 * :mod:`nkt.frame_geometry` - left-invariant frame models, curvature,
   h-operator, contact audits and nullity fits;
-* :mod:`nkt.t_tensor` - the coefficient presets, pointwise tensor values,
-  flatness residuals and the two derivation operators;
+* :mod:`nkt.t_tensor` - the coefficient presets, the dense components of
+  T built once per model, and the flatness residuals and two derivation
+  operators as matrix contractions on its slots;
 * :mod:`nkt.classification` - the symbolic eta-Einstein classifications,
   Boeckx invariant, D-homothetic deformation and table reproduction;
 * :mod:`nkt.cli` - the ``nkt`` command line tool.
@@ -60,10 +61,8 @@ from .t_tensor import (
     flatness_residual,
     preset,
     preset_as_printed,
-    t_apply,
     t_dot_ricci,
     t_dot_riemann,
-    t_scalar,
 )
 from .classification import (
     BoeckxRadical,

@@ -120,14 +120,21 @@ def t_flat_kappa(coeffs: TCoeffs) -> LinearSolution:
     return solve_linear(t_flat_constraint(coeffs), "kappa")
 
 
+def _quasi_numerator_denominator(coeffs: TCoeffs, substitute_r: bool) -> tuple:
+    """Numerator A and denominator C shared by the quasi and phi conditions."""
+    a = coeffs.a
+    big_a = a[0] * KAPPA + a[4] * (2 * N * KAPPA - R_SYMBOL) + a[7] * R_SYMBOL * (1 - 2 * N)
+    if substitute_r:
+        big_a = substitute_scalar_curvature(big_a)
+    return big_a, a[0] + 2 * N * a[1] + a[2] + a[3] + a[5] + a[6]
+
+
 def quasi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
     """eta-Einstein form forced by g(T(phi X1, X2) X3, phi X4) = 0."""
     a = coeffs.a
-    big_a = a[0] * KAPPA + a[4] * (2 * N * KAPPA - R_SYMBOL) + a[7] * R_SYMBOL * (1 - 2 * N)
+    big_a, big_c = _quasi_numerator_denominator(coeffs, substitute_r)
     big_b = -a[0] * KAPPA + 2 * N * KAPPA * (a[2] + a[3] + a[5] + a[6]) - a[7] * R_SYMBOL
-    big_c = a[0] + 2 * N * a[1] + a[2] + a[3] + a[5] + a[6]
     if substitute_r:
-        big_a = substitute_scalar_curvature(big_a)
         big_b = substitute_scalar_curvature(big_b)
     return _form(big_a, big_b, big_c)
 
@@ -138,11 +145,7 @@ def phi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinFor
     Shares numerator A and denominator C with the quasi condition; the
     eta-coefficient is pinned by the trace: b2 = 2 n kappa - b1.
     """
-    a = coeffs.a
-    big_a = a[0] * KAPPA + a[4] * (2 * N * KAPPA - R_SYMBOL) + a[7] * R_SYMBOL * (1 - 2 * N)
-    big_c = a[0] + 2 * N * a[1] + a[2] + a[3] + a[5] + a[6]
-    if substitute_r:
-        big_a = substitute_scalar_curvature(big_a)
+    big_a, big_c = _quasi_numerator_denominator(coeffs, substitute_r)
     if big_c.is_zero():
         return EtaEinsteinForm(None, None, FormTag.DEGENERATE, big_c)
     b1 = big_a / big_c
@@ -192,6 +195,17 @@ def t_dot_ricci_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinstein
         big_a = substitute_scalar_curvature(big_a)
         big_b = substitute_scalar_curvature(big_b)
     return _form(big_a, big_b, big_c)
+
+
+# condition -> eta-Einstein form builder(coeffs, substitute_r); the
+# T(xi,X).R form carries no scalar curvature to substitute
+FORM_BUILDERS = {
+    ConditionKind.QUASI_T_FLAT: quasi_flat_form,
+    ConditionKind.PHI_T_FLAT: phi_flat_form,
+    ConditionKind.XI_T_FLAT: xi_flat_form,
+    ConditionKind.T_DOT_R: lambda coeffs, substitute_r=False: t_dot_riemann_form(coeffs),
+    ConditionKind.T_DOT_S: t_dot_ricci_form,
+}
 
 
 def consistency_kappa(form: EtaEinsteinForm) -> LinearSolution:
@@ -412,14 +426,6 @@ _TABLE_CONDITIONS = {
     7: ConditionKind.T_DOT_S,
 }
 
-_FORM_BUILDERS = {
-    3: quasi_flat_form,
-    4: phi_flat_form,
-    5: xi_flat_form,
-    6: lambda coeffs, substitute_r=True: t_dot_riemann_form(coeffs),
-    7: t_dot_ricci_form,
-}
-
 # kappa = (n-1)/n rows share a local-isometry class with the sqrt(n)
 # family; kappa = 0 rows with the flat product E^(n+1) x S^n(4)
 _SQRT_N_CLASS = {
@@ -509,7 +515,7 @@ def classification_row(which: int, name: PresetName) -> ClassificationRow:
             form=None,
             flags=_row_flags(which, name, coeffs, solution, None),
         )
-    form = _FORM_BUILDERS[which](coeffs, substitute_r=True)
+    form = FORM_BUILDERS[condition](coeffs, substitute_r=True)
     return ClassificationRow(
         preset=name,
         condition=condition,

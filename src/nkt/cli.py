@@ -272,12 +272,6 @@ def _classify_coeffs(args) -> tuple:
 def _cmd_classify(args) -> int:
     condition = ConditionKind.parse(args.condition)
     coeffs, label = _classify_coeffs(args)
-    builders = {
-        ConditionKind.QUASI_T_FLAT: classification.quasi_flat_form,
-        ConditionKind.PHI_T_FLAT: classification.phi_flat_form,
-        ConditionKind.XI_T_FLAT: classification.xi_flat_form,
-        ConditionKind.T_DOT_S: classification.t_dot_ricci_form,
-    }
     payload = {
         "command": "classify",
         "preset": label,
@@ -289,10 +283,7 @@ def _cmd_classify(args) -> int:
         payload["result"] = _solution_payload(solution)
         text = f"{label} under {_CONDITION_LABELS[condition]}: kappa = {solution}"
     else:
-        if condition is ConditionKind.T_DOT_R:
-            form = classification.t_dot_riemann_form(coeffs)
-        else:
-            form = builders[condition](coeffs, substitute_r=args.substitute_r)
+        form = classification.FORM_BUILDERS[condition](coeffs, substitute_r=args.substitute_r)
         payload["result"] = _form_payload(form)
         text = f"{label} under {_CONDITION_LABELS[condition]}: {_form_text(form)}"
     if payload["flags"]:

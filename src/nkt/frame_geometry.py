@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .scalar_algebra import RationalLike, as_rational
+from .scalar_algebra import RationalLike, _frac_str, as_rational
 
 Vector = tuple
 
@@ -80,14 +80,14 @@ class CurvatureData:
     """All curvature objects of a model, exact.
 
     gamma[i][j][k] = g(nabla_{e_i} e_j, e_k); riemann[i][j][k][l] =
-    g(R(e_i,e_j)e_k, e_l); ricci / q coincide in an orthonormal frame;
-    scalar is the ricci trace; h is the matrix of the h-operator.
+    g(R(e_i,e_j)e_k, e_l); ricci[j][k] = S(e_j,e_k), which in an
+    orthonormal frame is also the matrix of the Ricci operator Q; scalar is
+    the ricci trace; h is the matrix of the h-operator.
     """
 
     gamma: tuple
     riemann: tuple
     ricci: tuple
-    q: tuple
     scalar: Fraction
     h: tuple
 
@@ -204,6 +204,10 @@ def validate_structure(model: FrameModel) -> None:
 def levi_civita(model: FrameModel) -> tuple:
     """Connection coefficients gamma[i][j][k] = g(nabla_{e_i} e_j, e_k)."""
     validate_structure(model)
+    return _connection(model)
+
+
+def _connection(model: FrameModel) -> tuple:
     dim = model.dim
     c = model.structure
     gamma = [
@@ -219,6 +223,10 @@ def levi_civita(model: FrameModel) -> tuple:
 def h_tensor(model: FrameModel) -> tuple:
     """Matrix of h = (Lie derivative of phi along xi) / 2."""
     validate_structure(model)
+    return _h_operator(model)
+
+
+def _h_operator(model: FrameModel) -> tuple:
     dim, xi, c, phi = model.dim, model.xi_index, model.structure, model.phi
     h = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
@@ -234,7 +242,8 @@ def h_tensor(model: FrameModel) -> tuple:
 
 def curvature(model: FrameModel) -> CurvatureData:
     """All curvature data of the model; exact rational throughout."""
-    gamma = levi_civita(model)
+    validate_structure(model)
+    gamma = _connection(model)
     dim = model.dim
     c = model.structure
     riemann = [
@@ -260,9 +269,8 @@ def curvature(model: FrameModel) -> CurvatureData:
         gamma=_freeze(gamma),
         riemann=_freeze(riemann),
         ricci=_freeze(ricci),
-        q=_freeze(ricci),
         scalar=scalar,
-        h=h_tensor(model),
+        h=_h_operator(model),
     )
 
 
@@ -354,8 +362,8 @@ def contact_audit(model: FrameModel) -> AuditReport:
 
     # nabla_X xi = -phi X - phi h X
     if structural_ok:
-        gamma = levi_civita(model)
-        h = h_tensor(model)
+        gamma = _connection(model)
+        h = _h_operator(model)
 
         def reeb_derivative(idx):
             i, k = idx
@@ -473,13 +481,13 @@ def render_model(model: FrameModel) -> str:
     """Serialize to the plain-text format accepted by parse_model."""
     lines = [f"dim {model.dim}", f"xi {model.xi_index + 1}"]
     for row in model.phi:
-        lines.append("phi " + " ".join(_frac_text(x) for x in row))
+        lines.append("phi " + " ".join(_frac_str(x) for x in row))
     for i in range(model.dim):
         for j in range(i + 1, model.dim):
             for k in range(model.dim):
                 value = model.structure[i][j][k]
                 if value:
-                    lines.append(f"c {i+1} {j+1} {k+1} : {_frac_text(value)}")
+                    lines.append(f"c {i+1} {j+1} {k+1} : {_frac_str(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -509,13 +517,11 @@ def parse_model(text: str) -> FrameModel:
                 phi_rows.append([as_rational(x) for x in parts[1:]])
             elif parts[0] == "c":
                 if len(parts) != 6 or parts[4] != ":":
-                    raise ModelFormatError(
-                        f"line {lineno}: expected 'c i j k : value'"
-                    )
+                    raise ModelFormatError("expected 'c i j k : value'")
                 i, j, k = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3]) - 1
                 brackets.append((i, j, k, as_rational(parts[5])))
             else:
-                raise ModelFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
+                raise ModelFormatError(f"unknown directive {parts[0]!r}")
         except (ValueError, IndexError) as exc:
             raise ModelFormatError(f"line {lineno}: {exc}") from exc
     if dim is None or xi is None:
@@ -523,7 +529,3 @@ def parse_model(text: str) -> FrameModel:
     if len(phi_rows) != dim:
         raise ModelFormatError(f"expected {dim} phi rows, found {len(phi_rows)}")
     return build_model(dim, brackets, xi, phi_rows)
-
-
-def _frac_text(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"

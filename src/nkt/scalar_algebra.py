@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Mapping, Optional, Union
 
 Rational = Fraction
@@ -247,15 +247,8 @@ class Poly:
         """gcd of numerators over lcm of denominators, signed by the leading
         coefficient; dividing by it leaves coprime integer coefficients with
         a positive leading one."""
-        if not self.terms:
-            return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = _gcd_int(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        if self.leading()[1] < 0:
+        content = _joint_content(self)
+        if self.terms and self.leading()[1] < 0:
             content = -content
         return content
 
@@ -314,19 +307,13 @@ def _frac_str(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _joint_content(*polys: "Poly") -> Fraction:
     num_gcd = 0
     den_lcm = 1
     for poly in polys:
         for c in poly.terms.values():
-            num_gcd = _gcd_int(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
+            num_gcd = gcd(num_gcd, c.numerator)
+            den_lcm = lcm(den_lcm, c.denominator)
     return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
 
 
@@ -363,16 +350,21 @@ def _div_exact(num: Poly, den: Poly) -> Poly:
 
 
 def _prem(num: Poly, den: Poly, name: str) -> Poly:
-    """Pseudo-remainder of num by den with respect to one variable."""
+    """Pseudo-remainder of num by den with respect to one variable: the
+    remainder of lc(den)^(deg num - deg den + 1) * num, the multiplier the
+    subresultant division in poly_gcd assumes.  A step that drops the degree
+    by more than one still owes the factors of the steps it skipped."""
     deg_d = den.degree(name)
     lead_d = den.coefficients_in(name)[deg_d]
     var = Poly.variable(name)
     rest = num
+    steps = num.degree(name) - deg_d + 1
     while not rest.is_zero() and rest.degree(name) >= deg_d:
         deg_r = rest.degree(name)
         lead_r = rest.coefficients_in(name)[deg_r]
         rest = lead_d * rest - lead_r * (var ** (deg_r - deg_d)) * den
-    return rest
+        steps -= 1
+    return lead_d ** steps * rest if steps > 0 and not rest.is_zero() else rest
 
 
 def _divides(den: Poly, num: Poly) -> bool:
@@ -928,7 +920,8 @@ def parse_expr(text: str) -> RationalExpr:
     """Parse the deterministic infix form produced by ``str(expr)``.
 
     Grammar: ``+ - * / ^`` with usual precedence, parentheses, integer
-    literals and the fixed indeterminate names.
+    literals and the fixed indeterminate names.  Parentheses and unary signs
+    nest at most ``_MAX_NESTING`` deep.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, text)
@@ -964,11 +957,15 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, text):
         self.tokens = tokens
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -999,13 +996,20 @@ class _Parser:
         return value
 
     def parse_unary(self):
+        # every nesting level (a parenthesis or a unary sign) passes here
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels")
         if self.peek() == "-":
             self.take()
-            return -self.parse_unary()
-        if self.peek() == "+":
+            value = -self.parse_unary()
+        elif self.peek() == "+":
             self.take()
-            return self.parse_unary()
-        return self.parse_power()
+            value = self.parse_unary()
+        else:
+            value = self.parse_power()
+        self.depth -= 1
+        return value
 
     def parse_power(self):
         base = self.parse_atom()

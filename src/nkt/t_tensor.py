@@ -26,6 +26,10 @@ T(e_i, xi, xi, e_l) - the insertion the classification actually constrains;
 ``strict=True`` sweeps the full T(e_i, e_j) xi = 0 condition instead, which
 is strictly stronger and fails even on models whose Ricci tensor matches the
 classified form.
+
+Numerically, T is built once per call as a dense (1,3) array, and every
+condition is that array with a matrix (phi, the projector onto xi, or the
+matrix of T(xi, e_i)) contracted into some of its slots by one primitive.
 """
 
 from __future__ import annotations
@@ -257,6 +261,7 @@ def catalog() -> dict:
 
 
 NumericCoeffs = Sequence[Fraction]
+_ZERO_Q = Fraction(0)
 
 
 def _numeric(coeffs, model_n: int) -> tuple:
@@ -268,68 +273,62 @@ def _numeric(coeffs, model_n: int) -> tuple:
     return values
 
 
-def _numeric_for_curvature(coeffs, curv: CurvatureData) -> tuple:
-    return _numeric(coeffs, (len(curv.ricci) - 1) // 2)
-
-
-def t_apply(
-    curv: CurvatureData, coeffs: NumericCoeffs, i: int, j: int, k: int
-) -> tuple:
-    """Frame components of T(e_i, e_j) e_k.
+def t_components(model: FrameModel, coeffs, curv: Optional[CurvatureData] = None):
+    """Dense (1,3) components Tv[i][j][k][l] = coefficient of e_l in
+    T(e_i,e_j)e_k.
 
     Coefficients are numeric rationals; a TCoeffs is evaluated at the
     model's n and raises UnevaluatedCoefficient while free parameters
     remain.
     """
-    a = _numeric_for_curvature(coeffs, curv)
-    ricci, q, r = curv.ricci, curv.q, curv.scalar
-    dim = len(ricci)
-    out = []
-    for l in range(dim):
-        value = a[0] * curv.riemann[i][j][k][l]
-        value += a[1] * ricci[j][k] * (i == l)
-        value += a[2] * ricci[i][k] * (j == l)
-        value += a[3] * ricci[i][j] * (k == l)
-        value += a[4] * (j == k) * q[i][l]
-        value += a[5] * (i == k) * q[j][l]
-        value += a[6] * (i == j) * q[k][l]
-        value += a[7] * r * ((j == k) * (i == l) - (i == k) * (j == l))
-        out.append(value)
-    return tuple(out)
-
-
-def t_scalar(
-    curv: CurvatureData, coeffs: NumericCoeffs, i: int, j: int, k: int, l: int
-) -> Fraction:
-    """T(e_i,e_j,e_k,e_l) by direct expansion of the (0,4) form.
-
-    Kept independent of t_apply on purpose; the two routes are compared in
-    the test suite.
-    """
-    a = _numeric_for_curvature(coeffs, curv)
-    ricci, r = curv.ricci, curv.scalar
-    value = a[0] * curv.riemann[i][j][k][l]
-    value += a[1] * ricci[j][k] * (i == l)
-    value += a[2] * ricci[i][k] * (j == l)
-    value += a[3] * ricci[i][j] * (k == l)
-    value += a[4] * (j == k) * ricci[i][l]
-    value += a[5] * (i == k) * ricci[j][l]
-    value += a[6] * ricci[k][l] * (i == j)
-    value += a[7] * r * ((j == k) * (i == l) - (i == k) * (j == l))
-    return value
-
-
-def t_components(model: FrameModel, coeffs, curv: Optional[CurvatureData] = None):
-    """Dense (1,3) components Tv[i][j][k][l] = coefficient of e_l in
-    T(e_i,e_j)e_k."""
     if curv is None:
         curv = curvature(model)
-    numeric = _numeric(coeffs, model.n)
-    dim = model.dim
-    return [
-        [[t_apply(curv, numeric, i, j, k) for k in range(dim)] for j in range(dim)]
-        for i in range(dim)
-    ], curv
+    a = _numeric(coeffs, model.n)
+    ricci, scalar, dim = curv.ricci, curv.scalar, model.dim
+    tv = [[[[a[0] * x for x in cell] for cell in row] for row in block] for block in curv.riemann]
+    # each Ricci/metric term lands only where its Kronecker delta fires
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                cell = tv[i][j][k]
+                cell[i] += a[1] * ricci[j][k]
+                cell[j] += a[2] * ricci[i][k]
+                cell[k] += a[3] * ricci[i][j]
+            for l in range(dim):
+                tv[i][j][j][l] += a[4] * ricci[i][l]
+                tv[i][j][i][l] += a[5] * ricci[j][l]
+                tv[i][i][j][l] += a[6] * ricci[j][l]
+            tv[i][j][j][i] += a[7] * scalar
+            tv[i][j][i][j] -= a[7] * scalar
+    return tv, curv
+
+
+def _lincomb(weights, parts):
+    """sum_p weights[p] * parts[p] over dense tensors of one shape, or scalars."""
+    if not isinstance(parts[0], (tuple, list)):
+        return sum((w * x for w, x in zip(weights, parts) if w and x), _ZERO_Q)
+    # an all-zero row still has to yield a zero tensor of the parts' shape
+    live = [(w, part) for w, part in zip(weights, parts) if w] or [(0, parts[0])]
+    weights, parts = zip(*live)
+    return tuple(_lincomb(weights, column) for column in zip(*parts))
+
+
+def _act(matrix, tensor, slot: int):
+    """out[..x..] = sum_p matrix[x][p] * tensor[..p..], x and p in the given
+    (0-based) slot of a dense tensor."""
+    if slot:
+        return tuple(_act(matrix, sub, slot - 1) for sub in tensor)
+    return tuple(_lincomb(row, tensor) for row in matrix)
+
+
+def _transpose(matrix) -> tuple:
+    return tuple(zip(*matrix))
+
+
+def _max_abs(tensor) -> Fraction:
+    if isinstance(tensor, (tuple, list)):
+        return max((_max_abs(sub) for sub in tensor), default=_ZERO_Q)
+    return abs(tensor)
 
 
 def flatness_residual(
@@ -346,92 +345,29 @@ def flatness_residual(
                 with strict=True the full T(e_i,e_j) xi = 0 instead
     quasi-flat  g(T(phi e_i, e_j) e_k, phi e_l) = 0
     phi-flat    g(T(phi e_i, phi e_j) phi e_k, phi e_l) = 0
+
+    Each condition is T with a matrix applied to some slots: the projector
+    onto xi, or phi^T (inserting phi e_i into a slot contracts with the
+    transpose of its matrix).
     """
     if kind in (ConditionKind.T_DOT_R, ConditionKind.T_DOT_S):
         fn = t_dot_riemann if kind is ConditionKind.T_DOT_R else t_dot_ricci
         return fn(model, coeffs)
     tv, _ = t_components(model, coeffs)
-    dim, xi, phi = model.dim, model.xi_index, model.phi
-    worst = Fraction(0)
-    if kind is ConditionKind.T_FLAT:
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    for value in tv[i][j][k]:
-                        worst = max(worst, abs(value))
-    elif kind is ConditionKind.XI_T_FLAT:
-        if strict:
-            for i in range(dim):
-                for j in range(dim):
-                    for value in tv[i][j][xi]:
-                        worst = max(worst, abs(value))
-        else:
-            for i in range(dim):
-                for value in tv[i][xi][xi]:
-                    worst = max(worst, abs(value))
-    elif kind is ConditionKind.QUASI_T_FLAT:
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    for l in range(dim):
-                        value = Fraction(0)
-                        for p in range(dim):
-                            if not phi[p][i]:
-                                continue
-                            inner = sum(
-                                phi[q][l] * tv[p][j][k][q] for q in range(dim)
-                            )
-                            value += phi[p][i] * inner
-                        worst = max(worst, abs(value))
-    elif kind is ConditionKind.PHI_T_FLAT:
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    for l in range(dim):
-                        value = Fraction(0)
-                        for p in range(dim):
-                            if not phi[p][i]:
-                                continue
-                            for q in range(dim):
-                                if not phi[q][j]:
-                                    continue
-                                for u in range(dim):
-                                    if not phi[u][k]:
-                                        continue
-                                    inner = sum(
-                                        phi[w][l] * tv[p][q][u][w]
-                                        for w in range(dim)
-                                    )
-                                    value += phi[p][i] * phi[q][j] * phi[u][k] * inner
-                        worst = max(worst, abs(value))
-    else:
+    dim, xi = model.dim, model.xi_index
+    on_xi = [[Fraction(x == p == xi) for p in range(dim)] for x in range(dim)]
+    phi_t = _transpose(model.phi)
+    insertions = {
+        ConditionKind.T_FLAT: {},
+        ConditionKind.XI_T_FLAT: {2: on_xi} if strict else {1: on_xi, 2: on_xi},
+        ConditionKind.QUASI_T_FLAT: {0: phi_t, 3: phi_t},
+        ConditionKind.PHI_T_FLAT: dict.fromkeys(range(4), phi_t),
+    }
+    if kind not in insertions:
         raise ValueError(f"unknown condition kind: {kind}")
-    return worst
-
-
-def _apply_t(tv, xi: int, i: int, vec) -> list:
-    """T(xi, e_i) applied to a frame-component vector."""
-    dim = len(vec)
-    out = [Fraction(0)] * dim
-    for p in range(dim):
-        if not vec[p]:
-            continue
-        cell = tv[xi][i][p]
-        for l in range(dim):
-            out[l] += vec[p] * cell[l]
-    return out
-
-
-def _apply_r(curv: CurvatureData, vec_a, b: int, c: int) -> list:
-    """R(v, e_b) e_c for a frame-component vector v."""
-    dim = len(vec_a)
-    out = [Fraction(0)] * dim
-    for p in range(dim):
-        if not vec_a[p]:
-            continue
-        for l in range(dim):
-            out[l] += vec_a[p] * curv.riemann[p][b][c][l]
-    return out
+    for slot, matrix in insertions[kind].items():
+        tv = _act(matrix, tv, slot)
+    return _max_abs(tv)
 
 
 def t_dot_riemann_components(
@@ -440,93 +376,47 @@ def t_dot_riemann_components(
     """Full components of (T(xi, e_i) . R)(e_j, e_k) e_l.
 
     variant="standard" uses the four-term derivation acting on every slot of
-    R; variant="printed" reproduces a variant whose fourth term reads
-    -R(e_i, e_j) T(xi, e_i) e_l, i.e. with the first slot pair repeated.
+    R: the action of T(xi, e_i) on the upper slot minus its actions on the
+    three lower slots.  variant="printed" reproduces a variant whose fourth
+    term reads -R(e_i, e_j) T(xi, e_i) e_l, i.e. with the first slot pair
+    repeated.
     """
     if variant not in ("standard", "printed"):
         raise ValueError("variant must be 'standard' or 'printed'")
     tv, curv = t_components(model, coeffs)
-    dim, xi = model.dim, model.xi_index
+    riemann, dim, xi = curv.riemann, model.dim, model.xi_index
     out = []
     for i in range(dim):
-        block_i = []
-        for j in range(dim):
-            block_j = []
-            for k in range(dim):
-                block_k = []
-                for l in range(dim):
-                    r_vec = curv.riemann[j][k][l]
-                    term1 = _apply_t(tv, xi, i, r_vec)
-                    term2 = _apply_r(curv, tv[xi][i][j], k, l)
-                    # R(e_j, T(xi,e_i)e_k) e_l, expanded on the middle slot
-                    term3 = [Fraction(0)] * dim
-                    for p in range(dim):
-                        w = tv[xi][i][k][p]
-                        if not w:
-                            continue
-                        for m in range(dim):
-                            term3[m] += w * curv.riemann[j][p][l][m]
-                    if variant == "standard":
-                        term4 = _apply_r_last(curv, j, k, tv[xi][i][l])
-                    else:
-                        term4 = _apply_r_last(curv, i, j, tv[xi][i][l])
-                    block_k.append(
-                        tuple(
-                            term1[m] - term2[m] - term3[m] - term4[m]
-                            for m in range(dim)
-                        )
-                    )
-                block_j.append(tuple(block_k))
-            block_i.append(tuple(block_j))
-        out.append(tuple(block_i))
+        lower = tv[xi][i]  # row p: T(xi, e_i) e_p
+        fourth = _act(lower, riemann, 2)
+        if variant == "printed":
+            fourth = tuple((fourth[i][j],) * dim for j in range(dim))
+        terms = (
+            _act(_transpose(lower), riemann, 3),
+            _act(lower, riemann, 0),
+            _act(lower, riemann, 1),
+            fourth,
+        )
+        out.append(_lincomb((1, -1, -1, -1), terms))
     return tuple(out)
-
-
-def _apply_r_last(curv: CurvatureData, a: int, b: int, vec) -> list:
-    """R(e_a, e_b) v for a frame-component vector v."""
-    dim = len(vec)
-    out = [Fraction(0)] * dim
-    for p in range(dim):
-        if not vec[p]:
-            continue
-        for l in range(dim):
-            out[l] += vec[p] * curv.riemann[a][b][p][l]
-    return out
 
 
 def t_dot_riemann(model: FrameModel, coeffs, *, variant: str = "standard") -> Fraction:
     """Max-abs residual of (T(xi, e_i) . R)(e_j, e_k) e_l over all tuples."""
-    components = t_dot_riemann_components(model, coeffs, variant=variant)
-    return max(
-        (abs(x) for bi in components for bj in bi for bk in bj for cell in bk for x in cell),
-        default=Fraction(0),
-    )
+    return _max_abs(t_dot_riemann_components(model, coeffs, variant=variant))
 
 
 def t_dot_ricci_components(model: FrameModel, coeffs):
     """Components S(T(xi,e_i)e_j, e_k) + S(e_j, T(xi,e_i)e_k), with the plus
     sign of the two-slot action as printed in its source definition."""
     tv, curv = t_components(model, coeffs)
-    dim, xi = model.dim, model.xi_index
-    ricci = curv.ricci
-    out = []
-    for i in range(dim):
-        block_j = []
-        for j in range(dim):
-            row = []
-            for k in range(dim):
-                first = sum(tv[xi][i][j][p] * ricci[p][k] for p in range(dim))
-                second = sum(ricci[j][p] * tv[xi][i][k][p] for p in range(dim))
-                row.append(first + second)
-            block_j.append(tuple(row))
-        out.append(tuple(block_j))
-    return tuple(out)
+    ricci, xi = curv.ricci, model.xi_index
+    return tuple(
+        _lincomb((1, 1), (_act(lower, ricci, 0), _act(lower, ricci, 1)))
+        for lower in tv[xi]
+    )
 
 
 def t_dot_ricci(model: FrameModel, coeffs) -> Fraction:
     """Max-abs residual of (T(xi, e_i) . S)(e_j, e_k) over all tuples."""
-    components = t_dot_ricci_components(model, coeffs)
-    return max(
-        (abs(x) for bi in components for row in bi for x in row),
-        default=Fraction(0),
-    )
+    return _max_abs(t_dot_ricci_components(model, coeffs))

@@ -39,6 +39,18 @@ def random_solvable_model(rng: random.Random) -> FrameModel:
     )
 
 
+def heisenberg_model(n: int) -> FrameModel:
+    """H^(2n+1): [e_i, e_(n+i)] = 2 xi with xi = e_(2n+1), phi e_i = e_(n+i)
+    and phi e_(n+i) = -e_i."""
+    dim = 2 * n + 1
+    xi = dim - 1
+    phi = [[0] * dim for _ in range(dim)]
+    for i in range(n):
+        phi[n + i][i] = 1
+        phi[i][n + i] = -1
+    return build_model(dim, [(i, n + i, xi, 2) for i in range(n)], xi, phi)
+
+
 def random_nk_model(rng: random.Random) -> FrameModel:
     return nk_lie_group_3d(random_fraction(rng, span=3))
 

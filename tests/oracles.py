@@ -60,6 +60,58 @@ def t_vector(curv, a, i, j, k):
     return out
 
 
+def flatness_bruteforce(model, curv, a, kind, strict=False):
+    """Max-abs flatness residual with phi e_i and xi inserted by hand.
+
+    kind is "t-flat", "xi-flat", "quasi-flat" or "phi-flat"; phi e_i is the
+    frame vector sum_p phi[p][i] e_p, and T is expanded multilinearly in
+    every slot that receives one.
+    """
+    dim, xi, phi = model.dim, model.xi_index, model.phi
+
+    def phi_of(i):
+        return [phi[p][i] for p in range(dim)]
+
+    def t_of(u, v, w):
+        # T(u, v) w for frame-component vectors u, v, w
+        out = [Fraction(0)] * dim
+        for p in range(dim):
+            for q in range(dim):
+                for r in range(dim):
+                    weight = u[p] * v[q] * w[r]
+                    if weight:
+                        piece = t_vector(curv, a, p, q, r)
+                        for m in range(dim):
+                            out[m] += weight * piece[m]
+        return out
+
+    def unit(i):
+        return [Fraction(p == i) for p in range(dim)]
+
+    def g(u, v):
+        return sum((x * y for x, y in zip(u, v)), Fraction(0))
+
+    values = []
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                for l in range(dim):
+                    if kind == "t-flat":
+                        value = t_vector(curv, a, i, j, k)[l]
+                    elif kind == "xi-flat" and strict:
+                        value = t_vector(curv, a, i, j, xi)[l]
+                    elif kind == "xi-flat":
+                        value = t_vector(curv, a, i, xi, xi)[l]
+                    elif kind == "quasi-flat":
+                        value = g(t_of(phi_of(i), unit(j), unit(k)), phi_of(l))
+                    elif kind == "phi-flat":
+                        value = g(t_of(phi_of(i), phi_of(j), phi_of(k)), phi_of(l))
+                    else:
+                        raise ValueError(kind)
+                    values.append(abs(value))
+    return max(values)
+
+
 def t_dot_riemann_bruteforce(model, curv, a, variant="standard"):
     """(T(xi,e_i).R)(e_j,e_k)e_l by direct four-term expansion.
 

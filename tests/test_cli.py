@@ -191,6 +191,37 @@ def test_usage_errors_exit_1(capsys):
                   "--c", "1")[0] == 1
 
 
+def _assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_bad_model_line_is_reported_once(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "dim 3\nxi 3\nphi 0 -1 0\nphi 1 0 0\nphi 0 0 0\n# brackets\nc 1 2 3 2\n"
+    )
+    line = _assert_one_error_line(*invoke(capsys, "model-audit", str(path)))
+    assert line == "error: line 7: expected 'c i j k : value'"
+
+
+def test_deeply_nested_coefficients_rejected(capsys):
+    nested = "(" * 3000 + "1" + ")" * 3000
+    line = _assert_one_error_line(*invoke(
+        capsys, "classify", "--condition", "t-flat",
+        "--coeffs", nested + ",0,0,0,0,0,0,0",
+    ))
+    assert "nesting" in line
+    # moderate nesting still parses
+    code, _, _ = invoke(capsys, "classify", "--condition", "t-flat",
+                        "--coeffs", "(" * 50 + "1" + ")" * 50 + ",0,0,0,0,0,0,0")
+    assert code == 0
+
+
 def test_golden_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     from nkt.classification import load_golden_table
     from nkt.t_tensor import PresetName

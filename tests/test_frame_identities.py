@@ -32,11 +32,10 @@ def test_riemann_symmetries_and_bianchi_on_50_models():
                         assert r[i][j][k][l] == r[k][l][i][j]
                         bianchi = r[i][j][k][l] + r[j][k][i][l] + r[k][i][j][l]
                         assert bianchi == 0
-        # ricci symmetric, q = ricci, scalar = trace
+        # ricci symmetric, scalar = trace
         for i in range(dim):
             for j in range(dim):
                 assert curv.ricci[i][j] == curv.ricci[j][i]
-                assert curv.q[i][j] == curv.ricci[i][j]
         assert curv.scalar == sum(curv.ricci[i][i] for i in range(dim))
 
 

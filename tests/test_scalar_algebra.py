@@ -105,6 +105,22 @@ def test_parse_render_round_trip():
         assert parse_expr(str(e)) == e
 
 
+def test_pseudo_remainder_keeps_gcd_division_exact():
+    # the remainder sequence skips degrees here; the pseudo-remainder must
+    # still carry lc^(deg num - deg den + 1) for the subresultant division
+    e = parse_expr(
+        "(-30*n*kappa*a*s - 120*n*kappa + 15*kappa*a*c*s + 2*kappa*a*s"
+        " + 60*kappa*c + 8*kappa + 6*a^2*s + 24*a)/(12*n*a^2 - 192)"
+    )
+    value = e * e - e
+    for k, kappa, a, c in [(2, 3, 5, 7), (3, Fraction(1, 2), 2, -1),
+                           (5, -2, Fraction(3, 4), 1)]:
+        point = {"n": Fraction(k * k), "s": Fraction(k), "kappa": Fraction(kappa),
+                 "a": Fraction(a), "c": Fraction(c)}
+        direct = eval_at(e, point)
+        assert eval_at(value, point) == direct * direct - direct
+
+
 def test_unknown_indeterminate_rejected():
     from nkt.scalar_algebra import ExprSyntaxError
 

@@ -1,4 +1,4 @@
-"""Coefficient presets, pointwise tensor values and flatness residuals."""
+"""Coefficient presets, dense tensor components and flatness residuals."""
 
 import random
 from fractions import Fraction
@@ -15,12 +15,12 @@ from nkt.t_tensor import (
     flatness_residual,
     preset,
     preset_as_printed,
-    t_apply,
+    t_components,
     t_dot_ricci,
     t_dot_riemann,
-    t_scalar,
 )
 from helpers import STANDARD_PHI, random_model, random_numeric_coeffs
+from oracles import t_vector
 
 HALF = Fraction(1, 2)
 ZERO8 = tuple(Fraction(0) for _ in range(8))
@@ -29,6 +29,11 @@ ZERO8 = tuple(Fraction(0) for _ in range(8))
 def model_and_curvature(lam=HALF):
     model = nk_lie_group_3d(lam)
     return model, curvature(model)
+
+
+def cells(model, coeffs, curv=None):
+    """Dense components tv[i][j][k][l] of T(e_i,e_j)e_k."""
+    return t_components(model, coeffs, curv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -94,43 +99,41 @@ def test_catalog_export_shape():
 
 
 # ---------------------------------------------------------------------------
-# pointwise values
+# dense components
 
 
 def test_riemann_preset_reproduces_curvature():
     model, curv = model_and_curvature()
     riem = preset("Riemann").at(1)
-    assert t_apply(curv, riem, 0, 2, 2) == (Fraction(3, 4), 0, 0)
-    assert t_scalar(curv, riem, 0, 2, 2, 0) == Fraction(3, 4)
+    assert cells(model, riem, curv)[0][2][2] == [Fraction(3, 4), 0, 0]
     rng = random.Random(1234)
     for extra in [model] + [random_model(rng) for _ in range(5)]:
         curv_x = curvature(extra)
+        tv = cells(extra, riem, curv_x)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
                     for l in range(3):
-                        assert (
-                            t_scalar(curv_x, riem, i, j, k, l)
-                            == curv_x.riemann[i][j][k][l]
-                        )
+                        assert tv[i][j][k][l] == curv_x.riemann[i][j][k][l]
 
 
 def test_symbolic_coefficients_are_evaluated_or_rejected():
     model, curv = model_and_curvature()
     # plain rows evaluate at the model's n transparently
-    assert t_apply(curv, preset("V"), 0, 2, 2) == (HALF, 0, 0)
+    assert cells(model, preset("V"), curv)[0][2][2] == [HALF, 0, 0]
     with pytest.raises(UnevaluatedCoefficient):
-        t_apply(curv, preset("C_star"), 0, 2, 2)
+        t_components(model, preset("C_star"), curv)
     with pytest.raises(UnevaluatedCoefficient):
-        t_scalar(curv, preset("P_star"), 0, 2, 2, 0)
+        t_components(model, preset("P_star"), curv)
 
 
 def test_zero_coefficients_give_zero():
     model, curv = model_and_curvature()
+    tv = cells(model, ZERO8, curv)
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert t_apply(curv, ZERO8, i, j, k) == (0, 0, 0)
+                assert tv[i][j][k] == [0, 0, 0]
     for kind in ConditionKind:
         assert flatness_residual(model, ZERO8, kind) == 0
 
@@ -139,16 +142,16 @@ def test_concircular_value_at_n1():
     model, curv = model_and_curvature()
     v = preset("V").at(1)
     # 3/4 - (r/(2n(2n+1))) with r = 3/2 gives 1/2
-    assert t_apply(curv, v, 0, 2, 2) == (HALF, 0, 0)
+    assert cells(model, v, curv)[0][2][2] == [HALF, 0, 0]
 
 
 def test_antisymmetric_slots_of_riemann_part():
     model, curv = model_and_curvature()
-    coeffs = preset("Riemann").at(1)
+    tv = cells(model, preset("Riemann").at(1), curv)
     for i in range(3):
         for k in range(3):
             for l in range(3):
-                assert t_scalar(curv, coeffs, i, i, k, l) == 0
+                assert tv[i][i][k][l] == 0
 
 
 def test_conharmonic_pinned_value():
@@ -156,21 +159,21 @@ def test_conharmonic_pinned_value():
     # T(e3,e1,e1,e3) = R(e3,e1,e1,e3) + a4 S(e3,e3) = 3/4 - 3/2
     model, curv = model_and_curvature()
     conharmonic = preset("L").at(1)
-    assert t_scalar(curv, conharmonic, 2, 0, 0, 2) == Fraction(-3, 4)
+    assert cells(model, conharmonic, curv)[2][0][0][2] == Fraction(-3, 4)
 
 
 def test_two_expansions_agree_on_random_input():
+    # the dense build against the eight-term formula in tests/oracles.py
     rng = random.Random(5150)
     for _ in range(12):
         model = random_model(rng)
         curv = curvature(model)
         coeffs = random_numeric_coeffs(rng)
+        tv = cells(model, coeffs, curv)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    vec = t_apply(curv, coeffs, i, j, k)
-                    for l in range(3):
-                        assert vec[l] == t_scalar(curv, coeffs, i, j, k, l)
+                    assert tv[i][j][k] == t_vector(curv, coeffs, i, j, k)
 
 
 def test_linearity_in_coefficients():
@@ -183,14 +186,12 @@ def test_linearity_in_coefficients():
         alpha = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         beta = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         mixed = tuple(alpha * x + beta * y for x, y in zip(a, b))
+        ta, tb, tm = (cells(model, c, curv) for c in (a, b, mixed))
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    va = t_apply(curv, a, i, j, k)
-                    vb = t_apply(curv, b, i, j, k)
-                    vm = t_apply(curv, mixed, i, j, k)
                     for l in range(3):
-                        assert vm[l] == alpha * va[l] + beta * vb[l]
+                        assert tm[i][j][k][l] == alpha * ta[i][j][k][l] + beta * tb[i][j][k][l]
 
 
 def test_skew_symmetry_for_curvature_like_patterns():
@@ -201,12 +202,11 @@ def test_skew_symmetry_for_curvature_like_patterns():
         curv = curvature(model)
         a0, a1, a4, a7 = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
         coeffs = (a0, a1, -a1, Fraction(0), a4, -a4, Fraction(0), a7)
+        tv = cells(model, coeffs, curv)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    fw = t_apply(curv, coeffs, i, j, k)
-                    bw = t_apply(curv, coeffs, j, i, k)
-                    assert all(x == -y for x, y in zip(fw, bw))
+                    assert all(x == -y for x, y in zip(tv[i][j][k], tv[j][i][k]))
 
 
 def test_xi_insertion_identity_on_exact_models():
@@ -222,8 +222,9 @@ def test_xi_insertion_identity_on_exact_models():
         assert fit.exact
         kappa, r = fit.kappa, curv.scalar
         a = random_numeric_coeffs(rng)
+        tv = cells(model, a, curv)
         for i in range(3):
-            vec = t_apply(curv, a, i, 2, 2)
+            vec = tv[i][2][2]
             for l in range(3):
                 g_part = Fraction(i == l) - model.eta(i) * model.eta(l)
                 eta_part = model.eta(i) * model.eta(l)
