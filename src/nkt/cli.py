@@ -29,6 +29,7 @@ from typing import Optional
 from . import classification
 from .classification import boeckx_example, d_homothetic, reproduce_table
 from .frame_geometry import (
+    FrameModel,
     InvalidModel,
     ModelFormatError,
     contact_audit,
@@ -241,12 +242,16 @@ def _cmd_model_build(args) -> int:
     return 0
 
 
-def _cmd_model_audit(args) -> int:
+def _read_model(path: str) -> FrameModel:
     try:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            model = parse_model(handle.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_model(handle.read())
     except OSError as exc:
         raise CliError(f"cannot read model file: {exc}") from exc
+
+
+def _cmd_model_audit(args) -> int:
+    model = _read_model(args.path)
     payload = {"command": "model-audit", "path": args.path}
     payload.update(_audit_payload(model))
     _emit(payload, _audit_markdown(payload), args.format)
@@ -366,11 +371,7 @@ def _cmd_residual(args) -> int:
     if bool(args.model) == bool(args.lam):
         raise CliError("exactly one of --model or --lambda is required")
     if args.model:
-        try:
-            with open(args.model, "r", encoding="utf-8") as handle:
-                model = parse_model(handle.read())
-        except OSError as exc:
-            raise CliError(f"cannot read model file: {exc}") from exc
+        model = _read_model(args.model)
         source = args.model
     else:
         model = nk_lie_group_3d(as_rational(args.lam))

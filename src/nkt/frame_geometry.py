@@ -10,8 +10,14 @@ quantity is a finite exact-rational computation:
   structure coefficients reduces to
   gamma[i][j][k] = (c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2;
 * Riemann tensor from R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
-  nabla_[X,Y] Z, Ricci as S(X,Y) = sum_i g(R(e_i,X)Y, e_i), and the
-  h-operator as half the Lie derivative of phi along the Reeb field.
+  nabla_[X,Y] Z as matrix products: with Gamma_i = gamma[i] (the matrix of
+  nabla_{e_i}), R(e_i,e_j) = Gamma_j Gamma_i - Gamma_i Gamma_j
+  - sum_m c[i][j][m] Gamma_m; Ricci as S(X,Y) = sum_i g(R(e_i,X)Y, e_i);
+* the h-operator, half the Lie derivative of phi along the Reeb field, as the
+  commutator h = [ad_xi, phi] / 2, with ad_i the matrix of [e_i, .]; the
+  Jacobi identity as "ad is a homomorphism", ad([e_i,e_j]) = [ad_i, ad_j].
+
+All of it runs on the dense-tensor primitives below, which t_tensor shares.
 
 Sign conventions (documented because the literature is split):
 
@@ -37,7 +43,8 @@ Vector = tuple
 
 
 class InvalidModel(Exception):
-    """The bracket table is not a Lie algebra (antisymmetry or Jacobi fails)."""
+    """The bracket table is not a Lie algebra (antisymmetry or Jacobi fails),
+    or curvature data passed with a model contradict it."""
 
 
 class DegenerateFit(Exception):
@@ -126,6 +133,41 @@ def _zeros(dim: int) -> list:
     return [Fraction(0)] * dim
 
 
+# ---------------------------------------------------------------------------
+# dense-tensor primitives: nested tuples of Fractions, shared with t_tensor
+
+_ZERO_Q = Fraction(0)
+
+
+def _lincomb(weights, parts):
+    """sum_p weights[p] * parts[p] over dense tensors of one shape, or scalars."""
+    if not isinstance(parts[0], (tuple, list)):
+        return sum((w * x for w, x in zip(weights, parts) if w and x), _ZERO_Q)
+    # an all-zero row still has to yield a zero tensor of the parts' shape
+    live = [(w, part) for w, part in zip(weights, parts) if w] or [(0, parts[0])]
+    weights, parts = zip(*live)
+    return tuple(_lincomb(weights, column) for column in zip(*parts))
+
+
+def _act(matrix, tensor, slot: int):
+    """out[..x..] = sum_p matrix[x][p] * tensor[..p..], x and p in the given
+    (0-based) slot of a dense tensor.  On slot 0 of a matrix this is the
+    matrix product ``matrix . tensor``."""
+    if slot:
+        return tuple(_act(matrix, sub, slot - 1) for sub in tensor)
+    return tuple(_lincomb(row, tensor) for row in matrix)
+
+
+def _transpose(matrix) -> tuple:
+    return tuple(zip(*matrix))
+
+
+def _max_abs(tensor) -> Fraction:
+    if isinstance(tensor, (tuple, list)):
+        return max((_max_abs(sub) for sub in tensor), default=_ZERO_Q)
+    return abs(tensor)
+
+
 def _freeze(rows) -> tuple:
     if isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], (list, tuple)):
         return tuple(_freeze(r) for r in rows)
@@ -174,7 +216,11 @@ def build_model(
 
 
 def validate_structure(model: FrameModel) -> None:
-    """Check bracket antisymmetry and the Jacobi identity exactly."""
+    """Check bracket antisymmetry and the Jacobi identity exactly.
+
+    Jacobi is checked as ad([e_i,e_j]) = [ad_i, ad_j]: column k of the
+    difference is the Jacobi sum on (e_i, e_j, e_k), reported for the first
+    failing triple i < j < k in lexicographic order."""
     dim = model.dim
     c = model.structure
     for i in range(dim):
@@ -184,21 +230,16 @@ def validate_structure(model: FrameModel) -> None:
                     raise InvalidModel(
                         f"antisymmetry fails at c[{i+1}][{j+1}][{k+1}]"
                     )
+    ad = tuple(_transpose(block) for block in c)
     for i in range(dim):
         for j in range(i + 1, dim):
+            products = (_act(ad[i], ad[j], 0), _act(ad[j], ad[i], 0))
+            defect = _lincomb(c[i][j] + (-1, 1), ad + products)
             for k in range(j + 1, dim):
-                for l in range(dim):
-                    total = Fraction(0)
-                    for m in range(dim):
-                        total += (
-                            c[i][j][m] * c[m][k][l]
-                            + c[j][k][m] * c[m][i][l]
-                            + c[k][i][m] * c[m][j][l]
-                        )
-                    if total:
-                        raise InvalidModel(
-                            f"Jacobi identity fails on (e_{i+1}, e_{j+1}, e_{k+1})"
-                        )
+                if any(row[k] for row in defect):
+                    raise InvalidModel(
+                        f"Jacobi identity fails on (e_{i+1}, e_{j+1}, e_{k+1})"
+                    )
 
 
 def levi_civita(model: FrameModel) -> tuple:
@@ -227,17 +268,11 @@ def h_tensor(model: FrameModel) -> tuple:
 
 
 def _h_operator(model: FrameModel) -> tuple:
-    dim, xi, c, phi = model.dim, model.xi_index, model.structure, model.phi
-    h = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        # (L_xi phi) e_i = [xi, phi e_i] - phi [xi, e_i]
-        for k in range(dim):
-            value = Fraction(0)
-            for p in range(dim):
-                value += phi[p][i] * c[xi][p][k]
-                value -= c[xi][i][p] * phi[k][p]
-            h[k][i] = value / 2
-    return _freeze(h)
+    # (L_xi phi) e = [xi, phi e] - phi [xi, e], so 2h = ad_xi phi - phi ad_xi
+    ad_xi = _transpose(model.structure[model.xi_index])
+    phi = model.phi
+    half = Fraction(1, 2)
+    return _lincomb((half, -half), (_act(ad_xi, phi, 0), _act(phi, ad_xi, 0)))
 
 
 def curvature(model: FrameModel) -> CurvatureData:
@@ -246,29 +281,25 @@ def curvature(model: FrameModel) -> CurvatureData:
     gamma = _connection(model)
     dim = model.dim
     c = model.structure
-    riemann = [
-        [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for _ in range(dim)
-    ]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for l in range(dim):
-                    value = Fraction(0)
-                    for m in range(dim):
-                        value += gamma[j][k][m] * gamma[i][m][l]
-                        value -= gamma[i][k][m] * gamma[j][m][l]
-                        value -= c[i][j][m] * gamma[m][k][l]
-                    riemann[i][j][k][l] = value
-    ricci = [
-        [sum(riemann[i][j][k][i] for i in range(dim)) for k in range(dim)]
+    # gamma[i] is the matrix of nabla_{e_i} acting on row vectors, so
+    # R(e_i,e_j) = Gamma_j Gamma_i - Gamma_i Gamma_j - sum_m c[i][j][m] Gamma_m
+    products = tuple(tuple(_act(left, right, 0) for right in gamma) for left in gamma)
+    riemann = tuple(
+        tuple(
+            _lincomb((1, -1, *(-x for x in c[i][j])), (products[j][i], products[i][j], *gamma))
+            for j in range(dim)
+        )
+        for i in range(dim)
+    )
+    ricci = tuple(
+        tuple(sum(riemann[i][j][k][i] for i in range(dim)) for k in range(dim))
         for j in range(dim)
-    ]
+    )
     scalar = sum(ricci[i][i] for i in range(dim))
     return CurvatureData(
-        gamma=_freeze(gamma),
-        riemann=_freeze(riemann),
-        ricci=_freeze(ricci),
+        gamma=gamma,
+        riemann=riemann,
+        ricci=ricci,
         scalar=scalar,
         h=_h_operator(model),
     )
@@ -277,14 +308,26 @@ def curvature(model: FrameModel) -> CurvatureData:
 def contact_audit(model: FrameModel) -> AuditReport:
     """Exact per-axiom audit of the contact metric structure.
 
-    Checks, in order: bracket structure, phi^2 = -Id + eta (x) xi (with
-    phi(xi) = 0 and eta o phi = 0), metric compatibility, the contact
-    condition d(eta) = Phi, and nabla_X xi = -phi X - phi h X.  Failures are
-    report entries, never exceptions.
+    Checks, in order: bracket structure, phi^2 = -Id + eta (x) xi,
+    metric compatibility, the contact condition d(eta) = Phi, and
+    nabla_X xi = -phi X - phi h X.  Failures are report entries, never
+    exceptions; each names the first failing component in row-major order.
+
+    phi(xi) = 0 and eta o phi = 0 need no checks of their own: phi^2 =
+    -Id + eta (x) xi forces both.  With v = phi xi, phi v = phi^2 xi = 0 and
+    phi^2 v = -v + eta(v) xi = 0, so v = eta(v) xi and phi v = eta(v)^2 xi
+    = 0 give v = 0; the row case is the same argument transposed.
     """
     dim, xi, phi = model.dim, model.xi_index, model.phi
     c = model.structure
     checks = []
+
+    def matrix_check(name, got, want, detail):
+        for i, (got_row, want_row) in enumerate(zip(got, want)):
+            for j, (x, y) in enumerate(zip(got_row, want_row)):
+                if x != y:
+                    return AuditCheck(name, False, detail.format(i + 1, j + 1, x, y))
+        return AuditCheck(name, True)
 
     try:
         validate_structure(model)
@@ -294,96 +337,26 @@ def contact_audit(model: FrameModel) -> AuditReport:
         checks.append(AuditCheck("bracket_structure", False, str(exc)))
         structural_ok = False
 
-    def first_bad(predicate, indices):
-        for idx in indices:
-            got, want = predicate(idx)
-            if got != want:
-                return idx, got, want
-        return None
-
-    # phi^2 e_j = -e_j + eta(e_j) xi, phi(xi) = 0, eta(phi X) = 0
-    def phi_square(idx):
-        i, j = idx
-        got = sum(phi[i][p] * phi[p][j] for p in range(dim))
-        want = -Fraction(i == j) + Fraction(j == xi) * Fraction(i == xi)
-        return got, want
-
-    bad = first_bad(phi_square, [(i, j) for i in range(dim) for j in range(dim)])
-    extra = [
-        (("phi(xi)", i), phi[i][xi], Fraction(0)) for i in range(dim)
-    ] + [(("eta(phi e)", j), phi[xi][j], Fraction(0)) for j in range(dim)]
-    structural_bad = next(((w, g, e) for (w, g, e) in extra if g != e), None)
-    if bad is None and structural_bad is None:
-        checks.append(AuditCheck("phi_square", True))
-    elif bad is not None:
-        (i, j), got, want = bad
-        checks.append(
-            AuditCheck("phi_square", False, f"component ({i+1},{j+1}): {got} != {want}")
-        )
-    else:
-        where, got, want = structural_bad
-        checks.append(AuditCheck("phi_square", False, f"{where}: {got} != {want}"))
-
-    # g(phi X, phi Y) = g(X,Y) - eta(X) eta(Y)
-    def compat(idx):
-        i, j = idx
-        got = sum(phi[p][i] * phi[p][j] for p in range(dim))
-        want = Fraction(i == j) - model.eta(i) * model.eta(j)
-        return got, want
-
-    bad = first_bad(compat, [(i, j) for i in range(dim) for j in range(dim)])
+    # phi^2 = -Id + eta (x) xi = -P and phi^T phi = Id - eta (x) eta = P, with
+    # P the projector onto the contact distribution
+    onto_d = tuple(tuple(Fraction(i == j != xi) for j in range(dim)) for i in range(dim))
+    minus_onto_d = _lincomb((-1,), (onto_d,))
+    component = "component ({},{}): {} != {}"
+    checks.append(matrix_check("phi_square", _act(phi, phi, 0), minus_onto_d, component))
     checks.append(
-        AuditCheck("metric_compatibility", True)
-        if bad is None
-        else AuditCheck(
-            "metric_compatibility",
-            False,
-            f"component ({bad[0][0]+1},{bad[0][1]+1}): {bad[1]} != {bad[2]}",
-        )
+        matrix_check("metric_compatibility", _act(_transpose(phi), phi, 0), onto_d, component)
     )
-
     # d(eta)(e_i,e_j) = -eta([e_i,e_j])/2 must equal g(e_i, phi e_j)
-    def contact(idx):
-        i, j = idx
-        got = -c[i][j][xi] / 2
-        want = phi[i][j]
-        return got, want
-
-    bad = first_bad(contact, [(i, j) for i in range(dim) for j in range(dim)])
-    checks.append(
-        AuditCheck("contact_condition", True)
-        if bad is None
-        else AuditCheck(
-            "contact_condition",
-            False,
-            f"d(eta)(e_{bad[0][0]+1},e_{bad[0][1]+1}) = {bad[1]} != {bad[2]}",
-        )
-    )
+    d_eta = tuple(tuple(-bracket[xi] / 2 for bracket in block) for block in c)
+    checks.append(matrix_check("contact_condition", d_eta, phi, "d(eta)(e_{},e_{}) = {} != {}"))
 
     # nabla_X xi = -phi X - phi h X
     if structural_ok:
-        gamma = _connection(model)
-        h = _h_operator(model)
-
-        def reeb_derivative(idx):
-            i, k = idx
-            got = gamma[i][xi][k]
-            want = -phi[k][i] - sum(phi[k][p] * h[p][i] for p in range(dim))
-            return got, want
-
-        bad = first_bad(
-            reeb_derivative, [(i, k) for i in range(dim) for k in range(dim)]
-        )
-        checks.append(
-            AuditCheck("reeb_derivative", True)
-            if bad is None
-            else AuditCheck(
-                "reeb_derivative",
-                False,
-                f"nabla_(e_{bad[0][0]+1}) xi component {bad[0][1]+1}: "
-                f"{bad[1]} != {bad[2]}",
-            )
-        )
+        nabla_xi = tuple(block[xi] for block in _connection(model))
+        phi_h = _act(phi, _h_operator(model), 0)
+        want = _transpose(_lincomb((-1, -1), (phi, phi_h)))
+        detail = "nabla_(e_{}) xi component {}: {} != {}"
+        checks.append(matrix_check("reeb_derivative", nabla_xi, want, detail))
     else:
         checks.append(
             AuditCheck("reeb_derivative", False, "skipped: invalid bracket structure")
@@ -445,10 +418,13 @@ def nullity_fit(model: FrameModel, curv: Optional[CurvatureData] = None) -> Null
     residual = nullity_residual(model, curv, kappa, mu)
     exact = residual == 0
     if exact:
-        n = model.n
+        # S(e_i, xi) = 2 n kappa eta(e_i); i = xi checks S(xi, xi) = 2 n kappa
         for i in range(dim):
-            assert curv.ricci[i][xi] == 2 * kappa * n * model.eta(i)
-        assert curv.ricci[xi][xi] == 2 * kappa * n
+            want = 2 * kappa * model.n * model.eta(i)
+            if curv.ricci[i][xi] != want:
+                raise InvalidModel(
+                    f"Ricci check fails: S(e_{i+1}, xi) = {curv.ricci[i][xi]} != {want}"
+                )
     return NullityFit(kappa=kappa, mu=mu, exact=exact, max_residual=residual)
 
 

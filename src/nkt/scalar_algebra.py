@@ -456,7 +456,7 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
         return prim_first
     if len(first.terms) <= len(second.terms) and _divides(prim_first, second):
         return prim_first
-    if len(second.terms) < len(first.terms) and _divides(prim_second, first):
+    if len(second.terms) <= len(first.terms) and _divides(prim_second, first):
         return prim_second
     name = names[0]
     # certify the main-variable gcd degree from a random evaluation before
@@ -552,9 +552,11 @@ def _frac_sqrt(value: Fraction) -> Optional[Fraction]:
 
 
 def _gcd_against_sfree(num: Poly, den: Poly) -> Poly:
-    """gcd of a possibly s-carrying polynomial with an s-free one."""
+    """gcd of a possibly s-carrying polynomial with an s-free one.  The
+    denominator goes first: it is often small or constant, and then the gcd
+    ends in a divisibility test, not a PRS on the numerator's two halves."""
     a, b = num.split_s()
-    return poly_gcd(poly_gcd(a, b), den)
+    return poly_gcd(poly_gcd(den, a), b)
 
 
 def _div_with_s(num: Poly, divisor: Poly) -> Poly:
@@ -591,13 +593,10 @@ class RationalExpr:
                 self.num = Poly()
                 self.den = Poly.constant(1)
                 return
-        num_a, num_b = num.split_s()
-        common = poly_gcd(poly_gcd(num_a, num_b), den)
+        common = _gcd_against_sfree(num, den)
         if not common.is_one():
-            num_a = _div_exact(num_a, common)
-            num_b = _div_exact(num_b, common)
+            num = _div_with_s(num, common)
             den = _div_exact(den, common)
-            num = num_a + num_b * Poly.variable("s")
         # joint content: integer coefficients overall, coprime across the
         # fraction, denominator's leading coefficient positive
         factor = _joint_content(num, den)

@@ -29,7 +29,8 @@ classified form.
 
 Numerically, T is built once per call as a dense (1,3) array, and every
 condition is that array with a matrix (phi, the projector onto xi, or the
-matrix of T(xi, e_i)) contracted into some of its slots by one primitive.
+matrix of T(xi, e_i)) contracted into some of its slots by one primitive,
+``frame_geometry._act``, the same one the curvature build uses.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .frame_geometry import CurvatureData, FrameModel, curvature
+from .frame_geometry import _act, _lincomb, _max_abs, _transpose
 from .scalar_algebra import (
     A0,
     A1,
@@ -261,7 +263,6 @@ def catalog() -> dict:
 
 
 NumericCoeffs = Sequence[Fraction]
-_ZERO_Q = Fraction(0)
 
 
 def _numeric(coeffs, model_n: int) -> tuple:
@@ -301,34 +302,6 @@ def t_components(model: FrameModel, coeffs, curv: Optional[CurvatureData] = None
             tv[i][j][j][i] += a[7] * scalar
             tv[i][j][i][j] -= a[7] * scalar
     return tv, curv
-
-
-def _lincomb(weights, parts):
-    """sum_p weights[p] * parts[p] over dense tensors of one shape, or scalars."""
-    if not isinstance(parts[0], (tuple, list)):
-        return sum((w * x for w, x in zip(weights, parts) if w and x), _ZERO_Q)
-    # an all-zero row still has to yield a zero tensor of the parts' shape
-    live = [(w, part) for w, part in zip(weights, parts) if w] or [(0, parts[0])]
-    weights, parts = zip(*live)
-    return tuple(_lincomb(weights, column) for column in zip(*parts))
-
-
-def _act(matrix, tensor, slot: int):
-    """out[..x..] = sum_p matrix[x][p] * tensor[..p..], x and p in the given
-    (0-based) slot of a dense tensor."""
-    if slot:
-        return tuple(_act(matrix, sub, slot - 1) for sub in tensor)
-    return tuple(_lincomb(row, tensor) for row in matrix)
-
-
-def _transpose(matrix) -> tuple:
-    return tuple(zip(*matrix))
-
-
-def _max_abs(tensor) -> Fraction:
-    if isinstance(tensor, (tuple, list)):
-        return max((_max_abs(sub) for sub in tensor), default=_ZERO_Q)
-    return abs(tensor)
 
 
 def flatness_residual(

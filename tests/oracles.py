@@ -33,6 +33,62 @@ def koszul_gamma(structure, dim):
     return gamma
 
 
+def riemann_loop(structure, dim):
+    """riemann[i][j][k][l] = g(R(e_i,e_j)e_k, e_l), summed index by index from
+    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
+    gamma = koszul_gamma(structure, dim)
+    riemann = [
+        [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for _ in range(dim)
+    ]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                for l in range(dim):
+                    value = Fraction(0)
+                    for m in range(dim):
+                        value += gamma[j][k][m] * gamma[i][m][l]
+                        value -= gamma[i][k][m] * gamma[j][m][l]
+                        value -= structure[i][j][m] * gamma[m][k][l]
+                    riemann[i][j][k][l] = value
+    return riemann
+
+
+def first_jacobi_failure(structure, dim):
+    """First triple i < j < k (lexicographic) whose Jacobi sum
+    [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] is nonzero, or None."""
+    c = structure
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                for l in range(dim):
+                    total = Fraction(0)
+                    for m in range(dim):
+                        total += (
+                            c[i][j][m] * c[m][k][l]
+                            + c[j][k][m] * c[m][i][l]
+                            + c[k][i][m] * c[m][j][l]
+                        )
+                    if total:
+                        return (i, j, k)
+    return None
+
+
+def h_loop(structure, xi, phi, dim):
+    """Matrix of h = (L_xi phi) / 2 from (L_xi phi) e_i = [xi, phi e_i] -
+    phi [xi, e_i], component by component."""
+    c = structure
+    h = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for k in range(dim):
+            value = Fraction(0)
+            for p in range(dim):
+                value += phi[p][i] * c[xi][p][k]
+                value -= c[xi][i][p] * phi[k][p]
+            h[k][i] = value / 2
+    return h
+
+
 def t_vector(curv, a, i, j, k):
     """T(e_i,e_j)e_k from the defining eight-term formula, written out."""
     dim = len(curv.ricci)

@@ -1,6 +1,7 @@
 """Frame models: connection, curvature, h-operator, audits, nullity fits."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,67 @@ def test_abelian_fails_contact_condition():
     assert "phi_square" not in failed
 
 
+def _family_brackets(top):
+    return [(0, 1, 2, top), (1, 2, 0, HALF), (2, 0, 1, 1 + HALF)]
+
+
+# one model per audit check, each failing at least that check; model-audit
+# prints these details verbatim
+_AUDIT_FAILURES = {
+    "bracket_structure": (
+        build_model(
+            5,
+            [(0, 2, 4, 2), (1, 3, 4, 2), (1, 3, 0, 1), (0, 4, 1, 1)],
+            4,
+            [[0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0] * 5],
+        ),
+        [
+            ("bracket_structure", "Jacobi identity fails on (e_1, e_2, e_4)"),
+            ("reeb_derivative", "skipped: invalid bracket structure"),
+        ],
+    ),
+    "phi_square": (
+        build_model(3, _family_brackets(2), 2, [[0, -1, 1], [1, 0, 0], [0, 0, 0]]),
+        [
+            ("phi_square", "component (2,3): 1 != 0"),
+            ("metric_compatibility", "component (2,3): -1 != 0"),
+            ("contact_condition", "d(eta)(e_1,e_3) = 0 != 1"),
+            ("reeb_derivative", "nabla_(e_3) xi component 1: 0 != -1/4"),
+        ],
+    ),
+    "metric_compatibility": (
+        build_model(3, _family_brackets(2), 2, [[0, -2, 0], [HALF, 0, 0], [0, 0, 0]]),
+        [
+            ("metric_compatibility", "component (1,1): 1/4 != 1"),
+            ("contact_condition", "d(eta)(e_1,e_2) = -1 != -2"),
+            ("reeb_derivative", "nabla_(e_1) xi component 2: -3/2 != -19/16"),
+        ],
+    ),
+    "contact_condition": (
+        build_model(3, _family_brackets(3), 2, STANDARD_PHI),
+        [
+            ("contact_condition", "d(eta)(e_1,e_2) = -3/2 != -1"),
+            ("reeb_derivative", "nabla_(e_1) xi component 2: -2 != -3/2"),
+        ],
+    ),
+    "reeb_derivative": (
+        build_model(3, _family_brackets(-2), 2, STANDARD_PHI),
+        [
+            ("contact_condition", "d(eta)(e_1,e_2) = 1 != -1"),
+            ("reeb_derivative", "nabla_(e_1) xi component 2: 1/2 != -3/2"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_AUDIT_FAILURES))
+def test_audit_failure_details_are_pinned(check):
+    model, expected = _AUDIT_FAILURES[check]
+    failures = [(c.name, c.detail) for c in contact_audit(model).failures()]
+    assert failures == expected
+    assert check in dict(failures)
+
+
 # ---------------------------------------------------------------------------
 # nullity fit
 
@@ -188,6 +250,17 @@ def test_flat_case_lambda_one():
 def test_abelian_nullity():
     fit = nullity_fit(abelian_model())
     assert fit.exact and fit.kappa == 0 and fit.mu == 0
+
+
+def test_nullity_fit_rejects_inconsistent_ricci():
+    # the Ricci checks of an exact fit must survive python -O
+    model = nk_lie_group_3d(HALF)
+    curv = curvature(model)
+    ricci = [list(row) for row in curv.ricci]
+    ricci[0][2] += 1
+    doctored = replace(curv, ricci=tuple(map(tuple, ricci)))
+    with pytest.raises(InvalidModel, match=r"S\(e_1, xi\) = 1 != 0"):
+        nullity_fit(model, doctored)
 
 
 # ---------------------------------------------------------------------------

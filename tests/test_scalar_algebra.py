@@ -105,20 +105,40 @@ def test_parse_render_round_trip():
         assert parse_expr(str(e)) == e
 
 
-def test_pseudo_remainder_keeps_gcd_division_exact():
-    # the remainder sequence skips degrees here; the pseudo-remainder must
-    # still carry lc^(deg num - deg den + 1) for the subresultant division
-    e = parse_expr(
-        "(-30*n*kappa*a*s - 120*n*kappa + 15*kappa*a*c*s + 2*kappa*a*s"
-        " + 60*kappa*c + 8*kappa + 6*a^2*s + 24*a)/(12*n*a^2 - 192)"
-    )
+def _assert_square_minus_self(text):
+    # binding n = k^2 and s = k is a ring homomorphism, so e*e - e and its
+    # parse_expr(str(...)) round trip must evaluate as the Fractions do
+    e = parse_expr(text)
     value = e * e - e
+    again = parse_expr(str(value))
     for k, kappa, a, c in [(2, 3, 5, 7), (3, Fraction(1, 2), 2, -1),
                            (5, -2, Fraction(3, 4), 1)]:
         point = {"n": Fraction(k * k), "s": Fraction(k), "kappa": Fraction(kappa),
                  "a": Fraction(a), "c": Fraction(c)}
         direct = eval_at(e, point)
         assert eval_at(value, point) == direct * direct - direct
+        assert eval_at(again, point) == direct * direct - direct
+    assert again == value
+
+
+def test_pseudo_remainder_keeps_gcd_division_exact():
+    # the remainder sequence skips degrees here; the pseudo-remainder must
+    # still carry lc^(deg num - deg den + 1) for the subresultant division
+    _assert_square_minus_self(
+        "(-30*n*kappa*a*s - 120*n*kappa + 15*kappa*a*c*s + 2*kappa*a*s"
+        " + 60*kappa*c + 8*kappa + 6*a^2*s + 24*a)/(12*n*a^2 - 192)"
+    )
+
+
+def test_heavy_gcd_entry_and_its_round_trip():
+    # the heavy entry of the benchmark corpus: while the canonicaliser took
+    # the gcd of the numerator's two s-halves before the denominator, e*e - e
+    # took seconds and reading its 75-term result back took minutes
+    _assert_square_minus_self(
+        "(90*n^2*a - 135*n^2*c + 108*n*kappa*c + 10*n*a^2*s - 15*n*a*c*s - 30*n*a"
+        " + 45*n*c + 216*n + 12*kappa*a*c*s - 36*kappa*c + 24*a*s - 72)"
+        "/(162*n^2 - 2*n*a^2 - 108*n + 18)"
+    )
 
 
 def test_unknown_indeterminate_rejected():
