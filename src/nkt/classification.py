@@ -35,6 +35,7 @@ from .scalar_algebra import (
     N,
     RationalExpr,
     S,
+    ScalarAlgebraError,
     expr,
     parse_expr,
     solve_linear,
@@ -443,28 +444,53 @@ def golden_dir(override: Union[str, Path, None] = None) -> Path:
     return Path(env) if env else _DATA_DIR
 
 
+class GoldenFormatError(ValueError):
+    """A golden transcription file is missing or malformed; the message
+    starts with the file and, for a bad row, its line."""
+
+
+def _golden_rows(path: Path, maxsplit: int = -1):
+    """(line number, '|'-separated fields) of each non-comment line."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise GoldenFormatError(f"{path}: {exc.strerror or exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, [p.strip() for p in line.split("|", maxsplit)]
+
+
+def _need_fields(parts: list, count: int) -> None:
+    if len(parts) < count:
+        raise GoldenFormatError(f"expected {count} '|'-separated fields, found {len(parts)}")
+
+
+def _golden_record(which: int, parts: list) -> tuple:
+    name = PresetName.parse(parts[0])
+    if which != 2:
+        _need_fields(parts, 4)
+        record = {"tag": parts[1], "b1": parse_expr(parts[2]), "b2": parse_expr(parts[3])}
+    elif parts[1:2] == ["any"]:
+        record = {"kind": "any"}
+    else:
+        _need_fields(parts, 3)
+        if parts[1] != "value":
+            raise GoldenFormatError(f"unknown kind {parts[1]!r}; expected 'any' or 'value'")
+        record = {"kind": "value", "kappa": parse_expr(parts[2])}
+    return name, record
+
+
 def load_golden_table(which: int, directory: Union[str, Path, None] = None) -> dict:
     """preset -> reference record parsed from the transcription file."""
     path = golden_dir(directory) / f"table{which}.txt"
     records = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split("|")]
-        name = PresetName.parse(parts[0])
-        if which == 2:
-            kind = parts[1]
-            if kind == "any":
-                records[name] = {"kind": "any"}
-            else:
-                records[name] = {"kind": "value", "kappa": parse_expr(parts[2])}
-        else:
-            records[name] = {
-                "tag": parts[1],
-                "b1": parse_expr(parts[2]),
-                "b2": parse_expr(parts[3]),
-            }
+    for lineno, parts in _golden_rows(path):
+        try:
+            name, record = _golden_record(which, parts)
+        except (GoldenFormatError, KeyError, ScalarAlgebraError) as exc:
+            raise GoldenFormatError(f"{path}:{lineno}: {exc.args[0]}") from exc
+        records[name] = record
     return records
 
 
@@ -474,12 +500,13 @@ def load_allowlist(directory: Union[str, Path, None] = None) -> dict:
     if not path.exists():
         return {}
     entries = {}
-    for raw in path.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        table, name, field, note = [p.strip() for p in line.split("|", 3)]
-        entries[(int(table), PresetName.parse(name), field)] = note
+    for lineno, parts in _golden_rows(path, 3):
+        try:
+            _need_fields(parts, 4)
+            table, name, field, note = parts
+            entries[(int(table), PresetName.parse(name), field)] = note
+        except (KeyError, ValueError) as exc:
+            raise GoldenFormatError(f"{path}:{lineno}: {exc.args[0]}") from exc
     return entries
 
 

@@ -54,8 +54,6 @@ from .t_tensor import (
     coeffs_from,
     flatness_residual,
     preset,
-    t_dot_ricci,
-    t_dot_riemann,
 )
 
 _CONDITION_LABELS = {
@@ -391,12 +389,8 @@ def _cmd_residual(args) -> int:
         numeric = row.at(model.n, a0=a0, a1=a1)
         label = name.value
         flags = list(row.annotations)
-    if condition is ConditionKind.T_DOT_R:
-        value = t_dot_riemann(model, numeric, variant=args.variant)
-    elif condition is ConditionKind.T_DOT_S:
-        value = t_dot_ricci(model, numeric)
-    else:
-        value = flatness_residual(model, numeric, condition, strict=args.strict_xi)
+    value = flatness_residual(model, numeric, condition, strict=args.strict_xi,
+                              variant=args.variant)
     payload = {
         "command": "residual",
         "model": source,

@@ -16,6 +16,11 @@ Canonical form of a :class:`RationalExpr`:
 
 Two expressions are equal as field elements iff their canonical forms are
 identical, so ``==`` is decidable equality.
+
+Because the canonical form is unique, it can be taken once per result:
+``parse_expr`` and ``substitute`` work on (numerator, denominator) polynomial
+pairs with plain ring arithmetic and canonicalise at the end.  ``poly_gcd``
+answers a monomial or constant input in closed form.
 """
 
 from __future__ import annotations
@@ -445,6 +450,10 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
         return second.primitive()
     if second.is_zero():
         return first.primitive()
+    if len(first.terms) == 1 or len(second.terms) == 1:
+        # a monomial's divisors are monomials: the answer is the smallest
+        # power of each variable over all terms (a constant input gives 1)
+        return Poly({tuple(map(min, *first.terms, *second.terms)): Fraction(1)})
     names = [v for v in VARIABLES if v != "s" and (first.degree(v) or second.degree(v))]
     if not names:
         return Poly.constant(1)
@@ -556,7 +565,8 @@ def _gcd_against_sfree(num: Poly, den: Poly) -> Poly:
     denominator goes first: it is often small or constant, and then the gcd
     ends in a divisibility test, not a PRS on the numerator's two halves."""
     a, b = num.split_s()
-    return poly_gcd(poly_gcd(den, a), b)
+    common = poly_gcd(den, a)
+    return poly_gcd(common, b) if b.terms else common
 
 
 def _div_with_s(num: Poly, divisor: Poly) -> Poly:
@@ -771,24 +781,38 @@ def eval_at(value: RationalExpr, bindings: Mapping[str, RationalLike]) -> Fracti
 
 
 def substitute(value: RationalExpr, name: str, replacement: ExprLike) -> RationalExpr:
-    """Substitute an expression for one indeterminate."""
+    """Substitute an expression P/Q for one indeterminate.
+
+    Each side p of the fraction is homogenised, p(P/Q) = p~(P, Q) / Q^deg p
+    with p~ = sum c_k P^k Q^(deg p - k), so the result is canonicalised once.
+    """
     replacement = expr(replacement)
     if name not in _VAR_INDEX:
         raise ExprSyntaxError(f"unknown indeterminate {name!r}")
-    num = _subs_poly(value.num, name, replacement)
-    den = _subs_poly(value.den, name, replacement)
+    num_coeffs = value.num.coefficients_in(name)
+    den_coeffs = value.den.coefficients_in(name)
+    num_deg, den_deg = max(num_coeffs, default=0), max(den_coeffs)
+    p_powers, q_powers = [Poly.constant(1)], [Poly.constant(1)]
+    for _ in range(max(num_deg, den_deg)):
+        p_powers.append(p_powers[-1] * replacement.num)
+        q_powers.append(q_powers[-1] * replacement.den)
+
+    def homogenised(coeffs, deg):
+        out = Poly()
+        for k, coeff in coeffs.items():
+            out = out + coeff * p_powers[k] * q_powers[deg - k]
+        return out
+
+    den = homogenised(den_coeffs, den_deg)
     if den.is_zero():
         raise DivisionByZero(
             f"denominator of {value} vanishes identically after {name} substitution"
         )
-    return num / den
-
-
-def _subs_poly(poly: Poly, name: str, replacement: RationalExpr) -> RationalExpr:
-    out = RationalExpr.constant(0)
-    for power, coeff in poly.coefficients_in(name).items():
-        out = out + RationalExpr(coeff) * replacement ** power
-    return out
+    # num~ Q^deg den / (den~ Q^deg num); the shared power of Q comes out
+    # here, since the canonicaliser would need a PRS to find it again
+    shift = den_deg - num_deg
+    num = homogenised(num_coeffs, num_deg) * q_powers[max(shift, 0)]
+    return RationalExpr(num, den * q_powers[max(-shift, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -920,13 +944,15 @@ def parse_expr(text: str) -> RationalExpr:
 
     Grammar: ``+ - * / ^`` with usual precedence, parentheses, integer
     literals and the fixed indeterminate names.  Parentheses and unary signs
-    nest at most ``_MAX_NESTING`` deep.
+    nest at most ``_MAX_NESTING`` deep.  The parser carries (numerator,
+    denominator) polynomial pairs through plain ring arithmetic and
+    canonicalises once, at the end.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, text)
-    value = parser.parse_sum()
+    num, den = parser.parse_sum()
     parser.expect_end()
-    return value
+    return RationalExpr(num, den)
 
 
 def _tokenize(text: str) -> list:
@@ -978,21 +1004,32 @@ class _Parser:
         if self.pos != len(self.tokens):
             raise ExprSyntaxError(f"trailing input in {self.text!r}")
 
+    # values are (numerator, denominator) Poly pairs; a denominator is never
+    # zero, because a reduced A + B*s vanishes only when A = B = 0 and every
+    # divisor's numerator is checked
+
     def parse_sum(self):
-        value = self.parse_product()
+        num, den = self.parse_product()
         while self.peek() in ("+", "-"):
             op = self.take()[0]
-            rhs = self.parse_product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            rhs_num, rhs_den = self.parse_product()
+            if op == "-":
+                rhs_num = -rhs_num
+            if den == rhs_den:
+                num = num + rhs_num
+            else:
+                num, den = num * rhs_den + rhs_num * den, den * rhs_den
+        return num, den
 
     def parse_product(self):
-        value = self.parse_unary()
+        num, den = self.parse_unary()
         while self.peek() in ("*", "/"):
             op = self.take()[0]
-            rhs = self.parse_unary()
-            value = value * rhs if op == "*" else value / rhs
-        return value
+            rhs_num, rhs_den = self.parse_unary()
+            if op == "/":
+                rhs_num, rhs_den = _reciprocal(rhs_num, rhs_den)
+            num, den = num * rhs_num, den * rhs_den
+        return num, den
 
     def parse_unary(self):
         # every nesting level (a parenthesis or a unary sign) passes here
@@ -1001,7 +1038,8 @@ class _Parser:
             raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels")
         if self.peek() == "-":
             self.take()
-            value = -self.parse_unary()
+            num, den = self.parse_unary()
+            value = -num, den
         elif self.peek() == "+":
             self.take()
             value = self.parse_unary()
@@ -1011,7 +1049,7 @@ class _Parser:
         return value
 
     def parse_power(self):
-        base = self.parse_atom()
+        num, den = self.parse_atom()
         if self.peek() == "^":
             self.take()
             negative = False
@@ -1022,8 +1060,10 @@ class _Parser:
             if kind != "int":
                 raise ExprSyntaxError(f"exponent must be an integer in {self.text!r}")
             exponent = int(text)
-            return base ** (-exponent if negative else exponent)
-        return base
+            if negative and exponent:
+                num, den = _reciprocal(num, den)
+            return num ** exponent, den ** exponent
+        return num, den
 
     def parse_atom(self):
         if self.peek() == "(":
@@ -1034,10 +1074,16 @@ class _Parser:
             self.take()
             return value
         if self.peek() == "int":
-            return RationalExpr.constant(int(self.take()[1]))
+            return Poly.constant(int(self.take()[1])), Poly.constant(1)
         if self.peek() == "name":
-            return RationalExpr.variable(self.take()[1])
+            return Poly.variable(self.take()[1]), Poly.constant(1)
         raise ExprSyntaxError(f"could not parse {self.text!r}")
+
+
+def _reciprocal(num: Poly, den: Poly) -> tuple:
+    if num.is_zero():
+        raise DivisionByZero("division by the zero expression")
+    return den, num
 
 
 # convenient named generators (``lambda`` is a keyword, hence LAM)

@@ -310,8 +310,11 @@ def flatness_residual(
     kind: ConditionKind,
     *,
     strict: bool = False,
+    variant: str = "standard",
 ) -> Fraction:
-    """Max-abs residual of a flatness condition over all frame tuples.
+    """Max-abs residual of a flatness or derivation condition over all frame
+    tuples; t-dot-r and t-dot-s go to t_dot_riemann (with ``variant``) and
+    t_dot_ricci.
 
     t-flat      T(e_i,e_j)e_k = 0
     xi-flat     T(e_i, xi, xi, e_l) = 0 (the classified insertion);
@@ -323,9 +326,10 @@ def flatness_residual(
     onto xi, or phi^T (inserting phi e_i into a slot contracts with the
     transpose of its matrix).
     """
-    if kind in (ConditionKind.T_DOT_R, ConditionKind.T_DOT_S):
-        fn = t_dot_riemann if kind is ConditionKind.T_DOT_R else t_dot_ricci
-        return fn(model, coeffs)
+    if kind is ConditionKind.T_DOT_R:
+        return t_dot_riemann(model, coeffs, variant=variant)
+    if kind is ConditionKind.T_DOT_S:
+        return t_dot_ricci(model, coeffs)
     tv, _ = t_components(model, coeffs)
     dim, xi = model.dim, model.xi_index
     on_xi = [[Fraction(x == p == xi) for p in range(dim)] for x in range(dim)]

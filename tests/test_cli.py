@@ -288,3 +288,46 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "kappa_bar = kappa" in proc.stdout
+
+
+def _golden_copy(tmp_path, monkeypatch):
+    from nkt.classification import golden_dir
+
+    for source in golden_dir().iterdir():
+        (tmp_path / source.name).write_text(source.read_text())
+    monkeypatch.setenv("NKT_GOLDEN_DIR", str(tmp_path))
+    return tmp_path
+
+
+def _append_row(path, row):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [row]) + "\n")
+    return len(lines) + 1
+
+
+def test_malformed_golden_rows_are_located(tmp_path, monkeypatch, capsys):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    cases = [
+        (2, "W2", "expected 3 '|'-separated fields, found 1"),
+        (3, "W2 | einstein | 1", "expected 4 '|'-separated fields, found 3"),
+        (2, "W2 | value | 1/(n-n)", "division by the zero expression"),
+        (4, "W2 | eta | 1 | 1/(n-n)", "division by the zero expression"),
+        (2, "Q | value | 1", "unknown preset 'Q'"),
+    ]
+    for which, row, reason in cases:
+        path = golden / f"table{which}.txt"
+        original = path.read_text()
+        line = _append_row(path, row)
+        code, out, err = invoke(capsys, "table", str(which))
+        path.write_text(original)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:{line}: {reason}\n"
+
+
+def test_missing_golden_table_names_the_file(tmp_path, monkeypatch, capsys):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    (golden / "table5.txt").unlink()
+    code, out, err = invoke(capsys, "table", "5", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {golden / 'table5.txt'}: ")
+    assert "Traceback" not in err

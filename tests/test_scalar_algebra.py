@@ -1,5 +1,6 @@
 """Exact scalar algebra: normalization, evaluation, solving, s-extension."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -15,14 +16,17 @@ from nkt.scalar_algebra import (
     KAPPA,
     N,
     NonlinearInVariable,
+    Poly,
     RationalExpr,
     S,
     UnboundIndeterminate,
+    VARIABLES,
     ZeroDenominator,
     eval_at,
     expr,
     normalize,
     parse_expr,
+    poly_gcd,
     solve_linear,
     sqrt_expr,
     substitute,
@@ -178,7 +182,7 @@ _VAR_POOL = (N, KAPPA, A, C, S)
 
 
 @st.composite
-def polys(draw):
+def polys(draw, pool=_VAR_POOL):
     terms = draw(st.integers(min_value=1, max_value=4))
     value = expr(0)
     for _ in range(terms):
@@ -188,7 +192,7 @@ def polys(draw):
         )
         term = expr(coeff)
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            term = term * draw(st.sampled_from(_VAR_POOL))
+            term = term * draw(st.sampled_from(pool))
         value = value + term
     return value
 
@@ -288,3 +292,147 @@ def test_equality_sound_for_evaluation(e1, e2):
             assert eval_at(e1, point) == eval_at(e2, point)
         except DivisionByZero:
             continue
+
+
+# ---------------------------------------------------------------------------
+# the parser and substitute against RationalExpr arithmetic
+
+
+# a tree is (text, thunk): the thunk evaluates the same tree with the
+# RationalExpr operators, lazily, so that a zero divisor raises in the test
+_TREE_LEAVES = st.one_of(
+    st.integers(min_value=0, max_value=4).map(lambda k: (str(k), lambda: expr(k))),
+    st.sampled_from(("n", "kappa", "a0", "s")).map(lambda v: (v, lambda: RationalExpr.variable(v))),
+)
+_TREE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _extend(children):
+    def binary(op):
+        return st.tuples(children, children).map(lambda pair: (
+            f"({pair[0][0]}) {op} ({pair[1][0]})",
+            lambda: _TREE_OPS[op](pair[0][1](), pair[1][1]())))
+
+    return st.one_of(
+        *map(binary, _TREE_OPS),
+        children.map(lambda c: (f"-({c[0]})", lambda: -c[1]())),
+        st.tuples(children, st.integers(min_value=-2, max_value=3)).map(
+            lambda c: (f"({c[0][0]})^{c[1]}", lambda: c[0][1]() ** c[1])),
+    )
+
+
+_TREES = st.recursive(_TREE_LEAVES, _extend, max_leaves=8)
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except DivisionByZero as exc:
+        return f"DivisionByZero: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES)
+def test_parse_expr_agrees_with_field_operators(tree):
+    text, value = tree
+    assert _outcome(lambda: parse_expr(text)) == _outcome(value)
+
+
+# a polynomial, or a fraction free of s: a replacement whose denominator
+# and numerator both carry s leads the canonicaliser's gcd into
+# multi-second cases that have nothing to do with substitute
+_REPLACEMENTS = st.one_of(
+    polys(),
+    st.tuples(polys(_VAR_POOL[:-1]), polys(_VAR_POOL[:-1]).filter(lambda p: not p.is_zero()))
+    .map(lambda pair: pair[0] / pair[1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(), _REPLACEMENTS, st.sampled_from(("n", "kappa", "a", "c", "s")),
+       st.integers(min_value=0, max_value=2**32))
+def test_substitute_agrees_with_evaluation(e, replacement, name, seed):
+    # a canonical form has s-degree <= 1, so evaluating it with name bound to
+    # the replacement's value is what the substitution must give
+    got = substitute(e, name, replacement)
+    rng = random.Random(seed)
+    for _ in range(6):
+        point = _random_point(rng)
+        try:
+            shifted = dict(point, **{name: eval_at(replacement, point)})
+            assert eval_at(got, point) == eval_at(e, shifted)
+        except DivisionByZero:
+            continue
+
+
+def test_substitute_errors():
+    with pytest.raises(DivisionByZero, match="vanishes identically"):
+        substitute(1 / (KAPPA - N), "kappa", N)
+    assert substitute(expr(0), "kappa", N).is_zero()
+    assert substitute(N / KAPPA, "a", C) == N / KAPPA
+
+
+# ---------------------------------------------------------------------------
+# closed-form gcds and canonical forms against sympy (test-only dependency)
+
+_SYMPY_VARS = ("n", "kappa", "a", "c")
+
+
+@st.composite
+def raw_polys(draw, max_terms):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=max_terms))):
+        exps = [0] * len(VARIABLES)
+        for name in _SYMPY_VARS:
+            exps[VARIABLES.index(name)] = draw(st.integers(min_value=0, max_value=3))
+        terms[tuple(exps)] = Fraction(draw(st.integers(min_value=1, max_value=6)),
+                                      draw(st.integers(min_value=1, max_value=4)))
+        if draw(st.booleans()):
+            terms[tuple(exps)] *= -1
+    return Poly(terms)
+
+
+def _to_sympy(sympy, poly):
+    symbols = [sympy.Symbol(v) for v in VARIABLES]
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*[x ** e for x, e in zip(symbols, exps)])
+        for exps, c in poly.terms.items()
+    ])
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_polys(1), raw_polys(5), st.booleans())
+def test_monomial_and_constant_gcd_match_sympy(mono, other, constant):
+    sympy = pytest.importorskip("sympy")
+    if constant:
+        mono = Poly.constant(next(iter(mono.terms.values())))
+    gens = [sympy.Symbol(v) for v in _SYMPY_VARS]
+    want = sympy.Poly(sympy.gcd(_to_sympy(sympy, mono), _to_sympy(sympy, other)), *gens)
+    for first, second in ((mono, other), (other, mono)):
+        got = poly_gcd(first, second)
+        assert list(got.terms.values()) == [1]
+        assert sympy.Poly(_to_sympy(sympy, got), *gens).monic() == want.monic()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(_VAR_POOL[:-1]), polys(_VAR_POOL[:-1]),
+       polys(_VAR_POOL[:-1]).filter(lambda p: not p.is_zero()),
+       polys(_VAR_POOL[:-1]).filter(lambda p: not p.is_zero()))
+def test_canonical_form_matches_sympy_cancel(a, b, c, d):
+    # (a*b)/(c*d) built with the field operators, against sympy's lowest
+    # terms of the product of the parts: equal up to a constant factor
+    sympy = pytest.importorskip("sympy")
+
+    def as_sympy(value):
+        return _to_sympy(sympy, value.num) / _to_sympy(sympy, value.den)
+
+    value = (a * b) / (c * d)
+    want_num, want_den = sympy.fraction(sympy.cancel(
+        as_sympy(a) * as_sympy(b) / (as_sympy(c) * as_sympy(d))))
+    got_num, got_den = _to_sympy(sympy, value.num), _to_sympy(sympy, value.den)
+    assert sympy.cancel(want_den / got_den).is_number
+    assert sympy.expand(want_num * got_den - got_num * want_den) == 0
+    coefficients = list(value.num.terms.values()) + list(value.den.terms.values())
+    assert all(x.denominator == 1 for x in coefficients)
+    assert value.den.leading()[1] > 0

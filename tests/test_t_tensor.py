@@ -298,3 +298,16 @@ def test_derivation_residual_pinned_values():
     assert t_dot_riemann(model, preset("W1")) == Fraction(9, 4)
     assert t_dot_riemann(model, preset("W1"), variant="printed") == Fraction(9, 4)
     assert t_dot_ricci(model, preset("P")) == Fraction(9, 8)
+
+
+def test_flatness_residual_forwards_the_derivation_variant():
+    # on this vector the two fourth-term variants of T(xi,X).R differ
+    model, _ = model_and_curvature()
+    coeffs = tuple(Fraction(x) for x in (0, 3, 0, 0, 2, 0, 3, -2))
+    standard = t_dot_riemann(model, coeffs)
+    printed = t_dot_riemann(model, coeffs, variant="printed")
+    assert standard != printed
+    kind = ConditionKind.T_DOT_R
+    assert flatness_residual(model, coeffs, kind) == standard
+    assert flatness_residual(model, coeffs, kind, variant="printed") == printed
+    assert flatness_residual(model, coeffs, ConditionKind.T_DOT_S) == t_dot_ricci(model, coeffs)
