@@ -21,13 +21,28 @@ Because the canonical form is unique, it can be taken once per result:
 ``parse_expr`` and ``substitute`` work on (numerator, denominator) polynomial
 pairs with plain ring arithmetic and canonicalise at the end.  ``poly_gcd``
 answers a monomial or constant input in closed form.
+
+Representation.  A monomial is one packed ``int``: a 16-bit field per
+indeterminate in ``VARIABLES`` order, ``n`` in the high bits and ``s`` in the
+low bits, so integer order is lex order on exponent tuples and a monomial
+product is an integer add.  The top bit of each field is a guard: exponents
+stay at most ``MAX_EXPONENT`` (2^15 - 1), and a product that sets a guard bit
+raises :class:`ExponentOverflow` instead of carrying into the next field.
+Coefficients are Python ``int`` wherever the input is integral, and every
+coefficient division goes through one exact helper, ``_qdiv``.  ``Fraction``
+appears only at the boundary: ``Poly.constant`` of a non-integer, ``scale``
+by a fraction, and ``evaluate``/``eval_at``/``as_rational``, which always
+return ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from functools import reduce
+from itertools import chain
+from math import gcd, isqrt, lcm, prod
+from operator import or_
 from typing import Mapping, Optional, Union
 
 Rational = Fraction
@@ -38,6 +53,16 @@ _NVARS = len(VARIABLES)
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _N = _VAR_INDEX["n"]
 _S = _VAR_INDEX["s"]
+
+_WIDTH = 16
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
+_SHIFTS = tuple(_WIDTH * (_NVARS - 1 - i) for i in range(_NVARS))
+_GUARDS = sum(1 << (shift + _WIDTH - 1) for shift in _SHIFTS)
+_LOW_BITS = sum(1 << shift for shift in _SHIFTS)
+_N_UNIT = 1 << _SHIFTS[_N]
+# s has the lowest field, and reduced factors carry s^0 or s^1, so a product
+# holds s^2 exactly when bit 1 is set: s*s -> n is one mask test and one add
+_S_SQUARE = 2
 
 RationalLike = Union[int, Fraction, str]
 
@@ -67,6 +92,10 @@ class ExprSyntaxError(ScalarAlgebraError, ValueError):
     """parse_expr could not parse its input."""
 
 
+class ExponentOverflow(ScalarAlgebraError):
+    """An exponent would exceed MAX_EXPONENT, the width of its packed field."""
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact rational."""
     if isinstance(value, Fraction):
@@ -81,47 +110,84 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def _reduce_exps(exps: tuple) -> tuple:
-    # apply s*s -> n
-    es = exps[_S]
-    if es < 2:
-        return exps
-    lst = list(exps)
-    lst[_N] += es // 2
-    lst[_S] = es % 2
-    return tuple(lst)
+def _qdiv(a, b):
+    """a / b for int or Fraction coefficients: an int when the quotient is
+    integral, a Fraction otherwise (``int / int`` would be a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
 
 
-_ZERO_MONO = (0,) * _NVARS
+def _pack(exps) -> int:
+    """Packed monomial of an exponent tuple, reduced under s*s -> n."""
+    if min(exps) < 0:
+        raise ValueError(f"negative exponent in {tuple(exps)}")
+    exps = list(exps)
+    exps[_N] += exps[_S] // 2
+    exps[_S] %= 2
+    if max(exps) > MAX_EXPONENT:
+        raise ExponentOverflow(f"exponent above {MAX_EXPONENT} in {tuple(exps)}")
+    return sum(e << shift for e, shift in zip(exps, _SHIFTS))
+
+
+def _unpack(key: int) -> tuple:
+    return tuple(key >> shift & MAX_EXPONENT for shift in _SHIFTS)
+
+
+def _mono_min(a: int, b: int) -> int:
+    # fieldwise minimum: with the guards set, a field of a - b keeps its guard
+    # exactly where a's exponent >= b's; mask spans those fields' exponents
+    t = ((a | _GUARDS) - b) & _GUARDS
+    mask = t - (t >> (_WIDTH - 1))
+    return (b & mask) | (a & ~mask)
+
+
+def _used(keys) -> list:
+    """Indeterminates occurring in any of the packed monomials, in order."""
+    seen = reduce(or_, keys, 0)
+    return [v for v, shift in zip(VARIABLES, _SHIFTS) if seen >> shift & MAX_EXPONENT]
+
+
+def _poly(terms: dict) -> "Poly":
+    # wrap a dict already keyed by reduced packed monomials
+    poly = Poly.__new__(Poly)
+    poly.terms = terms
+    return poly
 
 
 class Poly:
     """Multivariate polynomial over Q in the fixed indeterminate set.
 
-    Terms map exponent tuples to nonzero Fraction coefficients; exponent
-    tuples are always reduced under s*s -> n.
+    ``terms`` maps packed monomials (see the module docs) to nonzero
+    coefficients: ``int`` for integral ones, ``Fraction`` otherwise.  The
+    constructor takes exponent tuples, reduces them under s*s -> n and
+    packs them; ``monomials`` reads them back as tuples.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[tuple, Fraction]] = None):
         clean: dict = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = _reduce_exps(exps)
-                acc = clean.get(exps, 0) + coeff
-                if acc:
-                    clean[exps] = acc
-                elif exps in clean:
-                    del clean[exps]
+        for exps, coeff in (terms or {}).items():
+            key = _pack(exps)
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+            acc = clean.get(key, 0) + coeff
+            if acc:
+                clean[key] = acc
+            elif key in clean:
+                del clean[key]
         self.terms = clean
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Poly":
-        value = as_rational(value)
-        return cls({_ZERO_MONO: value}) if value else cls()
+        if type(value) is not int:
+            value = _qdiv(as_rational(value), 1)
+        return _poly({0: value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
@@ -129,9 +195,7 @@ class Poly:
             raise ExprSyntaxError(
                 f"unknown indeterminate {name!r}; expected one of {VARIABLES}"
             )
-        exps = [0] * _NVARS
-        exps[_VAR_INDEX[name]] = 1
-        return cls({tuple(exps): Fraction(1)})
+        return _poly({1 << _SHIFTS[_VAR_INDEX[name]]: 1})
 
     # -- predicates ----------------------------------------------------
 
@@ -139,15 +203,14 @@ class Poly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {_ZERO_MONO: Fraction(1)}
+        return self.terms == {0: 1}
 
     def variables(self) -> frozenset:
-        out = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    out.add(VARIABLES[i])
-        return frozenset(out)
+        return frozenset(_used(self.terms))
+
+    def monomials(self) -> dict:
+        """{exponent tuple: coefficient}, largest monomial first."""
+        return {_unpack(k): self.terms[k] for k in sorted(self.terms, reverse=True)}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -168,38 +231,38 @@ class Poly:
                 out[exps] = acc
             elif exps in out:
                 del out[exps]
-        poly = Poly.__new__(Poly)
-        poly.terms = out
-        return poly
+        return _poly(out)
 
     def __neg__(self) -> "Poly":
-        poly = Poly.__new__(Poly)
-        poly.terms = {e: -c for e, c in self.terms.items()}
-        return poly
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: dict = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = _reduce_exps(tuple(a + b for a, b in zip(e1, e2)))
-                acc = out.get(exps, 0) + c1 * c2
+                key = e1 + e2
+                if key & _S_SQUARE:
+                    key += _N_UNIT - _S_SQUARE
+                acc = get(key, 0) + c1 * c2
                 if acc:
-                    out[exps] = acc
-                elif exps in out:
-                    del out[exps]
-        poly = Poly.__new__(Poly)
-        poly.terms = out
-        return poly
+                    out[key] = acc
+                elif key in out:
+                    del out[key]
+        if reduce(or_, out, 0) & _GUARDS:
+            raise ExponentOverflow(f"a product has an exponent above {MAX_EXPONENT}")
+        return _poly(out)
 
-    def scale(self, factor: Fraction) -> "Poly":
+    def scale(self, factor) -> "Poly":
         if not factor:
             return Poly()
-        poly = Poly.__new__(Poly)
-        poly.terms = {e: c * factor for e, c in self.terms.items()}
-        return poly
+        if type(factor) is int:
+            return _poly({e: c * factor for e, c in self.terms.items()})
+        p, q = factor.numerator, factor.denominator
+        return _poly({e: _qdiv(c * p, q) for e, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -209,67 +272,65 @@ class Poly:
         while exponent:
             if exponent & 1:
                 out = out * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                # no square past the last bit: it could overflow a field
+                # that the result itself fits in
+                base = base * base
         return out
 
     # -- structure ---------------------------------------------------------
 
     def leading(self) -> tuple:
-        """(monomial, coefficient) of the lex-largest monomial."""
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+        """(packed monomial, coefficient) of the lex-largest monomial."""
+        key = max(self.terms)
+        return key, self.terms[key]
 
     def degree(self, name: str) -> int:
-        idx = _VAR_INDEX[name]
-        return max((e[idx] for e in self.terms), default=0)
+        shift = _SHIFTS[_VAR_INDEX[name]]
+        return max((k >> shift & MAX_EXPONENT for k in self.terms), default=0)
 
     def coefficients_in(self, name: str) -> dict:
         """Split into {power: coefficient Poly} with respect to one variable."""
-        idx = _VAR_INDEX[name]
+        shift = _SHIFTS[_VAR_INDEX[name]]
         buckets: dict = {}
-        for exps, coeff in self.terms.items():
-            power = exps[idx]
-            rest = list(exps)
-            rest[idx] = 0
-            buckets.setdefault(power, {})[tuple(rest)] = coeff
-        return {p: Poly(t) for p, t in buckets.items()}
+        for key, coeff in self.terms.items():
+            power = key >> shift & MAX_EXPONENT
+            buckets.setdefault(power, {})[key - (power << shift)] = coeff
+        return {p: _poly(t) for p, t in buckets.items()}
 
     def split_s(self) -> tuple:
         """Write the polynomial as A + B*s with A, B s-free."""
         a_terms: dict = {}
         b_terms: dict = {}
-        for exps, coeff in self.terms.items():
-            if exps[_S]:
-                rest = list(exps)
-                rest[_S] = 0
-                b_terms[tuple(rest)] = coeff
+        for key, coeff in self.terms.items():
+            if key & 1:
+                b_terms[key - 1] = coeff
             else:
-                a_terms[exps] = coeff
-        return Poly(a_terms), Poly(b_terms)
+                a_terms[key] = coeff
+        return _poly(a_terms), _poly(b_terms)
 
-    def content(self) -> Fraction:
+    def content(self):
         """gcd of numerators over lcm of denominators, signed by the leading
         coefficient; dividing by it leaves coprime integer coefficients with
         a positive leading one."""
-        content = _joint_content(self)
-        if self.terms and self.leading()[1] < 0:
-            content = -content
-        return content
+        if not self.terms:
+            return 1
+        g, l, _ = _content_parts(self.terms.values())
+        return _qdiv(-g if self.leading()[1] < 0 else g, l)
 
     def primitive(self) -> "Poly":
         if not self.terms:
             return self
-        return self.scale(1 / self.content())
+        return _primitive((self,), self.leading()[1] < 0)[0]
 
     def evaluate(self, bindings: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             value = coeff
-            for i, e in enumerate(exps):
+            for name, e in zip(VARIABLES, _unpack(key)):
                 if not e:
                     continue
-                name = VARIABLES[i]
                 if name not in bindings:
                     raise UnboundIndeterminate(
                         f"no value supplied for indeterminate {name!r}"
@@ -284,11 +345,11 @@ class Poly:
         if not self.terms:
             return "0"
         pieces = []
-        for exps in sorted(self.terms, reverse=True):
-            coeff = self.terms[exps]
+        for key in sorted(self.terms, reverse=True):
+            coeff = self.terms[key]
             mono = "*".join(
-                f"{VARIABLES[i]}^{e}" if e > 1 else VARIABLES[i]
-                for i, e in enumerate(exps)
+                f"{name}^{e}" if e > 1 else name
+                for name, e in zip(VARIABLES, _unpack(key))
                 if e
             )
             if not mono:
@@ -308,18 +369,29 @@ class Poly:
         return f"Poly({self})"
 
 
-def _frac_str(value: Fraction) -> str:
+def _frac_str(value) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def _joint_content(*polys: "Poly") -> Fraction:
-    num_gcd = 0
-    den_lcm = 1
-    for poly in polys:
-        for c in poly.terms.values():
-            num_gcd = gcd(num_gcd, c.numerator)
-            den_lcm = lcm(den_lcm, c.denominator)
-    return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
+def _content_parts(coeffs) -> tuple:
+    """(gcd of numerators, lcm of denominators, whether all are ints)."""
+    coeffs = list(coeffs)
+    try:
+        return gcd(*coeffs), 1, True
+    except TypeError:  # a Fraction among them
+        return (gcd(*(c.numerator for c in coeffs)),
+                lcm(*(c.denominator for c in coeffs)), False)
+
+
+def _primitive(polys: tuple, negate: bool) -> tuple:
+    """The polys scaled by one rational so that their coefficients are
+    jointly coprime ints, negated as well when ``negate`` is set."""
+    g, l, ints = _content_parts(c for p in polys for c in p.terms.values())
+    if ints and g == 1 and not negate:
+        return polys
+    if negate:
+        g = -g
+    return tuple(_poly({e: c * l // g for e, c in p.terms.items()}) for p in polys)
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +407,23 @@ def _div_exact(num: Poly, den: Poly) -> Poly:
     den_lm, den_lc = den.leading()
     if len(den.terms) == 1:
         out: dict = {}
-        for exps, coeff in num.terms.items():
-            diff = tuple(a - b for a, b in zip(exps, den_lm))
-            if any(d < 0 for d in diff):
+        for key, coeff in num.terms.items():
+            diff = key - den_lm
+            if diff & _GUARDS:
                 raise ArithmeticError("inexact polynomial division")
-            out[diff] = coeff / den_lc
-        return Poly(out)
+            out[diff] = _qdiv(coeff, den_lc)
+        return _poly(out)
     quotient: dict = {}
     rest = num
     while rest.terms:
         lm, lc = rest.leading()
-        diff = tuple(a - b for a, b in zip(lm, den_lm))
-        if any(d < 0 for d in diff):
+        diff = lm - den_lm
+        if diff & _GUARDS:
             raise ArithmeticError("inexact polynomial division")
-        coeff = lc / den_lc
-        quotient[diff] = quotient.get(diff, 0) + coeff
-        rest = rest - Poly({diff: coeff}) * den
-    return Poly(quotient)
+        coeff = _qdiv(lc, den_lc)
+        quotient[diff] = coeff
+        rest = rest - _poly({diff: coeff}) * den
+    return _poly(quotient)
 
 
 def _prem(num: Poly, den: Poly, name: str) -> Poly:
@@ -383,65 +455,68 @@ def _divides(den: Poly, num: Poly) -> bool:
         if rest.is_zero():
             return True
         lm, lc = rest.leading()
-        diff = tuple(a - b for a, b in zip(lm, den_lm))
-        if any(d < 0 for d in diff):
+        diff = lm - den_lm
+        if diff & _GUARDS:
             return False
-        coeff = lc / den_lc
-        rest = rest - Poly({diff: coeff}) * den
+        rest = rest - _poly({diff: _qdiv(lc, den_lc)}) * den
     return False
 
 
-def _univariate_gcd_degree(first: list, second: list) -> int:
-    """Degree of gcd of two univariate rational polynomials (dense lists)."""
+# _gcd_degree_bound takes its images in GF(_PRIME), a Mersenne prime
+_PRIME = (1 << 61) - 1
 
-    def degree_of(coeffs):
-        d = len(coeffs) - 1
-        while d >= 0 and not coeffs[d]:
-            d -= 1
-        return d
 
-    a, b = list(first), list(second)
-    da, db = degree_of(a), degree_of(b)
-    if da < db:
-        a, b, da, db = b, a, db, da
-    while db >= 0:
-        lead = b[db]
-        while da >= db:
-            factor = a[da] / lead
-            for i in range(db + 1):
-                a[da - db + i] -= factor * b[i]
-            a[da] = Fraction(0)
-            da = degree_of(a)
-        a, b, da, db = b, a, db, da
-    return da
+def _univariate_gcd_degree(a: list, b: list) -> int:
+    """Degree of the gcd of two univariate polynomials over GF(_PRIME),
+    given as coefficient lists (lowest power first) with nonzero leads."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        inverse = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            factor = a[-1] * inverse % _PRIME
+            offset = len(a) - len(b)
+            for i, x in enumerate(b):
+                a[offset + i] = (a[offset + i] - factor * x) % _PRIME
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _image_mod(poly: Poly, name: str, point: list) -> list:
+    # coefficient list in ``name`` of the integer poly at the point, mod _PRIME
+    main = _SHIFTS[_VAR_INDEX[name]]
+    image = [0] * (poly.degree(name) + 1)
+    for key, coeff in poly.terms.items():
+        for shift, x in point:
+            e = key >> shift & MAX_EXPONENT
+            if e:
+                coeff = coeff * pow(x, e, _PRIME) % _PRIME
+        image[key >> main & MAX_EXPONENT] += coeff
+    return [c % _PRIME for c in image]
 
 
 def _gcd_degree_bound(a: Poly, b: Poly, name: str) -> int:
     """Upper bound for the gcd degree in ``name`` from a random evaluation.
 
-    A point where neither leading coefficient vanishes maps the gcd into a
-    divisor of the univariate image gcd, so a coprime image certifies a
-    trivial gcd.  Fixed seeds keep the routine deterministic.
+    The inputs are integer polynomials.  At a point where neither leading
+    coefficient vanishes mod _PRIME, the gcd maps to a divisor of the
+    univariate image gcd over GF(_PRIME) of the same degree, so a coprime
+    image certifies a trivial gcd.  Fixed seeds keep the routine
+    deterministic.
     """
     import random
 
     others = sorted((a.variables() | b.variables()) - {name})
-    da, db = a.degree(name), b.degree(name)
-    lead_a = a.coefficients_in(name)[da]
-    lead_b = b.coefficients_in(name)[db]
     for seed in range(5):
         rng = random.Random(0x5EED + seed)
-        point = {v: Fraction(rng.randint(2, 997)) for v in others}
-        if lead_a.evaluate(point) == 0 or lead_b.evaluate(point) == 0:
-            continue
-        image_a = [Fraction(0)] * (da + 1)
-        for power, coeff in a.coefficients_in(name).items():
-            image_a[power] = coeff.evaluate(point)
-        image_b = [Fraction(0)] * (db + 1)
-        for power, coeff in b.coefficients_in(name).items():
-            image_b[power] = coeff.evaluate(point)
-        return _univariate_gcd_degree(image_a, image_b)
-    return min(da, db)
+        point = [(_SHIFTS[_VAR_INDEX[v]], rng.randint(2, 997)) for v in others]
+        image_a = _image_mod(a, name, point)
+        image_b = _image_mod(b, name, point)
+        if image_a[-1] and image_b[-1]:
+            return _univariate_gcd_degree(image_a, image_b)
+    return min(a.degree(name), b.degree(name))
 
 
 def poly_gcd(first: Poly, second: Poly) -> Poly:
@@ -453,8 +528,8 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
     if len(first.terms) == 1 or len(second.terms) == 1:
         # a monomial's divisors are monomials: the answer is the smallest
         # power of each variable over all terms (a constant input gives 1)
-        return Poly({tuple(map(min, *first.terms, *second.terms)): Fraction(1)})
-    names = [v for v in VARIABLES if v != "s" and (first.degree(v) or second.degree(v))]
+        return _poly({reduce(_mono_min, chain(first.terms, second.terms)): 1})
+    names = [v for v in _used(chain(first.terms, second.terms)) if v != "s"]
     if not names:
         return Poly.constant(1)
     # cheap wins first: equal inputs and direct divisibility are the common
@@ -467,6 +542,9 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
         return prim_first
     if len(second.terms) <= len(first.terms) and _divides(prim_second, first):
         return prim_second
+    # the answer is primitive, so the integer primitive parts can stand in
+    # for the inputs from here on
+    first, second = prim_first, prim_second
     name = names[0]
     # certify the main-variable gcd degree from a random evaluation before
     # paying for content extraction or the PRS; the content is x-free, so a
@@ -515,44 +593,45 @@ def _content_wrt(poly: Poly, name: str) -> tuple:
 def poly_sqrt(poly: Poly) -> Optional[Poly]:
     """Square root of an s-free polynomial, or None if it is not a square.
 
-    The returned root has a positive leading coefficient.
+    The returned root has a positive leading coefficient.  A root's degree
+    in each variable is half the square's, so it has at most
+    prod_v (deg_v/2 + 1) terms; the term-by-term search stops there.
     """
     if poly.is_zero():
         return Poly()
-    names = [v for v in VARIABLES if v != "s" and poly.degree(v)]
+    names = _used(poly.terms)
     if not names:
-        value = poly.terms[_ZERO_MONO]
-        root = _frac_sqrt(value)
+        root = _frac_sqrt(poly.terms[0])
         return None if root is None else Poly.constant(root)
     lm, lc = poly.leading()
-    if any(e % 2 for e in lm):
+    if lm & _LOW_BITS:
         return None
     lead_root = _frac_sqrt(lc)
     if lead_root is None:
         return None
-    root = Poly({tuple(e // 2 for e in lm): lead_root})
+    root = _poly({lm >> 1: lead_root})
     rest = poly - root * root
-    top = root.leading()
-    for _ in range(10000):
+    top_lm, top_lc = root.leading()
+    max_terms = prod(poly.degree(v) // 2 + 1 for v in names)
+    for _ in range(max_terms):
         if rest.is_zero():
             return root
         lm_r, lc_r = rest.leading()
-        diff = tuple(a - b for a, b in zip(lm_r, top[0]))
-        if any(d < 0 for d in diff):
+        diff = lm_r - top_lm
+        if diff & _GUARDS:
             return None
-        term = Poly({diff: lc_r / (2 * top[1])})
-        root = root + term
+        root = root + _poly({diff: _qdiv(lc_r, 2 * top_lc)})
         rest = poly - root * root
     return None
 
 
-def _frac_sqrt(value: Fraction) -> Optional[Fraction]:
+def _frac_sqrt(value):
     if value < 0:
         return None
     num, den = value.numerator, value.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
+        return _qdiv(rn, rd)
     return None
 
 
@@ -609,14 +688,7 @@ class RationalExpr:
             den = _div_exact(den, common)
         # joint content: integer coefficients overall, coprime across the
         # fraction, denominator's leading coefficient positive
-        factor = _joint_content(num, den)
-        if den.leading()[1] < 0:
-            factor = -factor
-        if factor != 1:
-            den = den.scale(1 / factor)
-            num = num.scale(1 / factor)
-        self.num = num
-        self.den = den
+        self.num, self.den = _primitive((num, den), den.leading()[1] < 0)
 
     # -- constructors ----------------------------------------------------
 
@@ -641,7 +713,7 @@ class RationalExpr:
             raise UnboundIndeterminate(f"{self} is not constant")
         if self.num.is_zero():
             return Fraction(0)
-        return self.num.terms[_ZERO_MONO] / self.den.terms[_ZERO_MONO]
+        return Fraction(self.num.terms[0]) / self.den.terms[0]
 
     def variables(self) -> frozenset:
         return self.num.variables() | self.den.variables()
@@ -944,7 +1016,8 @@ def parse_expr(text: str) -> RationalExpr:
 
     Grammar: ``+ - * / ^`` with usual precedence, parentheses, integer
     literals and the fixed indeterminate names.  Parentheses and unary signs
-    nest at most ``_MAX_NESTING`` deep.  The parser carries (numerator,
+    nest at most ``_MAX_NESTING`` deep, and an exponent literal is at most
+    ``MAX_EXPONENT``, the largest exponent a packed monomial holds.  The parser carries (numerator,
     denominator) polynomial pairs through plain ring arithmetic and
     canonicalises once, at the end.
     """
@@ -1059,6 +1132,8 @@ class _Parser:
             kind, text = self.take() if self.peek() == "int" else (None, None)
             if kind != "int":
                 raise ExprSyntaxError(f"exponent must be an integer in {self.text!r}")
+            if len(text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent above {MAX_EXPONENT} in {self.text!r}")
             exponent = int(text)
             if negative and exponent:
                 num, den = _reciprocal(num, den)

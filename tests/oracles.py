@@ -244,3 +244,67 @@ def t_dot_ricci_bruteforce(model, curv, a):
                     value += curv.ricci[j][p] * tik[p]
                 result[(i, j, k)] = value
     return result
+
+
+# ---------------------------------------------------------------------------
+# tuple-keyed polynomials: the scalar core's representation before monomials
+# were packed into ints, kept as the reference for the packed one.  Terms map
+# exponent tuples in VARIABLES order (n first, s last) to coefficients.
+
+_N, _S = 0, 9
+_NAMES = ("n", "kappa", "lambda", "r", "mu", "a", "c", "a0", "a1", "s")
+
+
+def reduce_exps(exps):
+    """Apply s*s -> n to one exponent tuple."""
+    es = exps[_S]
+    if es < 2:
+        return tuple(exps)
+    lst = list(exps)
+    lst[_N] += es // 2
+    lst[_S] = es % 2
+    return tuple(lst)
+
+
+def tuple_poly(terms):
+    """Reduced copy of {exponent tuple: coefficient}, zero terms dropped."""
+    out = {}
+    for exps, coeff in terms.items():
+        key = reduce_exps(exps)
+        acc = out.get(key, 0) + coeff
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
+
+
+def tuple_mul(first, second):
+    """Product of two reduced tuple-keyed polynomials, term by term."""
+    out = {}
+    for e1, c1 in first.items():
+        for e2, c2 in second.items():
+            exps = reduce_exps(tuple(a + b for a, b in zip(e1, e2)))
+            acc = out.get(exps, 0) + c1 * c2
+            if acc:
+                out[exps] = acc
+            elif exps in out:
+                del out[exps]
+    return out
+
+
+def tuple_str(terms):
+    """The rendering of Poly.__str__: terms in descending lex order."""
+    if not terms:
+        return "0"
+    pieces = []
+    for exps in sorted(terms, reverse=True):
+        coeff = Fraction(terms[exps])
+        mono = "*".join(f"{_NAMES[i]}^{e}" if e > 1 else _NAMES[i]
+                        for i, e in enumerate(exps) if e)
+        size = abs(coeff)
+        number = str(size.numerator) if size.denominator == 1 else str(size)
+        body = number if not mono else mono if size == 1 else f"{number}*{mono}"
+        pieces.append(("-" if coeff < 0 else "+", body))
+    text = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in pieces[1:])

@@ -222,6 +222,23 @@ def test_deeply_nested_coefficients_rejected(capsys):
     assert code == 0
 
 
+def test_oversized_exponents_rejected(capsys):
+    line = _assert_one_error_line(*invoke(
+        capsys, "classify", "--condition", "t-flat",
+        "--coeffs", "n^100000,0,0,0,0,0,0,0",
+    ))
+    assert "exponent above" in line
+    line = _assert_one_error_line(*invoke(
+        capsys, "deform", "--kappa", "n^100000", "--mu", "0", "--a", "1", "--c", "1",
+    ))
+    assert "exponent above" in line
+    # within the cap, but the product of two such powers overflows a field
+    line = _assert_one_error_line(*invoke(
+        capsys, "deform", "--kappa", "n^20000*n^20000", "--mu", "0", "--a", "1", "--c", "1",
+    ))
+    assert "exponent above" in line
+
+
 def test_golden_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     from nkt.classification import load_golden_table
     from nkt.t_tensor import PresetName

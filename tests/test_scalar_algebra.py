@@ -3,9 +3,12 @@
 import operator
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from oracles import reduce_exps, tuple_mul, tuple_poly, tuple_str
 
 from nkt.scalar_algebra import (
     A,
@@ -13,7 +16,10 @@ from nkt.scalar_algebra import (
     A1,
     C,
     DivisionByZero,
+    ExponentOverflow,
+    ExprSyntaxError,
     KAPPA,
+    MAX_EXPONENT,
     N,
     NonlinearInVariable,
     Poly,
@@ -27,6 +33,7 @@ from nkt.scalar_algebra import (
     normalize,
     parse_expr,
     poly_gcd,
+    poly_sqrt,
     solve_linear,
     sqrt_expr,
     substitute,
@@ -397,7 +404,7 @@ def _to_sympy(sympy, poly):
     return sympy.Add(*[
         sympy.Rational(c.numerator, c.denominator)
         * sympy.Mul(*[x ** e for x, e in zip(symbols, exps)])
-        for exps, c in poly.terms.items()
+        for exps, c in poly.monomials().items()
     ])
 
 
@@ -436,3 +443,263 @@ def test_canonical_form_matches_sympy_cancel(a, b, c, d):
     coefficients = list(value.num.terms.values()) + list(value.den.terms.values())
     assert all(x.denominator == 1 for x in coefficients)
     assert value.den.leading()[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# the int / Fraction boundary
+
+
+def test_boundary_values_are_fractions():
+    point = {"n": Fraction(4), "kappa": Fraction(1, 3)}
+    values = [
+        eval_at(expr(2), {}),
+        expr("6/4").as_rational(),
+        expr(5).as_rational(),
+        expr(0).as_rational(),
+        Poly.constant(3).evaluate({}),
+        Poly().evaluate({}),
+        N.num.evaluate({"n": 2}),
+        eval_at(solve_linear(2 * N * KAPPA - 6, "kappa").root, point),
+        eval_at(solve_linear(3 * KAPPA - 1, "kappa").root, {}),
+    ]
+    assert all(type(v) is Fraction for v in values)
+    assert values[:2] == [2, Fraction(3, 2)]
+    assert values[-2:] == [Fraction(3, 4), Fraction(1, 3)]
+
+
+def _coefficients(value):
+    return list(value.num.terms.values()) + list(value.den.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(), exprs())
+def test_canonical_coefficients_are_ints(e1, e2):
+    # the strategy draws Fraction coefficients; canonical forms hold ints
+    for value in (e1, e1 * e2, e1 + e2, e1 - e2, e1 ** 2, e1 / e2 if e2 else e1):
+        assert all(type(c) is int for c in _coefficients(value))
+        assert all(type(c) is int for c in value.num.primitive().terms.values())
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against the tuple-keyed oracle
+
+_HALF = MAX_EXPONENT // 2
+# small exponents, and ones whose sums reach MAX_EXPONENT, the largest value
+# below a field's guard bit, or pass it
+_EXPONENTS = st.sampled_from((0, 0, 1, 1, 2, 3, _HALF, MAX_EXPONENT - 1, MAX_EXPONENT))
+_COEFFS = st.one_of(st.integers(min_value=-9, max_value=9).filter(bool),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+
+
+@st.composite
+def tuple_terms(draw, max_terms=5, names=VARIABLES):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        exps = [0] * len(VARIABLES)
+        for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+            limit = 3 if name == "s" else None
+            exps[VARIABLES.index(name)] = draw(_EXPONENTS if limit is None
+                                               else st.integers(0, limit))
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + draw(_COEFFS)
+    # s^2 -> n can lift an n exponent past the cap; such a term is no input
+    return {e: c for e, c in tuple_poly(terms).items() if _fits([e])}
+
+
+def _fits(terms):
+    return all(e <= MAX_EXPONENT for exps in terms for e in exps)
+
+
+def _agrees(poly, terms):
+    assert poly.monomials() == terms
+    assert list(poly.monomials()) == sorted(terms, reverse=True)
+    assert str(poly) == tuple_str(terms)
+
+
+def _oracle_or_overflow(build, want):
+    if _fits(want):
+        _agrees(build(), want)
+    else:
+        with pytest.raises(ExponentOverflow):
+            build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tuple_terms(), tuple_terms())
+def test_product_matches_tuple_oracle(first, second):
+    a, b = Poly(first), Poly(second)
+    _agrees(a, first)
+    _oracle_or_overflow(lambda: a * b, tuple_mul(first, second))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tuple_terms(max_terms=3), st.integers(min_value=0, max_value=4))
+def test_power_matches_tuple_oracle(terms, k):
+    want = {(0,) * len(VARIABLES): 1}
+    for _ in range(k):
+        want = tuple_mul(want, terms)
+    _oracle_or_overflow(lambda: Poly(terms) ** k, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tuple_terms(max_terms=6))
+def test_structure_matches_tuple_oracle(terms):
+    poly = Poly(terms)
+    s = VARIABLES.index("s")
+    a_half, b_half = poly.split_s()
+    assert a_half.monomials() == {e: c for e, c in terms.items() if not e[s]}
+    assert b_half.monomials() == {e[:s] + (0,): c for e, c in terms.items() if e[s]}
+    for i, name in enumerate(VARIABLES):
+        assert poly.degree(name) == max((e[i] for e in terms), default=0)
+        buckets = {}
+        for exps, c in terms.items():
+            buckets.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
+        got = poly.coefficients_in(name)
+        assert {p: q.monomials() for p, q in got.items()} == buckets
+    if terms:
+        top = max(terms)
+        assert poly.leading()[1] == terms[top]
+        assert Poly({top: 1}).terms == {poly.leading()[0]: 1}
+        assert poly.variables() == {VARIABLES[i] for e in terms for i, x in enumerate(e) if x}
+
+
+def test_s_square_reduction_at_the_guard():
+    n_top = [0] * len(VARIABLES)
+    n_top[0], n_top[-1] = MAX_EXPONENT - 1, 1
+    near = Poly({tuple(n_top): 1})  # n^(MAX-1) * s
+    s = Poly.variable("s")
+    assert (near * s).monomials() == {reduce_exps(tuple(n_top[:-1]) + (2,)): 1}
+    assert (near * s).degree("n") == MAX_EXPONENT
+    with pytest.raises(ExponentOverflow):
+        near * near
+    top = near * s * s  # n^MAX * s: one more s reduces into n and overflows
+    assert top.monomials() == {(MAX_EXPONENT,) + (0,) * 8 + (1,): 1}
+    with pytest.raises(ExponentOverflow):
+        top * s
+
+
+def test_fraction_dict_canonicalises_like_its_integer_twin():
+    terms = {(1, 2, 0, 0, 0, 0, 0, 0, 0, 1): Fraction(3, 4),
+             (0, 0, 0, 0, 0, 1, 0, 0, 0, 0): Fraction(-5, 6),
+             (0,) * 10: Fraction(4, 2)}
+    twin = {e: int(c * 12) for e, c in terms.items()}
+    assert Poly(terms).primitive() == Poly(twin).primitive()
+    value = RationalExpr(Poly(terms), Poly(twin))
+    assert value == expr(Fraction(1, 12))
+    assert RationalExpr(Poly(terms)) == RationalExpr(Poly(twin), Poly.constant(12))
+    # Fraction arithmetic can leave an integral Fraction behind; the
+    # canonical form and primitive() still hold ints
+    half = Poly.constant(Fraction(1, 2))
+    whole = (half + half) * Poly.variable("n") + Poly.constant(1)
+    assert any(type(c) is Fraction for c in whole.terms.values())
+    assert all(type(c) is int for c in _coefficients(RationalExpr(whole)))
+    assert all(type(c) is int for c in whole.primitive().terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_raw_fraction_polys_canonicalise_like_integer_twins(data):
+    poly = data.draw(raw_polys(5))
+    scale = lcm(*(c.denominator for c in poly.terms.values() if type(c) is Fraction))
+    twin = Poly({e: c * scale for e, c in poly.monomials().items()})
+    assert all(type(c) is int for c in twin.terms.values())
+    frac_form = RationalExpr(poly)
+    int_form = RationalExpr(twin, Poly.constant(scale))
+    assert frac_form.num.terms == int_form.num.terms
+    assert frac_form.den.terms == int_form.den.terms
+    assert all(type(c) is int for c in _coefficients(frac_form))
+    assert poly.primitive() == twin.primitive()
+
+
+def test_gcd_intermediates_hold_ints(monkeypatch):
+    from nkt import scalar_algebra
+
+    calls = {"_prem": 0, "_div_exact": 0}
+
+    def checked(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name] += 1
+            for poly in (args[0], args[1], out):
+                assert all(type(c) is int for c in poly.terms.values()), name
+            return out
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scalar_algebra, name, checked(name, getattr(scalar_algebra, name)))
+    # the heavy corpus entry: its e*e - e runs the subresultant PRS
+    e = parse_expr("(90*n^2*a - 135*n^2*c + 108*n*kappa*c + 10*n*a^2*s - 15*n*a*c*s"
+                   " - 30*n*a + 45*n*c + 216*n + 12*kappa*a*c*s - 36*kappa*c + 24*a*s - 72)"
+                   "/(162*n^2 - 2*n*a^2 - 108*n + 18)")
+    assert all(type(c) is int for c in _coefficients(e * e - e))
+    assert calls["_prem"] and calls["_div_exact"]
+
+
+# ---------------------------------------------------------------------------
+# bounded exponents
+
+
+def test_exponent_literals_above_the_cap_are_rejected():
+    assert parse_expr(f"n^{MAX_EXPONENT}").num.degree("n") == MAX_EXPONENT
+    for text in (f"n^{MAX_EXPONENT + 1}", "kappa^100000", "2^" + "9" * 5000,
+                 f"(n+1)^-{MAX_EXPONENT + 1}", f"n^{'0' * 30}{MAX_EXPONENT + 1}"):
+        with pytest.raises(ExprSyntaxError, match="exponent"):
+            parse_expr(text)
+    assert parse_expr("n^" + "0" * 30 + "2") == N ** 2
+
+
+def test_products_and_powers_beyond_a_field_raise():
+    half = N ** 20000  # its square would overflow, the result itself fits
+    assert half.num.degree("n") == 20000
+    with pytest.raises(ExponentOverflow):
+        half * half
+    with pytest.raises(ExponentOverflow):
+        half ** 2
+    with pytest.raises(ExponentOverflow):
+        S ** (2 * MAX_EXPONENT + 2)
+    assert (S ** (2 * MAX_EXPONENT + 1)).num.degree("n") == MAX_EXPONENT
+    with pytest.raises(ExponentOverflow):
+        Poly({(MAX_EXPONENT + 1,) + (0,) * 9: 1})
+    # a denominator overflows the same way; no exponent ever carries over
+    with pytest.raises(ExponentOverflow):
+        (1 / (KAPPA ** 20000)) * (1 / (KAPPA ** 20000))
+
+
+# ---------------------------------------------------------------------------
+# poly_sqrt: the term bound, perfect squares and near-squares
+
+
+def test_sqrt_bound_admits_a_dense_root():
+    # (1 + n + n^2)(1 + kappa) has prod(deg/2 + 1) = 3 * 2 terms, the most
+    # a root of its square can have
+    root = (Poly.constant(1) + N.num + N.num * N.num) * (Poly.constant(1) + KAPPA.num)
+    assert len(root.terms) == 6
+    assert poly_sqrt(root * root) == root
+    assert poly_sqrt(root * root + Poly.constant(1)) is None
+
+
+def _is_square(sympy, poly):
+    # a polynomial over Q is a square iff its content is a rational square
+    # and every irreducible factor has even multiplicity
+    content, factors = sympy.factor_list(_to_sympy(sympy, poly))
+    return content >= 0 and sympy.sqrt(content).is_rational and all(
+        m % 2 == 0 for _, m in factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_polys(4), st.integers(min_value=-3, max_value=3),
+       st.sampled_from(_SYMPY_VARS))
+def test_poly_sqrt_on_squares_and_near_squares(root, shift, name):
+    sympy = pytest.importorskip("sympy")
+    square = root * root
+    got = poly_sqrt(square)
+    assert got is not None and got * got == square
+    assert got.leading()[1] > 0 and got in (root, -root)
+    root_expr = sqrt_expr(RationalExpr(square))
+    assert root_expr ** 2 == RationalExpr(square)
+    assert all(type(c) is int for c in _coefficients(root_expr))
+    near = square + Poly.constant(shift) * Poly.variable(name) ** 2 if shift else square + root
+    got = poly_sqrt(near)
+    if got is None:
+        assert not _is_square(sympy, near)
+    else:
+        assert got * got == near
