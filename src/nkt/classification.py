@@ -15,15 +15,23 @@ coefficient vector:
   (the derivation is diffed against the transcription, so any such row
   surfaces as an explicit, documented mismatch rather than a silent fix).
 
-The scalar curvature symbol r stays symbolic in the derived forms; the
-substitution r -> 2n(2n - 2 + kappa) is an explicit step requested through
+Each eta-Einstein form is a hypothesis denominator C and numerators (A, B),
+with b1 = A/C and b2 = B/C; a vanishing C is degenerate.  The scalar
+curvature symbol r stays symbolic in the derived forms; the substitution
+r -> 2n(2n - 2 + kappa) is an explicit step requested through
 ``substitute_r=True`` (the golden tables are transcribed with r substituted).
+
+The golden files are the tables: a table's rows come out in its file's
+order, and its row set must equal the derivable catalog rows (every preset
+but Riemann whose hypothesis does not degenerate).  The only exceptions are
+coded: the degenerate W7 rows emitted flagged in tables 3 and 4, and the
+P row the source leaves out of table 6.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -33,6 +41,7 @@ from .scalar_algebra import (
     KAPPA,
     LinearSolution,
     N,
+    R,
     RationalExpr,
     S,
     ScalarAlgebraError,
@@ -44,7 +53,6 @@ from .scalar_algebra import (
 )
 from .t_tensor import ConditionKind, PresetName, TCoeffs, preset
 
-R_SYMBOL = RationalExpr.variable("r")
 SCALAR_CURVATURE = 2 * N * (2 * N - 2 + KAPPA)
 
 _DATA_DIR = Path(__file__).parent / "data" / "golden"
@@ -84,15 +92,6 @@ class EtaEinsteinForm:
         return self.tag is FormTag.DEGENERATE
 
 
-def _form(a: RationalExpr, b: RationalExpr, c: RationalExpr) -> EtaEinsteinForm:
-    if c.is_zero():
-        return EtaEinsteinForm(None, None, FormTag.DEGENERATE, c)
-    b1 = a / c
-    b2 = b / c
-    tag = FormTag.EINSTEIN if b2.is_zero() else FormTag.ETA_EINSTEIN
-    return EtaEinsteinForm(b1, b2, tag, c)
-
-
 def substitute_scalar_curvature(value: RationalExpr) -> RationalExpr:
     """Replace the scalar-curvature symbol r by 2n(2n - 2 + kappa)."""
     return substitute(value, "r", SCALAR_CURVATURE)
@@ -121,23 +120,37 @@ def t_flat_kappa(coeffs: TCoeffs) -> LinearSolution:
     return solve_linear(t_flat_constraint(coeffs), "kappa")
 
 
-def _quasi_numerator_denominator(coeffs: TCoeffs, substitute_r: bool) -> tuple:
-    """Numerator A and denominator C shared by the quasi and phi conditions."""
-    a = coeffs.a
-    big_a = a[0] * KAPPA + a[4] * (2 * N * KAPPA - R_SYMBOL) + a[7] * R_SYMBOL * (1 - 2 * N)
+def _eta_einstein(c: RationalExpr, substitute_r: bool, numerators) -> EtaEinsteinForm:
+    """S = (A/C) g + (B/C) eta (x) eta from the hypothesis denominator C and
+    a thunk building the numerators (A, B).  A vanishing C is degenerate and
+    the numerators are never built."""
+    if c.is_zero():
+        return EtaEinsteinForm(None, None, FormTag.DEGENERATE, c)
+    big_a, big_b = numerators()
     if substitute_r:
-        big_a = substitute_scalar_curvature(big_a)
-    return big_a, a[0] + 2 * N * a[1] + a[2] + a[3] + a[5] + a[6]
+        big_a, big_b = map(substitute_scalar_curvature, (big_a, big_b))
+    b1, b2 = big_a / c, big_b / c
+    tag = FormTag.EINSTEIN if b2.is_zero() else FormTag.ETA_EINSTEIN
+    return EtaEinsteinForm(b1, b2, tag, c)
+
+
+def _quasi_denominator(a: tuple) -> RationalExpr:
+    return a[0] + 2 * N * a[1] + a[2] + a[3] + a[5] + a[6]
+
+
+def _quasi_g_numerator(a: tuple) -> RationalExpr:
+    return a[0] * KAPPA + a[4] * (2 * N * KAPPA - R) + a[7] * R * (1 - 2 * N)
+
+
+def _quasi_eta_numerator(a: tuple) -> RationalExpr:
+    return -a[0] * KAPPA + 2 * N * KAPPA * (a[2] + a[3] + a[5] + a[6]) - a[7] * R
 
 
 def quasi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
     """eta-Einstein form forced by g(T(phi X1, X2) X3, phi X4) = 0."""
     a = coeffs.a
-    big_a, big_c = _quasi_numerator_denominator(coeffs, substitute_r)
-    big_b = -a[0] * KAPPA + 2 * N * KAPPA * (a[2] + a[3] + a[5] + a[6]) - a[7] * R_SYMBOL
-    if substitute_r:
-        big_b = substitute_scalar_curvature(big_b)
-    return _form(big_a, big_b, big_c)
+    return _eta_einstein(_quasi_denominator(a), substitute_r,
+                         lambda: (_quasi_g_numerator(a), _quasi_eta_numerator(a)))
 
 
 def phi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
@@ -146,65 +159,60 @@ def phi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinFor
     Shares numerator A and denominator C with the quasi condition; the
     eta-coefficient is pinned by the trace: b2 = 2 n kappa - b1.
     """
-    big_a, big_c = _quasi_numerator_denominator(coeffs, substitute_r)
-    if big_c.is_zero():
-        return EtaEinsteinForm(None, None, FormTag.DEGENERATE, big_c)
-    b1 = big_a / big_c
-    b2 = 2 * N * KAPPA - b1
-    tag = FormTag.EINSTEIN if b2.is_zero() else FormTag.ETA_EINSTEIN
-    return EtaEinsteinForm(b1, b2, tag, big_c)
+    a = coeffs.a
+    c = _quasi_denominator(a)
+
+    def numerators():
+        big_a = _quasi_g_numerator(a)
+        return big_a, 2 * N * KAPPA * c - big_a
+
+    return _eta_einstein(c, substitute_r, numerators)
 
 
 def xi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
     """eta-Einstein form forced by T(X1, xi, xi, X4) = 0; needs a4 != 0."""
     a = coeffs.a
-    big_a = a[0] * KAPPA + 2 * N * KAPPA * a[1] + a[7] * R_SYMBOL
-    big_b = -a[0] * KAPPA + 2 * N * KAPPA * (a[2] + a[3] + a[5] + a[6]) - a[7] * R_SYMBOL
-    if substitute_r:
-        big_a = substitute_scalar_curvature(big_a)
-        big_b = substitute_scalar_curvature(big_b)
-    return _form(-big_a, -big_b, a[4])
+    return _eta_einstein(a[4], substitute_r, lambda: (
+        -(a[0] * KAPPA + 2 * N * KAPPA * a[1] + a[7] * R), -_quasi_eta_numerator(a)))
 
 
-def t_dot_riemann_form(coeffs: TCoeffs) -> EtaEinsteinForm:
-    """eta-Einstein form forced by T(xi, X).R = 0; needs a1 + a5 != 0."""
+def t_dot_riemann_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
+    """eta-Einstein form forced by T(xi, X).R = 0; needs a1 + a5 != 0.  The
+    form carries no scalar curvature, so ``substitute_r`` changes nothing."""
     a = coeffs.a
-    big_a = -2 * N * KAPPA * (a[2] + a[4])
-    big_b = 2 * N * KAPPA * (a[1] + a[2] + a[4] + a[5])
-    big_c = a[1] + a[5]
-    return _form(big_a, big_b, big_c)
+    return _eta_einstein(a[1] + a[5], substitute_r, lambda: (
+        -2 * N * KAPPA * (a[2] + a[4]), 2 * N * KAPPA * (a[1] + a[2] + a[4] + a[5])))
 
 
 def t_dot_ricci_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
     """eta-Einstein form forced by T(xi, X).S = 0 under a Killing Reeb field
     (h = 0); needs a1 + a5 != 0."""
     a = coeffs.a
-    core = a[0] * KAPPA + a[7] * R_SYMBOL
-    big_a = (
-        (2 * N * KAPPA - 2 * N + 2) * core
-        + 4 * N * KAPPA * (N - 1) * a[2]
-        + 4 * N ** 2 * KAPPA ** 2 * a[4]
-    )
-    big_b = (
-        (2 * N - 2 * N * KAPPA - 2) * core
-        + 4 * N ** 2 * KAPPA ** 2
-        * (a[1] + 2 * a[2] + 2 * a[3] + a[4] + 2 * a[5] + 2 * a[6])
-        - 4 * N * KAPPA * (N - 1) * (a[2] + a[5])
-    )
-    big_c = -a[1] - a[5]
-    if substitute_r:
-        big_a = substitute_scalar_curvature(big_a)
-        big_b = substitute_scalar_curvature(big_b)
-    return _form(big_a, big_b, big_c)
+
+    def numerators():
+        core = a[0] * KAPPA + a[7] * R
+        big_a = (
+            (2 * N * KAPPA - 2 * N + 2) * core
+            + 4 * N * KAPPA * (N - 1) * a[2]
+            + 4 * N ** 2 * KAPPA ** 2 * a[4]
+        )
+        big_b = (
+            (2 * N - 2 * N * KAPPA - 2) * core
+            + 4 * N ** 2 * KAPPA ** 2
+            * (a[1] + 2 * a[2] + 2 * a[3] + a[4] + 2 * a[5] + 2 * a[6])
+            - 4 * N * KAPPA * (N - 1) * (a[2] + a[5])
+        )
+        return big_a, big_b
+
+    return _eta_einstein(-a[1] - a[5], substitute_r, numerators)
 
 
-# condition -> eta-Einstein form builder(coeffs, substitute_r); the
-# T(xi,X).R form carries no scalar curvature to substitute
+# condition -> eta-Einstein form builder(coeffs, substitute_r)
 FORM_BUILDERS = {
     ConditionKind.QUASI_T_FLAT: quasi_flat_form,
     ConditionKind.PHI_T_FLAT: phi_flat_form,
     ConditionKind.XI_T_FLAT: xi_flat_form,
-    ConditionKind.T_DOT_R: lambda coeffs, substitute_r=False: t_dot_riemann_form(coeffs),
+    ConditionKind.T_DOT_R: t_dot_riemann_form,
     ConditionKind.T_DOT_S: t_dot_ricci_form,
 }
 
@@ -352,9 +360,11 @@ class ClassificationRow:
 class RowDiff:
     """One reproduced row plus its comparison against the transcription.
 
-    ``matches`` is None for rows excluded from the diff (rows the reference
-    tables do not print); ``allowed`` collects the mismatching fields listed
-    in the typo allow-list together with their documentation notes.
+    ``matches`` is None for rows excluded from the diff (degenerate rows the
+    reference tables do not print); a row missing from the file, or a file
+    line for a row that is not derivable, mismatches in the field "row".
+    ``allowed`` collects the mismatching fields listed in the typo
+    allow-list together with their documentation notes.
     """
 
     row: ClassificationRow
@@ -378,45 +388,6 @@ class TableReport:
     def ok(self) -> bool:
         return all(not diff.unexpected for diff in self.rows)
 
-    def mismatched_rows(self) -> tuple:
-        return tuple(d for d in self.rows if d.mismatches)
-
-
-_TABLE_ORDERS = {
-    2: [
-        PresetName.C_STAR, PresetName.C, PresetName.L, PresetName.V,
-        PresetName.P_STAR, PresetName.P, PresetName.M, PresetName.W0,
-        PresetName.W0_STAR, PresetName.W1, PresetName.W1_STAR, PresetName.W2,
-        PresetName.W3, PresetName.W4, PresetName.W5, PresetName.W6,
-        PresetName.W7, PresetName.W8, PresetName.W9,
-    ],
-    3: [
-        PresetName.C_STAR, PresetName.C, PresetName.L, PresetName.V,
-        PresetName.P_STAR, PresetName.P, PresetName.M, PresetName.W0,
-        PresetName.W0_STAR, PresetName.W1, PresetName.W1_STAR, PresetName.W2,
-        PresetName.W3, PresetName.W4, PresetName.W5, PresetName.W6,
-        PresetName.W8, PresetName.W9,
-    ],
-    5: [
-        PresetName.C_STAR, PresetName.C, PresetName.L, PresetName.M,
-        PresetName.W2, PresetName.W3, PresetName.W7, PresetName.W9,
-    ],
-    6: [
-        PresetName.P_STAR, PresetName.W1, PresetName.W1_STAR, PresetName.W2,
-        PresetName.W4, PresetName.W5, PresetName.W6, PresetName.W7,
-        PresetName.W8,
-    ],
-    7: [
-        PresetName.P_STAR, PresetName.P, PresetName.W1, PresetName.W1_STAR,
-        PresetName.W2, PresetName.W4, PresetName.W5, PresetName.W6,
-        PresetName.W7, PresetName.W8,
-    ],
-}
-_TABLE_ORDERS[4] = list(_TABLE_ORDERS[3])
-
-# rows that are derivable but absent from the printed tables; they are
-# emitted flagged and never diffed
-_ABSENT_ROWS = {3: [PresetName.W7], 4: [PresetName.W7]}
 
 _TABLE_CONDITIONS = {
     2: ConditionKind.T_FLAT,
@@ -427,19 +398,23 @@ _TABLE_CONDITIONS = {
     7: ConditionKind.T_DOT_S,
 }
 
-# kappa = (n-1)/n rows share a local-isometry class with the sqrt(n)
-# family; kappa = 0 rows with the flat product E^(n+1) x S^n(4)
-_SQRT_N_CLASS = {
-    PresetName.C_STAR, PresetName.V, PresetName.P_STAR, PresetName.P,
-    PresetName.M, PresetName.W0, PresetName.W1_STAR, PresetName.W6,
-    PresetName.W8,
-}
-_FLAT_PRODUCT_CLASS = {PresetName.W3, PresetName.W4, PresetName.W5}
+# rows whose hypothesis degenerates and that the printed tables leave out;
+# they are emitted flagged and never diffed
+_ABSENT_ROWS = {3: [PresetName.W7], 4: [PresetName.W7]}
+
+# derivable rows the source does not print (see the note in table6.txt);
+# they are neither emitted nor reported missing
+_UNPRINTED_ROWS = {6: [PresetName.P]}
+
+# a T-flat root (n-1)/n shares a local-isometry class with the sqrt(n)
+# family, a root 0 with the flat product E^(n+1) x S^n(4)
+_ISOMETRY_CLASSES = (
+    ((N - 1) / N, "isometry class: sqrt(n) Boeckx family, kappa = (n-1)/n"),
+    (expr(0), "isometry class: E^(n+1) x S^n(4), kappa = 0"),
+)
 
 
-def golden_dir(override: Union[str, Path, None] = None) -> Path:
-    if override is not None:
-        return Path(override)
+def golden_dir() -> Path:
     env = os.environ.get(GOLDEN_DIR_ENV)
     return Path(env) if env else _DATA_DIR
 
@@ -481,22 +456,25 @@ def _golden_record(which: int, parts: list) -> tuple:
     return name, record
 
 
-def load_golden_table(which: int, directory: Union[str, Path, None] = None) -> dict:
-    """preset -> reference record parsed from the transcription file."""
-    path = golden_dir(directory) / f"table{which}.txt"
+def load_golden_table(which: int) -> dict:
+    """preset -> reference record parsed from the transcription file, in
+    file order; a second line for the same preset is an error."""
+    path = golden_dir() / f"table{which}.txt"
     records = {}
     for lineno, parts in _golden_rows(path):
         try:
             name, record = _golden_record(which, parts)
+            if name in records:
+                raise GoldenFormatError(f"duplicate row {name.value}")
         except (GoldenFormatError, KeyError, ScalarAlgebraError) as exc:
             raise GoldenFormatError(f"{path}:{lineno}: {exc.args[0]}") from exc
         records[name] = record
     return records
 
 
-def load_allowlist(directory: Union[str, Path, None] = None) -> dict:
+def load_allowlist() -> dict:
     """(table, preset, field) -> documentation note for known source typos."""
-    path = golden_dir(directory) / "allowlist.txt"
+    path = golden_dir() / "allowlist.txt"
     if not path.exists():
         return {}
     entries = {}
@@ -510,16 +488,13 @@ def load_allowlist(directory: Union[str, Path, None] = None) -> dict:
     return entries
 
 
-def _row_flags(which: int, name: PresetName, coeffs: TCoeffs, solution, form) -> tuple:
+def _row_flags(coeffs: TCoeffs, solution, form) -> tuple:
     flags = list(coeffs.annotations)
-    if which == 2 and solution is not None and solution.is_unique:
+    if solution is not None and solution.is_unique:
         side = solution.side_condition
         if side is not None and side.variables() - {"n"}:
             flags.append(f"side condition: {side} != 0")
-        if name in _SQRT_N_CLASS:
-            flags.append("isometry class: sqrt(n) Boeckx family, kappa = (n-1)/n")
-        elif name in _FLAT_PRODUCT_CLASS:
-            flags.append("isometry class: E^(n+1) x S^n(4), kappa = 0")
+        flags.extend(flag for root, flag in _ISOMETRY_CLASSES if solution.root == root)
     if form is not None:
         if form.is_degenerate:
             flags.append("degenerate: the hypothesis denominator vanishes identically")
@@ -533,51 +508,40 @@ def _row_flags(which: int, name: PresetName, coeffs: TCoeffs, solution, form) ->
 def classification_row(which: int, name: PresetName) -> ClassificationRow:
     coeffs = preset(name)
     condition = _TABLE_CONDITIONS[which]
-    if which == 2:
-        solution = t_flat_kappa(coeffs)
-        return ClassificationRow(
-            preset=name,
-            condition=condition,
-            kappa=solution,
-            form=None,
-            flags=_row_flags(which, name, coeffs, solution, None),
-        )
-    form = FORM_BUILDERS[condition](coeffs, substitute_r=True)
-    return ClassificationRow(
-        preset=name,
-        condition=condition,
-        kappa=None,
-        form=form,
-        flags=_row_flags(which, name, coeffs, None, form),
-    )
+    solution = t_flat_kappa(coeffs) if which == 2 else None
+    form = None if which == 2 else FORM_BUILDERS[condition](coeffs, substitute_r=True)
+    flags = _row_flags(coeffs, solution, form)
+    return ClassificationRow(name, condition, solution, form, flags)
+
+
+def _derivable(row: ClassificationRow) -> bool:
+    """A catalog preset other than Riemann whose hypothesis holds."""
+    degenerate = row.form is not None and row.form.is_degenerate
+    return row.preset is not PresetName.RIEMANN and not degenerate
 
 
 def _diff_row(
     which: int, row: ClassificationRow, reference: Optional[dict], allowlist: dict
 ) -> RowDiff:
-    if reference is None:
-        return RowDiff(row, None, None, (), ())
-    mismatches = []
-    if which == 2:
-        solution = row.kappa
-        if reference["kind"] == "any":
-            if not solution.is_identity:
-                mismatches.append("kappa")
+    """Compare a derived row with its file line; a derivable row with no
+    line, or a line for a row that is not derivable, mismatches in "row"."""
+    if reference is None or not _derivable(row):
+        mismatches = ["row"]
+    elif which == 2:
+        solution, kappa = row.kappa, reference.get("kappa")
+        if kappa is None:
+            ok = solution.is_identity
         else:
-            if not (solution.is_unique and solution.root == reference["kappa"]):
-                mismatches.append("kappa")
+            ok = solution.is_unique and solution.root == kappa
+        mismatches = [] if ok else ["kappa"]
     else:
         form = row.form
-        if form.is_degenerate:
-            mismatches.extend(["tag", "b1", "b2"])
-        else:
-            derived_tag = "einstein" if form.tag is FormTag.EINSTEIN else "eta"
-            if derived_tag != reference["tag"]:
-                mismatches.append("tag")
-            if form.b1 != reference["b1"]:
-                mismatches.append("b1")
-            if form.b2 != reference["b2"]:
-                mismatches.append("b2")
+        derived = {
+            "tag": "einstein" if form.tag is FormTag.EINSTEIN else "eta",
+            "b1": form.b1,
+            "b2": form.b2,
+        }
+        mismatches = [f for f in ("tag", "b1", "b2") if derived[f] != reference[f]]
     allowed = tuple(
         (field, allowlist[(which, row.preset, field)])
         for field in mismatches
@@ -586,32 +550,35 @@ def _diff_row(
     return RowDiff(row, reference, not mismatches, tuple(mismatches), allowed)
 
 
-def reproduce_table(
-    which: int, directory: Union[str, Path, None] = None
-) -> TableReport:
+def reproduce_table(which: int) -> TableReport:
     """Derive one reference table and diff it against its transcription.
 
-    Rows come out in the printed order; rows the reference omits (the
-    xi-degenerate quasi/phi rows) are appended flagged and excluded from the
-    diff.  Mismatching fields listed in the allow-list are reported as
-    documented typos; any other mismatch makes the report not ok.
+    Rows come out in the file's order.  The file's row set is checked
+    against the derivable catalog rows: a derivable row missing from the
+    file, or a file line for a row that is not derivable, is an unexpected
+    "row" mismatch.  The degenerate rows the reference omits (the W7
+    quasi/phi rows) are appended flagged and excluded from the diff.
+    Mismatching fields listed in the allow-list are reported as documented
+    typos; any other mismatch makes the report not ok.
     """
-    if which not in _TABLE_ORDERS:
+    if which not in _TABLE_CONDITIONS:
         raise ValueError(f"no reference table {which}; pick 2..7")
-    reference = load_golden_table(which, directory)
-    allowlist = load_allowlist(directory)
-    diffs = []
-    for name in _TABLE_ORDERS[which]:
+    reference = load_golden_table(which)
+    allowlist = load_allowlist()
+    diffs = [
+        _diff_row(which, classification_row(which, name), record, allowlist)
+        for name, record in reference.items()
+    ]
+    skipped = set(reference) | {PresetName.RIEMANN, *_UNPRINTED_ROWS.get(which, [])}
+    for name in PresetName:
+        if name in skipped:
+            continue
         row = classification_row(which, name)
-        diffs.append(_diff_row(which, row, reference.get(name), allowlist))
-    for name in _ABSENT_ROWS.get(which, []):
-        row = classification_row(which, name)
-        row = ClassificationRow(
-            row.preset,
-            row.condition,
-            row.kappa,
-            row.form,
-            row.flags + ("absent from the reference table; not diffed",),
-        )
-        diffs.append(RowDiff(row, None, None, (), ()))
+        if _derivable(row):
+            diffs.append(_diff_row(which, row, None, allowlist))
+        elif name in _ABSENT_ROWS.get(which, []):
+            row = replace(
+                row, flags=row.flags + ("absent from the reference table; not diffed",)
+            )
+            diffs.append(RowDiff(row, None, None, (), ()))
     return TableReport(which, tuple(diffs))

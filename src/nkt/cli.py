@@ -263,7 +263,8 @@ def _coeffs_from_arg(text: str) -> TCoeffs:
     return coeffs_from(parts)
 
 
-def _classify_coeffs(args) -> tuple:
+def _resolve_coeffs(args) -> tuple:
+    """(coefficients, label) from --coeffs or else --preset."""
     if args.coeffs:
         return _coeffs_from_arg(args.coeffs), "custom"
     if not args.preset:
@@ -274,7 +275,7 @@ def _classify_coeffs(args) -> tuple:
 
 def _cmd_classify(args) -> int:
     condition = ConditionKind.parse(args.condition)
-    coeffs, label = _classify_coeffs(args)
+    coeffs, label = _resolve_coeffs(args)
     payload = {
         "command": "classify",
         "preset": label,
@@ -375,22 +376,12 @@ def _cmd_residual(args) -> int:
         model = nk_lie_group_3d(as_rational(args.lam))
         source = f"lambda = {args.lam}"
     condition = ConditionKind.parse(args.condition)
-    if args.coeffs:
-        numeric = _coeffs_from_arg(args.coeffs).at(model.n)
-        label = "custom"
-        flags = []
-    else:
-        if not args.preset:
-            raise CliError("either --preset or --coeffs is required")
-        name = PresetName.parse(args.preset)
-        a0 = as_rational(args.a0) if args.a0 is not None else None
-        a1 = as_rational(args.a1) if args.a1 is not None else None
-        row = preset(name)
-        numeric = row.at(model.n, a0=a0, a1=a1)
-        label = name.value
-        flags = list(row.annotations)
-    value = flatness_residual(model, numeric, condition, strict=args.strict_xi,
-                              variant=args.variant)
+    coeffs, label = _resolve_coeffs(args)
+    # the free-parameter values bind preset rows only
+    free = {} if args.coeffs else {"a0": args.a0, "a1": args.a1}
+    bound = {k: as_rational(v) for k, v in free.items() if v is not None}
+    value = flatness_residual(model, coeffs.at(model.n, **bound), condition,
+                              strict=args.strict_xi, variant=args.variant)
     payload = {
         "command": "residual",
         "model": source,
@@ -398,7 +389,7 @@ def _cmd_residual(args) -> int:
         "condition": condition.value,
         "residual": str(value),
         "vanishes": value == 0,
-        "flags": flags,
+        "flags": list(coeffs.annotations),
     }
     _emit(payload, f"residual = {value}", args.format)
     return 0

@@ -39,8 +39,6 @@ from typing import Iterable, Optional, Sequence
 
 from .scalar_algebra import RationalLike, _frac_str, as_rational
 
-Vector = tuple
-
 
 class InvalidModel(Exception):
     """The bracket table is not a Lie algebra (antisymmetry or Jacobi fails),
@@ -77,9 +75,6 @@ class FrameModel:
 
     def eta(self, i: int) -> Fraction:
         return Fraction(1 if i == self.xi_index else 0)
-
-    def bracket(self, i: int, j: int) -> Vector:
-        return self.structure[i][j]
 
 
 @dataclass(frozen=True)

@@ -620,8 +620,10 @@ def poly_sqrt(poly: Poly) -> Optional[Poly]:
         diff = lm_r - top_lm
         if diff & _GUARDS:
             return None
-        root = root + _poly({diff: _qdiv(lc_r, 2 * top_lc)})
-        rest = poly - root * root
+        # (root + t)^2 = root^2 + t (2 root + t): update the remainder
+        term = _poly({diff: _qdiv(lc_r, 2 * top_lc)})
+        rest = rest - term * (root + root + term)
+        root = root + term
     return None
 
 
@@ -1172,6 +1174,3 @@ C = RationalExpr.variable("c")
 A0 = RationalExpr.variable("a0")
 A1 = RationalExpr.variable("a1")
 S = RationalExpr.variable("s")
-
-ZERO = RationalExpr.constant(0)
-ONE = RationalExpr.constant(1)

@@ -157,8 +157,6 @@ def coeffs_from(entries: Sequence[Union[RationalExpr, int, Fraction, str]]) -> T
     return TCoeffs(tuple(expr(e) for e in entries))
 
 
-_ZERO = expr(0)
-_ONE = expr(1)
 _TWO_N = 2 * N
 
 
@@ -260,9 +258,6 @@ def catalog() -> dict:
         }
         for name, row in _PRESETS.items()
     }
-
-
-NumericCoeffs = Sequence[Fraction]
 
 
 def _numeric(coeffs, model_n: int) -> tuple:

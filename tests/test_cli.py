@@ -348,3 +348,55 @@ def test_missing_golden_table_names_the_file(tmp_path, monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {golden / 'table5.txt'}: ")
     assert "Traceback" not in err
+
+
+def test_dropped_golden_row_is_an_unexpected_row_mismatch(tmp_path, monkeypatch, capsys):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    path = golden / "table2.txt"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(x for x in lines if not x.startswith("W2 ")) + "\n")
+    code, out, _ = invoke(capsys, "table", "2")
+    assert code == 2
+    assert "- W2.row: UNEXPECTED mismatch" in out
+    assert "| W2 | any value | MISMATCH: row |" in out
+    assert out.endswith("table 2: MISMATCH\n")
+    code, out, _ = invoke(capsys, "table", "2", "--format", "json")
+    assert code == 2
+    payload = check_json(out)
+    assert not payload["ok"]
+    (row,) = [r for r in payload["rows"] if r["preset"] == "W2"]
+    assert row["match"] is False and row["mismatches"] == ["row"]
+
+
+def test_golden_row_outside_the_derivable_set_exits_2(tmp_path, monkeypatch, capsys):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    _append_row(golden / "table2.txt", "Riemann | value | 0")
+    code, out, _ = invoke(capsys, "table", "2")
+    assert code == 2
+    assert "- Riemann.row: UNEXPECTED mismatch" in out
+    # a degenerate row is not derivable either: W7 under the quasi condition
+    _append_row(golden / "table3.txt", "W7 | eta | 0 | 0")
+    code, out, _ = invoke(capsys, "table", "3")
+    assert code == 2
+    assert "- W7.row: UNEXPECTED mismatch" in out
+    assert out.count("| W7 |") == 1
+
+
+def test_duplicate_golden_row_is_located(tmp_path, monkeypatch, capsys):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    path = golden / "table6.txt"
+    line = _append_row(path, "W2 | einstein | 2*n*kappa | 0")
+    code, out, err = invoke(capsys, "table", "6")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}:{line}: duplicate row W2\n"
+
+
+def test_golden_file_order_is_the_row_order(tmp_path, monkeypatch, capsys):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    path = golden / "table5.txt"
+    rows = [x for x in path.read_text().splitlines() if x and not x.startswith("#")]
+    path.write_text("\n".join(reversed(rows)) + "\n")
+    code, out, _ = invoke(capsys, "table", "5", "--format", "json")
+    assert code == 0
+    got = [row["preset"] for row in check_json(out)["rows"]]
+    assert got == [r.split("|")[0].strip() for r in reversed(rows)]

@@ -178,6 +178,14 @@ def test_sqrt_expr_patterns():
     assert sqrt_expr(expr(Fraction(1, 4))) == expr(Fraction(1, 2))
     assert sqrt_expr(1 / N) == S / N
     assert sqrt_expr(expr(2)) is None
+    # the heavy corpus entry's square: a 12-term root over s, found term by
+    # term while the remainder is updated rather than recomputed
+    heavy = parse_expr(
+        "(90*n^2*a - 135*n^2*c + 108*n*kappa*c + 10*n*a^2*s - 15*n*a*c*s - 30*n*a"
+        " + 45*n*c + 216*n + 12*kappa*a*c*s - 36*kappa*c + 24*a*s - 72)"
+        "/(162*n^2 - 2*n*a^2 - 108*n + 18)"
+    )
+    assert sqrt_expr(heavy * heavy) in (heavy, -heavy)
     root = sqrt_expr((1 - (S - 1) ** 2 / (N - 1)) ** 2)
     assert root is not None and root ** 2 == (1 - (S - 1) ** 2 / (N - 1)) ** 2
 

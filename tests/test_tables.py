@@ -77,6 +77,21 @@ def test_reconstructed_rows_keep_their_flags_in_reports():
     assert any("isometry class" in f for f in by_name[PresetName.V].flags)
 
 
+def test_isometry_class_flags_mark_the_printed_classes():
+    # the flags follow each row's T-flat kappa: (n-1)/n for the sqrt(n)
+    # Boeckx family, 0 for the flat product
+    flagged = {"sqrt(n)": set(), "E^(n+1)": set()}
+    for diff in reproduce_table(2).rows:
+        for flag in diff.row.flags:
+            for key, names in flagged.items():
+                if flag.startswith(f"isometry class: {key}"):
+                    names.add(diff.row.preset.value)
+    assert flagged == {
+        "sqrt(n)": {"C_star", "V", "P_star", "P", "M", "W0", "W1_star", "W6", "W8"},
+        "E^(n+1)": {"W3", "W4", "W5"},
+    }
+
+
 def test_golden_dir_override(tmp_path, monkeypatch):
     # a doctored transcription must surface as an unexpected mismatch
     source = load_golden_table(2)
@@ -90,14 +105,11 @@ def test_golden_dir_override(tmp_path, monkeypatch):
             lines.append(f"{name.value} | value | {record['kappa']}")
     (tmp_path / "table2.txt").write_text("\n".join(lines) + "\n")
     (tmp_path / "allowlist.txt").write_text("")
-    report = reproduce_table(2, directory=tmp_path)
-    assert not report.ok
-    bad = [d for d in report.rows if d.unexpected]
-    assert len(bad) == 1 and bad[0].row.preset is PresetName.V
-
     monkeypatch.setenv("NKT_GOLDEN_DIR", str(tmp_path))
     report = reproduce_table(2)
     assert not report.ok
+    bad = [d for d in report.rows if d.unexpected]
+    assert len(bad) == 1 and bad[0].row.preset is PresetName.V
 
 
 def test_classification_row_is_deterministic():
