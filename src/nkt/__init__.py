@@ -6,10 +6,11 @@ Layers, bottom up:
 * :mod:`nkt.scalar_algebra` - exact rationals and multivariate rational
   functions with the sqrt(n) extension and a linear solver;
 * :mod:`nkt.frame_geometry` - left-invariant frame models, curvature,
-  h-operator, contact audits and nullity fits;
-* :mod:`nkt.t_tensor` - the coefficient presets, the dense components of
+  h-operator, contact audits and nullity fits, on a sparse contraction
+  kernel whose work follows the nonzero entries;
+* :mod:`nkt.t_tensor` - the coefficient presets, the sparse components of
   T built once per model, and the flatness residuals and two derivation
-  operators as matrix contractions on its slots;
+  operators as contractions on its slots;
 * :mod:`nkt.classification` - the symbolic eta-Einstein classifications,
   Boeckx invariant, D-homothetic deformation and table reproduction;
 * :mod:`nkt.cli` - the ``nkt`` command line tool.

@@ -472,8 +472,12 @@ def load_golden_table(which: int) -> dict:
     return records
 
 
+_FORM_FIELDS = ("tag", "b1", "b2")
+
+
 def load_allowlist() -> dict:
-    """(table, preset, field) -> documentation note for known source typos."""
+    """(table, preset, field) -> documentation note for known source typos;
+    an entry names a reference table and a field its rows are diffed in."""
     path = golden_dir() / "allowlist.txt"
     if not path.exists():
         return {}
@@ -482,7 +486,12 @@ def load_allowlist() -> dict:
         try:
             _need_fields(parts, 4)
             table, name, field, note = parts
-            entries[(int(table), PresetName.parse(name), field)] = note
+            table = int(table)
+            if table not in _TABLE_CONDITIONS:
+                raise GoldenFormatError(f"unknown table {table}; expected 2..7")
+            if field not in (("kappa",) if table == 2 else _FORM_FIELDS):
+                raise GoldenFormatError(f"unknown field {field!r} for table {table}")
+            entries[(table, PresetName.parse(name), field)] = note
         except (KeyError, ValueError) as exc:
             raise GoldenFormatError(f"{path}:{lineno}: {exc.args[0]}") from exc
     return entries
@@ -536,12 +545,9 @@ def _diff_row(
         mismatches = [] if ok else ["kappa"]
     else:
         form = row.form
-        derived = {
-            "tag": "einstein" if form.tag is FormTag.EINSTEIN else "eta",
-            "b1": form.b1,
-            "b2": form.b2,
-        }
-        mismatches = [f for f in ("tag", "b1", "b2") if derived[f] != reference[f]]
+        tag = "einstein" if form.tag is FormTag.EINSTEIN else "eta"
+        derived = {"tag": tag, "b1": form.b1, "b2": form.b2}
+        mismatches = [f for f in _FORM_FIELDS if derived[f] != reference[f]]
     allowed = tuple(
         (field, allowlist[(which, row.preset, field)])
         for field in mismatches
@@ -559,7 +565,8 @@ def reproduce_table(which: int) -> TableReport:
     "row" mismatch.  The degenerate rows the reference omits (the W7
     quasi/phi rows) are appended flagged and excluded from the diff.
     Mismatching fields listed in the allow-list are reported as documented
-    typos; any other mismatch makes the report not ok.
+    typos; any other mismatch makes the report not ok, and so does an
+    allow-list entry of this table that excuses no mismatch.
     """
     if which not in _TABLE_CONDITIONS:
         raise ValueError(f"no reference table {which}; pick 2..7")
@@ -581,4 +588,19 @@ def reproduce_table(which: int) -> TableReport:
                 row, flags=row.flags + ("absent from the reference table; not diffed",)
             )
             diffs.append(RowDiff(row, None, None, (), ()))
+    _flag_stale_entries(which, diffs, allowlist)
     return TableReport(which, tuple(diffs))
+
+
+def _flag_stale_entries(which: int, diffs: list, allowlist: dict) -> None:
+    """An allow-list entry of this table that excuses no mismatch is itself
+    an unexpected mismatch of its preset's row, named after the entry."""
+    used = {(which, diff.row.preset, field) for diff in diffs for field, _ in diff.allowed}
+    for key in allowlist:
+        if key[0] != which or key in used:
+            continue
+        name, stale = key[1], (f"{key[2]} (allow-list entry excuses no diff)",)
+        at = next((i for i, diff in enumerate(diffs) if diff.row.preset is name), len(diffs))
+        if at == len(diffs):
+            diffs.append(RowDiff(classification_row(which, name), None, None, (), ()))
+        diffs[at] = replace(diffs[at], matches=False, mismatches=diffs[at].mismatches + stale)

@@ -150,17 +150,10 @@ def _solution_payload(solution: LinearSolution) -> dict:
 
 
 def _form_payload(form) -> dict:
-    if form.is_degenerate:
-        return {
-            "tag": form.tag.value,
-            "denominator_condition": str(form.denominator_condition),
-        }
-    return {
-        "tag": form.tag.value,
-        "b1": str(form.b1),
-        "b2": str(form.b2),
-        "denominator_condition": str(form.denominator_condition),
-    }
+    out = {"tag": form.tag.value, "denominator_condition": str(form.denominator_condition)}
+    if not form.is_degenerate:
+        out.update(b1=str(form.b1), b2=str(form.b2))
+    return out
 
 
 def _form_text(form) -> str:
@@ -197,14 +190,13 @@ def _audit_payload(model) -> dict:
     if report.passed:
         curv = curvature(model)
         fit = nullity_fit(model, curv)
-        h_zero = all(x == 0 for row in curv.h for x in row)
         payload["nullity"] = {
             "kappa": str(fit.kappa),
             "mu": str(fit.mu),
             "exact": fit.exact,
             "max_residual": str(fit.max_residual),
         }
-        payload["sasakian"] = bool(fit.exact and fit.kappa == 1 and h_zero)
+        payload["sasakian"] = bool(fit.exact and fit.kappa == 1 and not curv.sparse_h)
         payload["scalar_curvature"] = str(curv.scalar)
     return payload
 
@@ -324,14 +316,9 @@ def _table_markdown(report) -> str:
                  "| --- | --- | --- | --- |"]
         for diff in report.rows:
             form = diff.row.form
-            if form.is_degenerate:
-                body, tag = "-", "degenerate"
-            else:
-                body = f"({form.b1}) g + ({form.b2}) eta(x)eta"
-                tag = form.tag.value
-            lines.append(
-                f"| {diff.row.preset.value} | {tag} | {body} | {_diff_cell(diff)} |"
-            )
+            tag, body = ("degenerate", "-") if form.is_degenerate else (
+                form.tag.value, f"({form.b1}) g + ({form.b2}) eta(x)eta")
+            lines.append(f"| {diff.row.preset.value} | {tag} | {body} | {_diff_cell(diff)} |")
     notes = []
     for diff in report.rows:
         for field, note in diff.allowed:
@@ -403,14 +390,7 @@ def _cmd_example1(args) -> int:
         "n": report.n,
         "sign": "+" if report.sign > 0 else "-",
         "ok": report.ok,
-        "symbolic": {
-            "c": str(report.c),
-            "a": str(report.a),
-            "kappa": str(report.kappa),
-            "mu": str(report.mu),
-            "invariant": str(report.invariant),
-            "target": str(report.target),
-        },
+        "symbolic": {name: str(getattr(report, name)) for name in values},
         "specialized": values,
     }
     lines = [

@@ -17,7 +17,10 @@ quantity is a finite exact-rational computation:
   commutator h = [ad_xi, phi] / 2, with ad_i the matrix of [e_i, .]; the
   Jacobi identity as "ad is a homomorphism", ad([e_i,e_j]) = [ad_i, ad_j].
 
-All of it runs on the dense-tensor primitives below, which t_tensor shares.
+All of it runs on the sparse kernel below, shared with t_tensor: a tensor is
+a dict from index tuple to nonzero entry, so work follows the nonzero
+entries, and entries need only +, *, unary - and a truth test (Fractions or
+RationalExprs).  Public results are indexed [i][j][k][l] through ``dense``.
 
 Sign conventions (documented because the literature is split):
 
@@ -35,9 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .scalar_algebra import RationalLike, _frac_str, as_rational
+
+MAX_DIM = 15  # the largest frame a model file may declare
 
 
 class InvalidModel(Exception):
@@ -77,21 +83,109 @@ class FrameModel:
         return Fraction(1 if i == self.xi_index else 0)
 
 
+# ---------------------------------------------------------------------------
+# the sparse contraction kernel: {index tuple: nonzero entry}, shared with
+# t_tensor
+
+_ZERO_Q = Fraction(0)
+
+
+def _collect(pairs) -> dict:
+    """Sum the (key, term) pairs per key; zero sums are dropped."""
+    out = {}
+    for key, term in pairs:
+        out[key] = out[key] + term if key in out else term
+    return {key: value for key, value in out.items() if value}
+
+
+def _sparse(nested, prefix: tuple = ()) -> dict:
+    """The nonzero entries of a nested sequence."""
+    if not isinstance(nested, (tuple, list)):
+        return {prefix: nested} if nested else {}
+    return {k: v for i, sub in enumerate(nested) for k, v in _sparse(sub, prefix + (i,)).items()}
+
+
+def dense(tensor: dict, dim: int, rank: int, prefix: tuple = ()) -> tuple:
+    """Nested-tuple view of a sparse tensor, zeros filled in."""
+    if len(prefix) == rank:
+        return tensor.get(prefix, _ZERO_Q)
+    return tuple(dense(tensor, dim, rank, prefix + (i,)) for i in range(dim))
+
+
+def _view(name: str, rank: int) -> cached_property:
+    """The dense view of the sparse tensor attribute ``name``, built on first use."""
+    return cached_property(lambda self: dense(getattr(self, name), self.dim, rank))
+
+
+class SparseTensor(dict):
+    """A sparse tensor that also reads as its dense view: an int index,
+    ``t[i][j]...``, indexes ``dense(t, dim, rank)``, built on first use."""
+
+    def __init__(self, entries: dict, dim: int, rank: int):
+        super().__init__(entries)
+        self.dim, self.rank = dim, rank
+
+    view = cached_property(lambda self: dense(self, self.dim, self.rank))
+
+    def __missing__(self, key):
+        if not isinstance(key, int):
+            raise KeyError(key)
+        return self.view[key]
+
+
+def _lincomb(weights, parts) -> dict:
+    """sum_p weights[p] * parts[p] over tensors of one rank."""
+    return _collect((k, w * v) for w, part in zip(weights, parts) if w for k, v in part.items())
+
+
+def _act(m: dict, tensor: dict, slot: int) -> dict:
+    """Contract the last index of m with one (0-based) slot of the tensor, m's
+    other indices taking that slot's place: for a matrix, out[..x..] = sum_p
+    m[x, p] tensor[..p..], on slot 0 of a matrix the product ``m . tensor``."""
+    columns = {}
+    for key, value in m.items():
+        columns.setdefault(key[-1], []).append((key[:-1], value))
+    return _collect(
+        (key[:slot] + head + key[slot + 1:], weight * value)
+        for key, value in tensor.items()
+        for head, weight in columns.get(key[slot], ())
+    )
+
+
+def _permute(tensor: dict, order: tuple) -> dict:
+    """out[key[order[0]], key[order[1]], ...] = tensor[key]; (1, 0) transposes."""
+    return {tuple(key[o] for o in order): value for key, value in tensor.items()}
+
+
+def _max_abs(tensor: dict) -> Fraction:
+    return max(map(abs, tensor.values()), default=_ZERO_Q)
+
+
+# ---------------------------------------------------------------------------
+# models
+
+
 @dataclass(frozen=True)
 class CurvatureData:
-    """All curvature objects of a model, exact.
+    """All curvature objects of a model, exact, as sparse tensors.
 
-    gamma[i][j][k] = g(nabla_{e_i} e_j, e_k); riemann[i][j][k][l] =
-    g(R(e_i,e_j)e_k, e_l); ricci[j][k] = S(e_j,e_k), which in an
-    orthonormal frame is also the matrix of the Ricci operator Q; scalar is
-    the ricci trace; h is the matrix of the h-operator.
+    sparse_gamma[i, j, k] = g(nabla_{e_i} e_j, e_k); sparse_riemann[i, j, k, l]
+    = g(R(e_i,e_j)e_k, e_l); sparse_ricci[j, k] = S(e_j,e_k), also the matrix
+    of the Ricci operator Q; scalar is the ricci trace; sparse_h is the matrix
+    of the h-operator.  gamma, riemann, ricci and h are the dense views.
     """
 
-    gamma: tuple
-    riemann: tuple
-    ricci: tuple
+    dim: int
+    sparse_gamma: dict
+    sparse_riemann: dict
+    sparse_ricci: dict
     scalar: Fraction
-    h: tuple
+    sparse_h: dict
+
+    gamma = _view("sparse_gamma", 3)
+    riemann = _view("sparse_riemann", 4)
+    ricci = _view("sparse_ricci", 2)
+    h = _view("sparse_h", 2)
 
 
 @dataclass(frozen=True)
@@ -124,53 +218,6 @@ class AuditReport:
         return tuple(check for check in self.checks if not check.passed)
 
 
-def _zeros(dim: int) -> list:
-    return [Fraction(0)] * dim
-
-
-# ---------------------------------------------------------------------------
-# dense-tensor primitives: nested tuples of Fractions, shared with t_tensor
-
-_ZERO_Q = Fraction(0)
-
-
-def _lincomb(weights, parts):
-    """sum_p weights[p] * parts[p] over dense tensors of one shape, or scalars."""
-    if not isinstance(parts[0], (tuple, list)):
-        return sum((w * x for w, x in zip(weights, parts) if w and x), _ZERO_Q)
-    # an all-zero row still has to yield a zero tensor of the parts' shape
-    live = [(w, part) for w, part in zip(weights, parts) if w] or [(0, parts[0])]
-    weights, parts = zip(*live)
-    return tuple(_lincomb(weights, column) for column in zip(*parts))
-
-
-def _act(matrix, tensor, slot: int):
-    """out[..x..] = sum_p matrix[x][p] * tensor[..p..], x and p in the given
-    (0-based) slot of a dense tensor.  On slot 0 of a matrix this is the
-    matrix product ``matrix . tensor``."""
-    if slot:
-        return tuple(_act(matrix, sub, slot - 1) for sub in tensor)
-    return tuple(_lincomb(row, tensor) for row in matrix)
-
-
-def _transpose(matrix) -> tuple:
-    return tuple(zip(*matrix))
-
-
-def _max_abs(tensor) -> Fraction:
-    if isinstance(tensor, (tuple, list)):
-        return max((_max_abs(sub) for sub in tensor), default=_ZERO_Q)
-    return abs(tensor)
-
-
-def _freeze(rows) -> tuple:
-    if isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], (list, tuple)):
-        return tuple(_freeze(r) for r in rows)
-    if isinstance(rows, (list, tuple)):
-        return tuple(rows)
-    return rows
-
-
 def build_model(
     dim: int,
     brackets: Iterable[tuple],
@@ -186,28 +233,26 @@ def build_model(
         raise ModelFormatError(f"dimension must be odd and >= 3, got {dim}")
     if not 0 <= xi_index < dim:
         raise ModelFormatError(f"xi index {xi_index} out of range for dim {dim}")
-    table = [[_zeros(dim) for _ in range(dim)] for _ in range(dim)]
-    seen = set()
+    given = {}
     for i, j, k, value in brackets:
         value = as_rational(value)
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ModelFormatError(f"bracket index ({i},{j},{k}) out of range")
         if i == j and value:
             raise ModelFormatError(f"[e_{i+1}, e_{i+1}] must vanish")
-        if (i, j, k) in seen:
+        if (i, j, k) in given:
             raise ModelFormatError(f"duplicate bracket entry ({i+1},{j+1},{k+1})")
-        seen.add((i, j, k))
-        if (j, i, k) in seen and table[j][i][k] != -value:
+        if (j, i, k) in given and given[(j, i, k)] != -value:
             raise ModelFormatError(
                 f"entries ({i+1},{j+1},{k+1}) and ({j+1},{i+1},{k+1}) are not antisymmetric"
             )
-        table[i][j][k] = value
-        if (j, i, k) not in seen:
-            table[j][i][k] = -value
-    phi_rows = [[as_rational(x) for x in row] for row in phi]
+        given[(i, j, k)] = value
+    table = {(j, i, k): -value for (i, j, k), value in given.items()}
+    table.update(given)
+    phi_rows = tuple(tuple(as_rational(x) for x in row) for row in phi)
     if len(phi_rows) != dim or any(len(row) != dim for row in phi_rows):
         raise ModelFormatError("phi matrix must be dim x dim")
-    return FrameModel(dim, _freeze(table), xi_index, _freeze(phi_rows))
+    return FrameModel(dim, dense(table, dim, 3), xi_index, phi_rows)
 
 
 def validate_structure(model: FrameModel) -> None:
@@ -216,88 +261,60 @@ def validate_structure(model: FrameModel) -> None:
     Jacobi is checked as ad([e_i,e_j]) = [ad_i, ad_j]: column k of the
     difference is the Jacobi sum on (e_i, e_j, e_k), reported for the first
     failing triple i < j < k in lexicographic order."""
-    dim = model.dim
-    c = model.structure
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                if c[i][j][k] != -c[j][i][k]:
-                    raise InvalidModel(
-                        f"antisymmetry fails at c[{i+1}][{j+1}][{k+1}]"
-                    )
-    ad = tuple(_transpose(block) for block in c)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            products = (_act(ad[i], ad[j], 0), _act(ad[j], ad[i], 0))
-            defect = _lincomb(c[i][j] + (-1, 1), ad + products)
-            for k in range(j + 1, dim):
-                if any(row[k] for row in defect):
-                    raise InvalidModel(
-                        f"Jacobi identity fails on (e_{i+1}, e_{j+1}, e_{k+1})"
-                    )
+    c = _sparse(model.structure)
+    broken = [key for key, value in c.items() if c.get((key[1], key[0], key[2])) != -value]
+    if broken:
+        i, j, k = min(min(key, (key[1], key[0], key[2])) for key in broken)
+        raise InvalidModel(f"antisymmetry fails at c[{i+1}][{j+1}][{k+1}]")
+    ad = _permute(c, (0, 2, 1))  # ad[i, x, p] = c[i, p, x], the matrix of [e_i, .]
+    products = _act(ad, ad, 1)  # [i, j] -> ad_j ad_i
+    defect = _lincomb((1, -1, 1), (_act(c, ad, 0), _permute(products, (1, 0, 2, 3)), products))
+    failing = [(i, j, k) for i, j, _, k in defect if i < j < k]
+    if failing:
+        i, j, k = min(failing)
+        raise InvalidModel(f"Jacobi identity fails on (e_{i+1}, e_{j+1}, e_{k+1})")
 
 
 def levi_civita(model: FrameModel) -> tuple:
     """Connection coefficients gamma[i][j][k] = g(nabla_{e_i} e_j, e_k)."""
-    validate_structure(model)
-    return _connection(model)
+    return curvature(model).gamma
 
 
-def _connection(model: FrameModel) -> tuple:
-    dim = model.dim
-    c = model.structure
-    gamma = [
-        [
-            [(c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2 for k in range(dim)]
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    return _freeze(gamma)
+def _connection(c: dict) -> dict:
+    half = Fraction(1, 2)
+    # c[i, j, k] - c[j, k, i] + c[k, i, j], halved
+    return _lincomb((half, -half, half), (c, _permute(c, (2, 0, 1)), _permute(c, (1, 2, 0))))
+
+
+def _riemann(c: dict, gamma: dict) -> dict:
+    # gamma[i] is the matrix of nabla_{e_i} acting on row vectors, so
+    # R(e_i,e_j) = Gamma_j Gamma_i - Gamma_i Gamma_j - sum_m c[i][j][m] Gamma_m
+    products = _act(gamma, gamma, 1)  # [i, j] -> Gamma_j Gamma_i
+    return _lincomb((1, -1, -1), (products, _permute(products, (1, 0, 2, 3)), _act(c, gamma, 0)))
 
 
 def h_tensor(model: FrameModel) -> tuple:
     """Matrix of h = (Lie derivative of phi along xi) / 2."""
-    validate_structure(model)
-    return _h_operator(model)
+    return curvature(model).h
 
 
-def _h_operator(model: FrameModel) -> tuple:
+def _h_operator(model: FrameModel) -> dict:
     # (L_xi phi) e = [xi, phi e] - phi [xi, e], so 2h = ad_xi phi - phi ad_xi
-    ad_xi = _transpose(model.structure[model.xi_index])
-    phi = model.phi
-    half = Fraction(1, 2)
-    return _lincomb((half, -half), (_act(ad_xi, phi, 0), _act(phi, ad_xi, 0)))
+    xi = model.xi_index
+    ad_xi = {(x, p): v for (i, p, x), v in _sparse(model.structure).items() if i == xi}
+    phi = _sparse(model.phi)
+    return _lincomb((Fraction(1, 2), Fraction(-1, 2)), (_act(ad_xi, phi, 0), _act(phi, ad_xi, 0)))
 
 
 def curvature(model: FrameModel) -> CurvatureData:
     """All curvature data of the model; exact rational throughout."""
     validate_structure(model)
-    gamma = _connection(model)
-    dim = model.dim
-    c = model.structure
-    # gamma[i] is the matrix of nabla_{e_i} acting on row vectors, so
-    # R(e_i,e_j) = Gamma_j Gamma_i - Gamma_i Gamma_j - sum_m c[i][j][m] Gamma_m
-    products = tuple(tuple(_act(left, right, 0) for right in gamma) for left in gamma)
-    riemann = tuple(
-        tuple(
-            _lincomb((1, -1, *(-x for x in c[i][j])), (products[j][i], products[i][j], *gamma))
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
-    ricci = tuple(
-        tuple(sum(riemann[i][j][k][i] for i in range(dim)) for k in range(dim))
-        for j in range(dim)
-    )
-    scalar = sum(ricci[i][i] for i in range(dim))
-    return CurvatureData(
-        gamma=gamma,
-        riemann=riemann,
-        ricci=ricci,
-        scalar=scalar,
-        h=_h_operator(model),
-    )
+    c = _sparse(model.structure)
+    gamma = _connection(c)
+    riemann = _riemann(c, gamma)
+    ricci = _collect(((j, k), v) for (i, j, k, l), v in riemann.items() if i == l)
+    scalar = sum((v for (j, k), v in ricci.items() if j == k), _ZERO_Q)
+    return CurvatureData(model.dim, gamma, riemann, ricci, scalar, _h_operator(model))
 
 
 def contact_audit(model: FrameModel) -> AuditReport:
@@ -313,43 +330,41 @@ def contact_audit(model: FrameModel) -> AuditReport:
     phi^2 v = -v + eta(v) xi = 0, so v = eta(v) xi and phi v = eta(v)^2 xi
     = 0 give v = 0; the row case is the same argument transposed.
     """
-    dim, xi, phi = model.dim, model.xi_index, model.phi
-    c = model.structure
+    dim, xi = model.dim, model.xi_index
+    c, phi = _sparse(model.structure), _sparse(model.phi)
     checks = []
 
     def matrix_check(name, got, want, detail):
-        for i, (got_row, want_row) in enumerate(zip(got, want)):
-            for j, (x, y) in enumerate(zip(got_row, want_row)):
-                if x != y:
-                    return AuditCheck(name, False, detail.format(i + 1, j + 1, x, y))
-        return AuditCheck(name, True)
+        differ = _lincomb((1, -1), (got, want))
+        if not differ:
+            return AuditCheck(name, True)
+        i, j = min(differ)
+        x, y = got.get((i, j), _ZERO_Q), want.get((i, j), _ZERO_Q)
+        return AuditCheck(name, False, detail.format(i + 1, j + 1, x, y))
 
     try:
         validate_structure(model)
         checks.append(AuditCheck("bracket_structure", True))
-        structural_ok = True
     except InvalidModel as exc:
         checks.append(AuditCheck("bracket_structure", False, str(exc)))
-        structural_ok = False
 
     # phi^2 = -Id + eta (x) xi = -P and phi^T phi = Id - eta (x) eta = P, with
     # P the projector onto the contact distribution
-    onto_d = tuple(tuple(Fraction(i == j != xi) for j in range(dim)) for i in range(dim))
-    minus_onto_d = _lincomb((-1,), (onto_d,))
+    onto_d = {(i, i): Fraction(1) for i in range(dim) if i != xi}
+    minus_onto_d = {key: -value for key, value in onto_d.items()}
     component = "component ({},{}): {} != {}"
+    phi_t = _permute(phi, (1, 0))
     checks.append(matrix_check("phi_square", _act(phi, phi, 0), minus_onto_d, component))
-    checks.append(
-        matrix_check("metric_compatibility", _act(_transpose(phi), phi, 0), onto_d, component)
-    )
+    checks.append(matrix_check("metric_compatibility", _act(phi_t, phi, 0), onto_d, component))
     # d(eta)(e_i,e_j) = -eta([e_i,e_j])/2 must equal g(e_i, phi e_j)
-    d_eta = tuple(tuple(-bracket[xi] / 2 for bracket in block) for block in c)
+    d_eta = {(i, j): -value / 2 for (i, j, k), value in c.items() if k == xi}
     checks.append(matrix_check("contact_condition", d_eta, phi, "d(eta)(e_{},e_{}) = {} != {}"))
 
     # nabla_X xi = -phi X - phi h X
-    if structural_ok:
-        nabla_xi = tuple(block[xi] for block in _connection(model))
+    if checks[0].passed:
+        nabla_xi = {(i, k): value for (i, j, k), value in _connection(c).items() if j == xi}
         phi_h = _act(phi, _h_operator(model), 0)
-        want = _transpose(_lincomb((-1, -1), (phi, phi_h)))
+        want = _permute(_lincomb((-1, -1), (phi, phi_h)), (1, 0))
         detail = "nabla_(e_{}) xi component {}: {} != {}"
         checks.append(matrix_check("reeb_derivative", nabla_xi, want, detail))
     else:
@@ -365,18 +380,13 @@ def nullity_residual(
 ) -> Fraction:
     """Max |component| of R(e_i,e_j)xi - kappa(...) - mu(...) over the frame."""
     dim, xi = model.dim, model.xi_index
-    h = curv.h
-    worst = Fraction(0)
-    for i in range(dim):
-        for j in range(dim):
-            for l in range(dim):
-                value = curv.riemann[i][j][xi][l]
-                value -= kappa * (
-                    model.eta(j) * Fraction(i == l) - model.eta(i) * Fraction(j == l)
-                )
-                value -= mu * (model.eta(j) * h[l][i] - model.eta(i) * h[l][j])
-                worst = max(worst, abs(value))
-    return worst
+    r_xi = {(i, j, l): value for (i, j, k, l), value in curv.sparse_riemann.items() if k == xi}
+    # kappa(eta(j) delta_il - eta(i) delta_jl) + mu(eta(j) h_li - eta(i) h_lj)
+    # is a[i, j, l] - a[j, i, l] with a[i, xi, l] = kappa delta_il + mu h_li
+    identity = {(i, i): Fraction(1) for i in range(dim)}
+    row = _lincomb((kappa, mu), (identity, _permute(curv.sparse_h, (1, 0))))
+    a = {(i, xi, l): value for (i, l), value in row.items()}
+    return _max_abs(_lincomb((1, -1, 1), (r_xi, a, _permute(a, (1, 0, 2)))))
 
 
 def nullity_fit(model: FrameModel, curv: Optional[CurvatureData] = None) -> NullityFit:
@@ -390,24 +400,15 @@ def nullity_fit(model: FrameModel, curv: Optional[CurvatureData] = None) -> Null
     if curv is None:
         curv = curvature(model)
     dim, xi = model.dim, model.xi_index
-    h = curv.h
-    horizontal = [i for i in range(dim) if i != xi]
+    h = curv.sparse_h
     # R(e_i, xi) xi = kappa e_i + mu h e_i for horizontal i
-    kappa = sum(curv.riemann[i][xi][xi][i] for i in horizontal) / Fraction(
-        len(horizontal)
-    )
-    h_norm = sum(h[l][i] ** 2 for i in horizontal for l in range(dim))
+    block = {(i, l): v for (i, j, k, l), v in curv.sparse_riemann.items() if j == k == xi != i}
+    kappa = sum(block.get((i, i), _ZERO_Q) for i in range(dim)) / Fraction(dim - 1)
+    h_norm = sum(value**2 for (l, i), value in h.items() if i != xi)
     if h_norm:
-        mu = (
-            sum(
-                curv.riemann[i][xi][xi][l] * h[l][i]
-                for i in horizontal
-                for l in range(dim)
-            )
-            / h_norm
-        )
+        mu = sum(value * h.get((l, i), _ZERO_Q) for (i, l), value in block.items()) / h_norm
     else:
-        if any(h[l][i] for i in range(dim) for l in range(dim)):
+        if h:
             raise DegenerateFit("h is nonzero but carries no frame norm")
         mu = Fraction(0)
     residual = nullity_residual(model, curv, kappa, mu)
@@ -415,11 +416,10 @@ def nullity_fit(model: FrameModel, curv: Optional[CurvatureData] = None) -> Null
     if exact:
         # S(e_i, xi) = 2 n kappa eta(e_i); i = xi checks S(xi, xi) = 2 n kappa
         for i in range(dim):
+            got = curv.sparse_ricci.get((i, xi), _ZERO_Q)
             want = 2 * kappa * model.n * model.eta(i)
-            if curv.ricci[i][xi] != want:
-                raise InvalidModel(
-                    f"Ricci check fails: S(e_{i+1}, xi) = {curv.ricci[i][xi]} != {want}"
-                )
+            if got != want:
+                raise InvalidModel(f"Ricci check fails: S(e_{i+1}, xi) = {got} != {want}")
     return NullityFit(kappa=kappa, mu=mu, exact=exact, max_residual=residual)
 
 
@@ -431,17 +431,8 @@ def nk_lie_group_3d(lam: RationalLike) -> FrameModel:
     member (h = 0); lambda = +-1 degenerates to kappa = 0.
     """
     lam = as_rational(lam)
-    one = Fraction(1)
-    return build_model(
-        3,
-        [
-            (0, 1, 2, Fraction(2)),
-            (1, 2, 0, one - lam),
-            (2, 0, 1, one + lam),
-        ],
-        xi_index=2,
-        phi=[[0, -1, 0], [1, 0, 0], [0, 0, 0]],
-    )
+    brackets = [(0, 1, 2, 2), (1, 2, 0, 1 - lam), (2, 0, 1, 1 + lam)]
+    return build_model(3, brackets, xi_index=2, phi=[[0, -1, 0], [1, 0, 0], [0, 0, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +458,9 @@ def parse_model(text: str) -> FrameModel:
 
     Lines: ``dim D``, ``xi I``, one ``phi r1 ... rD`` per matrix row, and
     ``c i j k : p/q`` for each nonzero structure constant (1-based).  Blank
-    lines and ``#`` comments are ignored.  Non-antisymmetric input and pairs
-    given twice inconsistently are rejected.
+    lines and ``#`` comments are ignored.  A ``dim`` above ``MAX_DIM`` is
+    rejected on its own line.  Non-antisymmetric input and pairs given twice
+    inconsistently are rejected.
     """
     dim = None
     xi = None
@@ -482,6 +474,8 @@ def parse_model(text: str) -> FrameModel:
         try:
             if parts[0] == "dim":
                 dim = int(parts[1])
+                if dim > MAX_DIM:
+                    raise ModelFormatError(f"dim {dim} is above the maximum {MAX_DIM}")
             elif parts[0] == "xi":
                 xi = int(parts[1]) - 1
             elif parts[0] == "phi":

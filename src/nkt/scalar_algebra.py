@@ -1018,8 +1018,10 @@ def parse_expr(text: str) -> RationalExpr:
 
     Grammar: ``+ - * / ^`` with usual precedence, parentheses, integer
     literals and the fixed indeterminate names.  Parentheses and unary signs
-    nest at most ``_MAX_NESTING`` deep, and an exponent literal is at most
-    ``MAX_EXPONENT``, the largest exponent a packed monomial holds.  The parser carries (numerator,
+    nest at most ``_MAX_NESTING`` deep, an exponent literal is at most
+    ``MAX_EXPONENT``, the largest exponent a packed monomial holds, and a
+    power whose leading coefficient would exceed ``MAX_POWER_BITS`` bits is
+    rejected before it is computed.  The parser carries (numerator,
     denominator) polynomial pairs through plain ring arithmetic and
     canonicalises once, at the end.
     """
@@ -1058,6 +1060,7 @@ def _tokenize(text: str) -> list:
 
 
 _MAX_NESTING = 100
+MAX_POWER_BITS = 1 << 20  # the largest coefficient a parsed power may produce
 
 
 class _Parser:
@@ -1139,6 +1142,9 @@ class _Parser:
             exponent = int(text)
             if negative and exponent:
                 num, den = _reciprocal(num, den)
+            for poly in (num, den):  # lc(p^k) = lc(p)^k bounds the size of p^k
+                if poly and abs(poly.leading()[1]).bit_length() * exponent > MAX_POWER_BITS:
+                    raise ExprSyntaxError(f"power above {MAX_POWER_BITS} bits in {self.text!r}")
             return num ** exponent, den ** exponent
         return num, den
 

@@ -27,10 +27,13 @@ T(e_i, xi, xi, e_l) - the insertion the classification actually constrains;
 is strictly stronger and fails even on models whose Ricci tensor matches the
 classified form.
 
-Numerically, T is built once per call as a dense (1,3) array, and every
-condition is that array with a matrix (phi, the projector onto xi, or the
-matrix of T(xi, e_i)) contracted into some of its slots by one primitive,
-``frame_geometry._act``, the same one the curvature build uses.
+Numerically, T is built once per call as a sparse (1,3) tensor: a0 R plus
+the Ricci and metric terms, each an outer product with the identity moved
+into place.  Every condition is T with a matrix (phi, the projector onto
+xi, or the matrices T(xi, e_i) taken together) contracted into some of its
+slots by the sparse kernel of ``frame_geometry``, the same one the
+curvature build uses, so the cost follows the nonzero entries of R and T
+rather than d^4.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .frame_geometry import CurvatureData, FrameModel, curvature
-from .frame_geometry import _act, _lincomb, _max_abs, _transpose
+from .frame_geometry import CurvatureData, FrameModel, SparseTensor, curvature
+from .frame_geometry import _act, _lincomb, _max_abs, _permute, _sparse
 from .scalar_algebra import (
     A0,
     A1,
@@ -134,11 +137,8 @@ class TCoeffs:
         a1: Optional[RationalLike] = None,
     ) -> tuple:
         """Numeric coefficients at a concrete n (and free-parameter values)."""
-        bindings = {"n": as_rational(n)}
-        if a0 is not None:
-            bindings["a0"] = as_rational(a0)
-        if a1 is not None:
-            bindings["a1"] = as_rational(a1)
+        given = {"n": n, "a0": a0, "a1": a1}
+        bindings = {name: as_rational(v) for name, v in given.items() if v is not None}
         values = []
         for entry in self.a:
             missing = entry.variables() - set(bindings)
@@ -269,9 +269,14 @@ def _numeric(coeffs, model_n: int) -> tuple:
     return values
 
 
+# the slots of delta (x) S, [x0, x1, x2, x3] = delta(x0, x1) S(x2, x3), that the
+# terms a1..a6 take: a1 S(X2,X3) X1 is T[i, j, k, i] += a1 S[j, k], and so on
+_RICCI_SLOTS = ((0, 2, 3, 1), (2, 0, 3, 1), (2, 3, 0, 1), (2, 0, 1, 3), (0, 2, 1, 3), (0, 1, 2, 3))
+
+
 def t_components(model: FrameModel, coeffs, curv: Optional[CurvatureData] = None):
-    """Dense (1,3) components Tv[i][j][k][l] = coefficient of e_l in
-    T(e_i,e_j)e_k.
+    """Sparse (1,3) components T[i, j, k, l] = coefficient of e_l in
+    T(e_i,e_j)e_k, which also index as T[i][j][k][l], and the curvature.
 
     Coefficients are numeric rationals; a TCoeffs is evaluated at the
     model's n and raises UnevaluatedCoefficient while free parameters
@@ -280,23 +285,13 @@ def t_components(model: FrameModel, coeffs, curv: Optional[CurvatureData] = None
     if curv is None:
         curv = curvature(model)
     a = _numeric(coeffs, model.n)
-    ricci, scalar, dim = curv.ricci, curv.scalar, model.dim
-    tv = [[[[a[0] * x for x in cell] for cell in row] for row in block] for block in curv.riemann]
-    # each Ricci/metric term lands only where its Kronecker delta fires
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                cell = tv[i][j][k]
-                cell[i] += a[1] * ricci[j][k]
-                cell[j] += a[2] * ricci[i][k]
-                cell[k] += a[3] * ricci[i][j]
-            for l in range(dim):
-                tv[i][j][j][l] += a[4] * ricci[i][l]
-                tv[i][j][i][l] += a[5] * ricci[j][l]
-                tv[i][i][j][l] += a[6] * ricci[j][l]
-            tv[i][j][j][i] += a[7] * scalar
-            tv[i][j][i][j] -= a[7] * scalar
-    return tv, curv
+    dim, r_term = model.dim, a[7] * curv.scalar
+    delta_ricci = {(i, i, *key): v for i in range(dim) for key, v in curv.sparse_ricci.items()}
+    delta_delta = {(i, i, j, j): Fraction(1) for i in range(dim) for j in range(dim)}
+    # a0 R, the Ricci terms, then a7 r (g(X2,X3) X1 - g(X1,X3) X2)
+    parts = (curv.sparse_riemann, *(_permute(delta_ricci, slots) for slots in _RICCI_SLOTS),
+             _permute(delta_delta, (0, 2, 3, 1)), _permute(delta_delta, (0, 2, 1, 3)))
+    return SparseTensor(_lincomb((*a[:7], r_term, -r_term), parts), dim, 4), curv
 
 
 def flatness_residual(
@@ -326,9 +321,9 @@ def flatness_residual(
     if kind is ConditionKind.T_DOT_S:
         return t_dot_ricci(model, coeffs)
     tv, _ = t_components(model, coeffs)
-    dim, xi = model.dim, model.xi_index
-    on_xi = [[Fraction(x == p == xi) for p in range(dim)] for x in range(dim)]
-    phi_t = _transpose(model.phi)
+    xi = model.xi_index
+    on_xi = {(xi, xi): Fraction(1)}
+    phi_t = _permute(_sparse(model.phi), (1, 0))
     insertions = {
         ConditionKind.T_FLAT: {},
         ConditionKind.XI_T_FLAT: {2: on_xi} if strict else {1: on_xi, 2: on_xi},
@@ -342,10 +337,18 @@ def flatness_residual(
     return _max_abs(tv)
 
 
+def _lower(model: FrameModel, coeffs) -> tuple:
+    """lower[i, p, q] = T[xi, i, p, q], the matrices of T(xi, e_i) stacked
+    over i, and the curvature."""
+    tv, curv = t_components(model, coeffs)
+    return {key[1:]: v for key, v in tv.items() if key[0] == model.xi_index}, curv
+
+
 def t_dot_riemann_components(
     model: FrameModel, coeffs, *, variant: str = "standard"
-):
-    """Full components of (T(xi, e_i) . R)(e_j, e_k) e_l.
+) -> SparseTensor:
+    """Full components of (T(xi, e_i) . R)(e_j, e_k) e_l, indexed
+    [i][j][k][l] (a vector over the frame).
 
     variant="standard" uses the four-term derivation acting on every slot of
     R: the action of T(xi, e_i) on the upper slot minus its actions on the
@@ -355,22 +358,17 @@ def t_dot_riemann_components(
     """
     if variant not in ("standard", "printed"):
         raise ValueError("variant must be 'standard' or 'printed'")
-    tv, curv = t_components(model, coeffs)
-    riemann, dim, xi = curv.riemann, model.dim, model.xi_index
-    out = []
-    for i in range(dim):
-        lower = tv[xi][i]  # row p: T(xi, e_i) e_p
-        fourth = _act(lower, riemann, 2)
-        if variant == "printed":
-            fourth = tuple((fourth[i][j],) * dim for j in range(dim))
-        terms = (
-            _act(_transpose(lower), riemann, 3),
-            _act(lower, riemann, 0),
-            _act(lower, riemann, 1),
-            fourth,
-        )
-        out.append(_lincomb((1, -1, -1, -1), terms))
-    return tuple(out)
+    lower, curv = _lower(model, coeffs)
+    riemann, dim = curv.sparse_riemann, model.dim
+    # an action of lower leaves its index pair (i, x) where the contracted
+    # slot was; each permutation moves i back to the front
+    fourth = _permute(_act(lower, riemann, 2), (2, 0, 1, 3, 4))
+    if variant == "printed":  # fourth[i, j, x, k, l] = fourth[i, i, j, k, l]
+        fourth = {(i, j, x, k, l): v for (i, y, j, k, l), v in fourth.items()
+                  if y == i for x in range(dim)}
+    terms = (_permute(_act(_permute(lower, (0, 2, 1)), riemann, 3), (3, 0, 1, 2, 4)),
+             _act(lower, riemann, 0), _permute(_act(lower, riemann, 1), (1, 0, 2, 3, 4)), fourth)
+    return SparseTensor(_lincomb((1, -1, -1, -1), terms), dim, 5)
 
 
 def t_dot_riemann(model: FrameModel, coeffs, *, variant: str = "standard") -> Fraction:
@@ -378,15 +376,14 @@ def t_dot_riemann(model: FrameModel, coeffs, *, variant: str = "standard") -> Fr
     return _max_abs(t_dot_riemann_components(model, coeffs, variant=variant))
 
 
-def t_dot_ricci_components(model: FrameModel, coeffs):
-    """Components S(T(xi,e_i)e_j, e_k) + S(e_j, T(xi,e_i)e_k), with the plus
-    sign of the two-slot action as printed in its source definition."""
-    tv, curv = t_components(model, coeffs)
-    ricci, xi = curv.ricci, model.xi_index
-    return tuple(
-        _lincomb((1, 1), (_act(lower, ricci, 0), _act(lower, ricci, 1)))
-        for lower in tv[xi]
-    )
+def t_dot_ricci_components(model: FrameModel, coeffs) -> SparseTensor:
+    """Components S(T(xi,e_i)e_j, e_k) + S(e_j, T(xi,e_i)e_k), indexed
+    [i][j][k], with the plus sign of the two-slot action as printed in its
+    source definition."""
+    lower, curv = _lower(model, coeffs)
+    ricci = curv.sparse_ricci
+    terms = (_act(lower, ricci, 0), _permute(_act(lower, ricci, 1), (1, 0, 2)))
+    return SparseTensor(_lincomb((1, 1), terms), model.dim, 3)
 
 
 def t_dot_ricci(model: FrameModel, coeffs) -> Fraction:

@@ -72,3 +72,48 @@ def random_preset_at_n1(rng: random.Random) -> tuple:
     a0 = random_fraction(rng, allow_zero=False)
     a1 = random_fraction(rng, allow_zero=False)
     return name, coeffs.at(1, a0=a0, a1=a1)
+
+
+def cayley_rotation(rng: random.Random, dim: int, xi: int) -> list:
+    """A rational orthogonal matrix fixing e_xi: the Cayley transform
+    (I - A)(I + A)^-1 of a random rational skew A with zero xi row and
+    column, generically with every other entry nonzero."""
+    skew = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if xi not in (i, j):
+                skew[i][j] = random_fraction(rng, span=3, allow_zero=False)
+                skew[j][i] = -skew[i][j]
+    # I - A and I + A commute, so Q solves (I + A) Q = I - A: Gauss-Jordan
+    # on the augmented rows [I + A | I - A]
+    left = [[Fraction(i == j) + skew[i][j] for j in range(dim)] for i in range(dim)]
+    right = [[Fraction(i == j) - skew[i][j] for j in range(dim)] for i in range(dim)]
+    for col in range(dim):
+        pivot = next(r for r in range(col, dim) if left[r][col])
+        left[col], left[pivot] = left[pivot], left[col]
+        right[col], right[pivot] = right[pivot], right[col]
+        scale = left[col][col]
+        left[col] = [x / scale for x in left[col]]
+        right[col] = [x / scale for x in right[col]]
+        for r in range(dim):
+            if r != col and left[r][col]:
+                factor = left[r][col]
+                left[r] = [x - factor * y for x, y in zip(left[r], left[col])]
+                right[r] = [x - factor * y for x, y in zip(right[r], right[col])]
+    return right
+
+
+def rotated_model(model: FrameModel, q: list) -> FrameModel:
+    """The same structure in the frame f_a = sum_i q[i][a] e_i, for q
+    orthogonal with q e_xi = e_xi: c'[a][b][c] = sum q_ia q_jb q_kc c[i][j][k]
+    and phi' = q^T phi q, summed slot by slot with plain loops."""
+    dim, c, r = model.dim, model.structure, range(model.dim)
+    one = [[[sum(q[i][a] * c[i][j][k] for i in r) for k in r] for j in r] for a in r]
+    two = [[[sum(q[j][b] * one[a][j][k] for j in r) for k in r] for b in r] for a in r]
+    three = [[[sum(q[k][d] * two[a][b][k] for k in r) for d in r] for b in r] for a in r]
+    phi_q = [[sum(model.phi[i][j] * q[j][b] for j in r) for b in r] for i in r]
+    phi = [[sum(q[i][a] * phi_q[i][b] for i in r) for b in r] for a in r]
+    brackets = [
+        (a, b, d, three[a][b][d]) for a in r for b in r for d in r if a < b and three[a][b][d]
+    ]
+    return build_model(dim, brackets, model.xi_index, phi)

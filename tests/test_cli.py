@@ -400,3 +400,65 @@ def test_golden_file_order_is_the_row_order(tmp_path, monkeypatch, capsys):
     assert code == 0
     got = [row["preset"] for row in check_json(out)["rows"]]
     assert got == [r.split("|")[0].strip() for r in reversed(rows)]
+
+
+def test_powers_of_huge_constants_rejected(capsys):
+    line = _assert_one_error_line(*invoke(
+        capsys, "classify", "--condition", "t-flat",
+        "--coeffs", "(9^32767)^1024,0,0,0,0,0,0,0",
+    ))
+    assert "bits" in line
+
+
+def test_model_dim_above_the_maximum_is_rejected_on_its_line(tmp_path, capsys):
+    from nkt.frame_geometry import MAX_DIM
+
+    assert MAX_DIM >= 11
+    path = tmp_path / "huge.txt"
+    # the phi row after it is malformed: the dim line is rejected first
+    path.write_text("# declared size\ndim 100001\nxi 1\nphi not-a-number\n")
+    want = f"error: line 2: dim 100001 is above the maximum {MAX_DIM}"
+    assert _assert_one_error_line(*invoke(capsys, "model-audit", str(path))) == want
+    line = _assert_one_error_line(*invoke(
+        capsys, "residual", "--model", str(path), "--preset", "W2", "--condition", "t-flat",
+    ))
+    assert line == want
+    path.write_text(render_model(nk_lie_group_3d(0)).replace("dim 3", f"dim {MAX_DIM + 1}"))
+    assert "above the maximum" in _assert_one_error_line(*invoke(capsys, "model-audit", str(path)))
+
+
+def test_allowlist_entry_that_excuses_nothing_exits_2(tmp_path, monkeypatch, capsys):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    _append_row(golden / "allowlist.txt", "2 | W2 | kappa | stale entry")
+    code, out, _ = invoke(capsys, "table", "2")
+    assert code == 2
+    assert "- W2.kappa (allow-list entry excuses no diff): UNEXPECTED mismatch" in out
+    assert out.endswith("table 2: MISMATCH\n")
+    code, out, _ = invoke(capsys, "table", "2", "--format", "json")
+    (row,) = [r for r in check_json(out)["rows"] if r["preset"] == "W2"]
+    assert row["match"] is False
+    assert row["mismatches"] == ["kappa (allow-list entry excuses no diff)"]
+    # the other tables do not read table 2's entries
+    assert invoke(capsys, "table", "3")[0] == 0
+    # an entry for a row the table never diffs is reported on that row
+    _append_row(golden / "allowlist.txt", "3 | Riemann | b1 | stale entry")
+    code, out, _ = invoke(capsys, "table", "3")
+    assert code == 2
+    assert "- Riemann.b1 (allow-list entry excuses no diff): UNEXPECTED mismatch" in out
+
+
+def test_allowlist_entry_for_an_unknown_table_or_field_is_located(tmp_path, monkeypatch, capsys):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    path = golden / "allowlist.txt"
+    original = path.read_text()
+    cases = [
+        ("9 | W2 | kappa | no such table", "unknown table 9; expected 2..7"),
+        ("3 | W2 | colour | no such field", "unknown field 'colour' for table 3"),
+        ("2 | W2 | b1 | table 2 diffs kappa only", "unknown field 'b1' for table 2"),
+    ]
+    for entry, reason in cases:
+        line = _append_row(path, entry)
+        code, out, err = invoke(capsys, "table", "2")
+        path.write_text(original)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:{line}: {reason}\n"

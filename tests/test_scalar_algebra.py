@@ -2,6 +2,7 @@
 
 import operator
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -20,6 +21,7 @@ from nkt.scalar_algebra import (
     ExprSyntaxError,
     KAPPA,
     MAX_EXPONENT,
+    MAX_POWER_BITS,
     N,
     NonlinearInVariable,
     Poly,
@@ -665,6 +667,18 @@ def test_exponent_literals_above_the_cap_are_rejected():
         with pytest.raises(ExprSyntaxError, match="exponent"):
             parse_expr(text)
     assert parse_expr("n^" + "0" * 30 + "2") == N ** 2
+
+
+def test_powers_of_huge_constants_are_rejected_before_computing():
+    # (9^32767)^1024 would be a 134-million-bit integer
+    for text in ("(9^32767)^1024", "1/(9^32767)^1024", "(2^32767)^33", "((9^32767)^7)^7"):
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError, match=f"above {MAX_POWER_BITS} bits"):
+            parse_expr(text)
+        assert time.perf_counter() - start < 1
+    # up to the budget a power is computed: 32768 bits times 32
+    assert parse_expr("(2^32767)^32") == RationalExpr.constant(2 ** (32767 * 32))
+    assert parse_expr("(1/9)^-32767") == RationalExpr.constant(9 ** 32767)
 
 
 def test_products_and_powers_beyond_a_field_raise():

@@ -105,7 +105,7 @@ def test_catalog_export_shape():
 def test_riemann_preset_reproduces_curvature():
     model, curv = model_and_curvature()
     riem = preset("Riemann").at(1)
-    assert cells(model, riem, curv)[0][2][2] == [Fraction(3, 4), 0, 0]
+    assert cells(model, riem, curv)[0][2][2] == (Fraction(3, 4), 0, 0)
     rng = random.Random(1234)
     for extra in [model] + [random_model(rng) for _ in range(5)]:
         curv_x = curvature(extra)
@@ -120,7 +120,7 @@ def test_riemann_preset_reproduces_curvature():
 def test_symbolic_coefficients_are_evaluated_or_rejected():
     model, curv = model_and_curvature()
     # plain rows evaluate at the model's n transparently
-    assert cells(model, preset("V"), curv)[0][2][2] == [HALF, 0, 0]
+    assert cells(model, preset("V"), curv)[0][2][2] == (HALF, 0, 0)
     with pytest.raises(UnevaluatedCoefficient):
         t_components(model, preset("C_star"), curv)
     with pytest.raises(UnevaluatedCoefficient):
@@ -133,7 +133,7 @@ def test_zero_coefficients_give_zero():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert tv[i][j][k] == [0, 0, 0]
+                assert tv[i][j][k] == (0, 0, 0)
     for kind in ConditionKind:
         assert flatness_residual(model, ZERO8, kind) == 0
 
@@ -142,7 +142,7 @@ def test_concircular_value_at_n1():
     model, curv = model_and_curvature()
     v = preset("V").at(1)
     # 3/4 - (r/(2n(2n+1))) with r = 3/2 gives 1/2
-    assert cells(model, v, curv)[0][2][2] == [HALF, 0, 0]
+    assert cells(model, v, curv)[0][2][2] == (HALF, 0, 0)
 
 
 def test_antisymmetric_slots_of_riemann_part():
@@ -173,7 +173,7 @@ def test_two_expansions_agree_on_random_input():
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    assert tv[i][j][k] == t_vector(curv, coeffs, i, j, k)
+                    assert list(tv[i][j][k]) == t_vector(curv, coeffs, i, j, k)
 
 
 def test_linearity_in_coefficients():
