@@ -45,6 +45,7 @@ from .scalar_algebra import (
     RationalExpr,
     S,
     ScalarAlgebraError,
+    _frac_sqrt,
     expr,
     parse_expr,
     solve_linear,
@@ -292,20 +293,13 @@ class BoeckxExampleReport:
     def specialized(self) -> dict:
         """Values with n substituted (and s = sqrt(n) when n is a square)."""
         out = {}
-        root = _exact_isqrt(self.n)
+        root = _frac_sqrt(self.n)
         for name in ("c", "a", "kappa", "mu", "invariant", "target"):
             value = substitute(getattr(self, name), "n", self.n)
             if root is not None:
                 value = substitute(value, "s", root)
             out[name] = value
         return out
-
-
-def _exact_isqrt(n: int) -> Optional[int]:
-    from math import isqrt
-
-    root = isqrt(n)
-    return root if root * root == n else None
 
 
 def boeckx_example(n: int, sign: Union[int, str]) -> BoeckxExampleReport:

@@ -20,7 +20,11 @@ identical, so ``==`` is decidable equality.
 Because the canonical form is unique, it can be taken once per result:
 ``parse_expr`` and ``substitute`` work on (numerator, denominator) polynomial
 pairs with plain ring arithmetic and canonicalise at the end.  ``poly_gcd``
-answers a monomial or constant input in closed form.
+has one path: closed forms for monomial and constant inputs; else integer
+primitive parts, a modular bound on the gcd degree in the main variable, one
+trial division by the input with fewer terms where the bound equals its
+degree, and then contents and the subresultant PRS.  ``_div_exact`` is the
+one exact division, also of an ``A + B*s`` numerator by an s-free divisor.
 
 Representation.  A monomial is one packed ``int``: a 16-bit field per
 indeterminate in ``VARIABLES`` order, ``n`` in the high bits and ``s`` in the
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import gcd, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from operator import or_
 from typing import Mapping, Optional, Union
 
@@ -310,15 +314,6 @@ class Poly:
                 a_terms[key] = coeff
         return _poly(a_terms), _poly(b_terms)
 
-    def content(self):
-        """gcd of numerators over lcm of denominators, signed by the leading
-        coefficient; dividing by it leaves coprime integer coefficients with
-        a positive leading one."""
-        if not self.terms:
-            return 1
-        g, l, _ = _content_parts(self.terms.values())
-        return _qdiv(-g if self.leading()[1] < 0 else g, l)
-
     def primitive(self) -> "Poly":
         if not self.terms:
             return self
@@ -444,24 +439,6 @@ def _prem(num: Poly, den: Poly, name: str) -> Poly:
     return lead_d ** steps * rest if steps > 0 and not rest.is_zero() else rest
 
 
-def _divides(den: Poly, num: Poly) -> bool:
-    # trial division with a step budget: give up (soundly) rather than grind
-    # on a near-miss between two large polynomials
-    if den.is_one():
-        return True
-    den_lm, den_lc = den.leading()
-    rest = num
-    for _ in range(4 * len(num.terms) + 16):
-        if rest.is_zero():
-            return True
-        lm, lc = rest.leading()
-        diff = lm - den_lm
-        if diff & _GUARDS:
-            return False
-        rest = rest - _poly({diff: _qdiv(lc, den_lc)}) * den
-    return False
-
-
 # _gcd_degree_bound takes its images in GF(_PRIME), a Mersenne prime
 _PRIME = (1 << 61) - 1
 
@@ -520,7 +497,10 @@ def _gcd_degree_bound(a: Poly, b: Poly, name: str) -> int:
 
 
 def poly_gcd(first: Poly, second: Poly) -> Poly:
-    """Primitive GCD in Q[vars] via the subresultant PRS; inputs s-free."""
+    """Primitive GCD in Q[vars] of s-free inputs, on one path: closed forms
+    for monomials and constants, integer primitive parts, the main-variable
+    degree bound, the trial division it gates, then contents and the
+    subresultant PRS (Brown 1971)."""
     if first.is_zero():
         return second.primitive()
     if second.is_zero():
@@ -532,26 +512,26 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
     names = [v for v in _used(chain(first.terms, second.terms)) if v != "s"]
     if not names:
         return Poly.constant(1)
-    # cheap wins first: equal inputs and direct divisibility are the common
-    # cases in canonical-form reduction
-    prim_first = first.primitive()
-    prim_second = second.primitive()
-    if prim_first == prim_second:
-        return prim_first
-    if len(first.terms) <= len(second.terms) and _divides(prim_first, second):
-        return prim_first
-    if len(second.terms) <= len(first.terms) and _divides(prim_second, first):
-        return prim_second
     # the answer is primitive, so the integer primitive parts can stand in
     # for the inputs from here on
-    first, second = prim_first, prim_second
+    first, second = first.primitive(), second.primitive()
     name = names[0]
     # certify the main-variable gcd degree from a random evaluation before
-    # paying for content extraction or the PRS; the content is x-free, so a
-    # zero bound reduces the answer to the gcd of contents
-    bound = 1
-    if first.degree(name) >= 1 and second.degree(name) >= 1:
+    # paying for a trial division, content extraction or the PRS; the
+    # content is x-free, so a zero bound reduces the answer to the gcd of
+    # contents
+    bound = min(first.degree(name), second.degree(name))
+    if bound:
         bound = _gcd_degree_bound(first, second, name)
+    small, large = (first, second) if len(first.terms) <= len(second.terms) else (second, first)
+    if bound == small.degree(name):
+        # the gcd may be the smaller input itself; a bound below its degree
+        # proves it is not
+        try:
+            _div_exact(large, small)
+            return small
+        except ArithmeticError:
+            pass
     cont_a, a = _content_wrt(first, name)
     cont_b, b = _content_wrt(second, name)
     scalar = poly_gcd(cont_a, cont_b)
@@ -599,10 +579,6 @@ def poly_sqrt(poly: Poly) -> Optional[Poly]:
     """
     if poly.is_zero():
         return Poly()
-    names = _used(poly.terms)
-    if not names:
-        root = _frac_sqrt(poly.terms[0])
-        return None if root is None else Poly.constant(root)
     lm, lc = poly.leading()
     if lm & _LOW_BITS:
         return None
@@ -612,7 +588,7 @@ def poly_sqrt(poly: Poly) -> Optional[Poly]:
     root = _poly({lm >> 1: lead_root})
     rest = poly - root * root
     top_lm, top_lc = root.leading()
-    max_terms = prod(poly.degree(v) // 2 + 1 for v in names)
+    max_terms = prod(poly.degree(v) // 2 + 1 for v in _used(poly.terms))
     for _ in range(max_terms):
         if rest.is_zero():
             return root
@@ -650,14 +626,6 @@ def _gcd_against_sfree(num: Poly, den: Poly) -> Poly:
     return poly_gcd(common, b) if b.terms else common
 
 
-def _div_with_s(num: Poly, divisor: Poly) -> Poly:
-    a, b = num.split_s()
-    out = _div_exact(a, divisor)
-    if not b.is_zero():
-        out = out + _div_exact(b, divisor) * Poly.variable("s")
-    return out
-
-
 class RationalExpr:
     """A multivariate rational function in canonical form (see module docs)."""
 
@@ -680,14 +648,9 @@ class RationalExpr:
             conj = den_a - den_b * s
             num = num * conj
             den = den * conj
-            if num.is_zero():
-                self.num = Poly()
-                self.den = Poly.constant(1)
-                return
         common = _gcd_against_sfree(num, den)
-        if not common.is_one():
-            num = _div_with_s(num, common)
-            den = _div_exact(den, common)
+        num = _div_exact(num, common)
+        den = _div_exact(den, common)
         # joint content: integer coefficients overall, coprime across the
         # fraction, denominator's leading coefficient positive
         self.num, self.den = _primitive((num, den), den.leading()[1] < 0)
@@ -750,14 +713,10 @@ class RationalExpr:
         # add over the lcm of the denominators so a shared factor never
         # inflates the numerator handed to canonical reduction
         shared = poly_gcd(self.den, other.den)
-        if shared.is_one():
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-        else:
-            self_co = _div_exact(self.den, shared)
-            other_co = _div_exact(other.den, shared)
-            num = self.num * other_co + other.num * self_co
-            den = self.den * other_co
+        self_co = _div_exact(self.den, shared)
+        other_co = _div_exact(other.den, shared)
+        num = self.num * other_co + other.num * self_co
+        den = self.den * other_co
         return RationalExpr(num, den)
 
     __radd__ = __add__
@@ -782,13 +741,11 @@ class RationalExpr:
         a_num, a_den = self.num, self.den
         b_num, b_den = other.num, other.den
         g = _gcd_against_sfree(a_num, b_den)
-        if not g.is_one():
-            a_num = _div_with_s(a_num, g)
-            b_den = _div_exact(b_den, g)
+        a_num = _div_exact(a_num, g)
+        b_den = _div_exact(b_den, g)
         g = _gcd_against_sfree(b_num, a_den)
-        if not g.is_one():
-            b_num = _div_with_s(b_num, g)
-            a_den = _div_exact(a_den, g)
+        b_num = _div_exact(b_num, g)
+        a_den = _div_exact(a_den, g)
         return RationalExpr(a_num * b_num, a_den * b_den)
 
     __rmul__ = __mul__
@@ -907,18 +864,6 @@ class LinearSolution:
     root: Optional[RationalExpr] = None
     side_condition: Optional[RationalExpr] = None
 
-    @classmethod
-    def unique(cls, root: RationalExpr, side_condition: RationalExpr) -> "LinearSolution":
-        return cls("unique", root, side_condition)
-
-    @classmethod
-    def identity(cls) -> "LinearSolution":
-        return cls("identity")
-
-    @classmethod
-    def no_solution(cls) -> "LinearSolution":
-        return cls("no_solution")
-
     @property
     def is_unique(self) -> bool:
         return self.kind == "unique"
@@ -948,9 +893,9 @@ def solve_linear(value: RationalExpr, name: str) -> LinearSolution:
     linear = coeffs.get(1, Poly())
     constant = coeffs.get(0, Poly())
     if linear.is_zero():
-        return LinearSolution.identity() if constant.is_zero() else LinearSolution.no_solution()
+        return LinearSolution("identity" if constant.is_zero() else "no_solution")
     root = RationalExpr(constant).__neg__() / RationalExpr(linear)
-    return LinearSolution.unique(root, RationalExpr(linear))
+    return LinearSolution("unique", root, RationalExpr(linear))
 
 
 # ---------------------------------------------------------------------------
@@ -964,8 +909,6 @@ def sqrt_expr(value: RationalExpr) -> Optional[RationalExpr]:
     ``n`` absorbed into ``s``, and squares of ``A + B*s`` elements.  The
     returned root is one of the two; callers pick the branch they need.
     """
-    if value.is_zero():
-        return RationalExpr.constant(0)
     # sqrt(num/den) = sqrt(num*den)/den
     target = value.num * value.den
     root = _poly_sqrt_with_s(target)
@@ -1019,9 +962,13 @@ def parse_expr(text: str) -> RationalExpr:
     Grammar: ``+ - * / ^`` with usual precedence, parentheses, integer
     literals and the fixed indeterminate names.  Parentheses and unary signs
     nest at most ``_MAX_NESTING`` deep, an exponent literal is at most
-    ``MAX_EXPONENT``, the largest exponent a packed monomial holds, and a
-    power whose leading coefficient would exceed ``MAX_POWER_BITS`` bits is
-    rejected before it is computed.  The parser carries (numerator,
+    ``MAX_EXPONENT``, the largest exponent a packed monomial holds, and an
+    integer literal past the interpreter's digit limit is a syntax error.
+    Every product and power is bounded before it is formed: an estimate of
+    its terms times coefficient bits must not exceed ``MAX_POWER_BITS``, with
+    a*b at most t_a*t_b terms of bits_a + bits_b + ceil(log2 min(t_a, t_b))
+    bits and p^k at most C(t+k-1, k) terms of k*(bits + ceil(log2 t)) bits
+    (for a single term, the bits of lc(p)^k).  The parser carries (numerator,
     denominator) polynomial pairs through plain ring arithmetic and
     canonicalises once, at the end.
     """
@@ -1039,9 +986,9 @@ def _tokenize(text: str) -> list:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j]))
             i = j
@@ -1060,7 +1007,7 @@ def _tokenize(text: str) -> list:
 
 
 _MAX_NESTING = 100
-MAX_POWER_BITS = 1 << 20  # the largest coefficient a parsed power may produce
+MAX_POWER_BITS = 1 << 20  # bound on terms x coefficient bits of a parsed product or power
 
 
 class _Parser:
@@ -1082,6 +1029,23 @@ class _Parser:
         if self.pos != len(self.tokens):
             raise ExprSyntaxError(f"trailing input in {self.text!r}")
 
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        if b.is_one():  # as most denominators are
+            return a
+        (ta, ba), (tb, bb) = _size(a), _size(b)
+        self.bound("product", ta * tb, ba + bb + (min(ta, tb) - 1).bit_length())
+        return a * b
+
+    def power(self, p: Poly, k: int) -> Poly:
+        t, bits = _size(p)
+        if t:
+            self.bound("power", comb(t + k - 1, k), k * (bits + (t - 1).bit_length()))
+        return p ** k
+
+    def bound(self, what, terms, bits):
+        if terms * bits > MAX_POWER_BITS:
+            raise ExprSyntaxError(f"{what} above {MAX_POWER_BITS} bits in {self.text!r}")
+
     # values are (numerator, denominator) Poly pairs; a denominator is never
     # zero, because a reduced A + B*s vanishes only when A = B = 0 and every
     # divisor's numerator is checked
@@ -1096,7 +1060,8 @@ class _Parser:
             if den == rhs_den:
                 num = num + rhs_num
             else:
-                num, den = num * rhs_den + rhs_num * den, den * rhs_den
+                num = self.mul(num, rhs_den) + self.mul(rhs_num, den)
+                den = self.mul(den, rhs_den)
         return num, den
 
     def parse_product(self):
@@ -1106,7 +1071,7 @@ class _Parser:
             rhs_num, rhs_den = self.parse_unary()
             if op == "/":
                 rhs_num, rhs_den = _reciprocal(rhs_num, rhs_den)
-            num, den = num * rhs_num, den * rhs_den
+            num, den = self.mul(num, rhs_num), self.mul(den, rhs_den)
         return num, den
 
     def parse_unary(self):
@@ -1137,15 +1102,13 @@ class _Parser:
             kind, text = self.take() if self.peek() == "int" else (None, None)
             if kind != "int":
                 raise ExprSyntaxError(f"exponent must be an integer in {self.text!r}")
-            if len(text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
+            text = text.lstrip("0") or "0"
+            if len(text) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent above {MAX_EXPONENT} in {self.text!r}")
             exponent = int(text)
             if negative and exponent:
                 num, den = _reciprocal(num, den)
-            for poly in (num, den):  # lc(p^k) = lc(p)^k bounds the size of p^k
-                if poly and abs(poly.leading()[1]).bit_length() * exponent > MAX_POWER_BITS:
-                    raise ExprSyntaxError(f"power above {MAX_POWER_BITS} bits in {self.text!r}")
-            return num ** exponent, den ** exponent
+            return self.power(num, exponent), self.power(den, exponent)
         return num, den
 
     def parse_atom(self):
@@ -1157,10 +1120,22 @@ class _Parser:
             self.take()
             return value
         if self.peek() == "int":
-            return Poly.constant(int(self.take()[1])), Poly.constant(1)
+            text = self.take()[1]
+            try:
+                value = int(text)
+            except ValueError:  # past the interpreter's limit on digits
+                raise ExprSyntaxError(
+                    f"integer literal of {len(text)} digits in {self.text!r}") from None
+            return Poly.constant(value), Poly.constant(1)
         if self.peek() == "name":
             return Poly.variable(self.take()[1]), Poly.constant(1)
         raise ExprSyntaxError(f"could not parse {self.text!r}")
+
+
+def _size(poly: Poly) -> tuple:
+    # (terms, largest coefficient bit length) of an integer polynomial
+    terms = poly.terms
+    return len(terms), max(map(int.bit_length, terms.values())) if terms else 0
 
 
 def _reciprocal(num: Poly, den: Poly) -> tuple:

@@ -1,9 +1,11 @@
 """CLI surface: commands, formats, exit codes, determinism, schema."""
 
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from nkt.cli import run
 from nkt.frame_geometry import nk_lie_group_3d, render_model
@@ -339,6 +341,20 @@ def test_malformed_golden_rows_are_located(tmp_path, monkeypatch, capsys):
         path.write_text(original)
         assert (code, out) == (1, "")
         assert err == f"error: {path}:{line}: {reason}\n"
+
+
+def test_over_long_literal_in_a_golden_cell_is_located(tmp_path, monkeypatch, capsys):
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1
+    if digits == 1:
+        pytest.skip("this interpreter does not limit the digits of an int literal")
+    golden = _golden_copy(tmp_path, monkeypatch)
+    path = golden / "table3.txt"
+    lines = path.read_text().splitlines()
+    index = next(i for i, x in enumerate(lines) if x.startswith("C "))
+    lines[index] = f"C | eta | {'1' * digits} | 1"
+    path.write_text("\n".join(lines) + "\n")
+    line = _assert_one_error_line(*invoke(capsys, "table", "3"))
+    assert line.startswith(f"error: {path}:{index + 1}: integer literal of {digits} digits")
 
 
 def test_missing_golden_table_names_the_file(tmp_path, monkeypatch, capsys):

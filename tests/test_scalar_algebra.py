@@ -2,12 +2,13 @@
 
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import reduce_exps, tuple_mul, tuple_poly, tuple_str
 
@@ -27,6 +28,7 @@ from nkt.scalar_algebra import (
     Poly,
     RationalExpr,
     S,
+    ScalarAlgebraError,
     UnboundIndeterminate,
     VARIABLES,
     ZeroDenominator,
@@ -152,6 +154,64 @@ def test_heavy_gcd_entry_and_its_round_trip():
         " + 45*n*c + 216*n + 12*kappa*a*c*s - 36*kappa*c + 24*a*s - 72)"
         "/(162*n^2 - 2*n*a^2 - 108*n + 18)"
     )
+
+
+def test_exact_division_of_an_s_carrying_numerator():
+    from nkt.scalar_algebra import _div_exact
+
+    divisor = (N * KAPPA + 2 * A - 1).num
+    value = (N * N - 3 + (KAPPA - 2 * N) * S).num
+    assert _div_exact(value * divisor, divisor) == value
+    with pytest.raises(ArithmeticError):
+        _div_exact(value * divisor + Poly.constant(1), divisor)
+
+
+def _gcd_trace(monkeypatch):
+    # which exact divisions succeed or fail, and whether the PRS runs
+    from nkt import scalar_algebra
+
+    trace = []
+    div_exact, prem = scalar_algebra._div_exact, scalar_algebra._prem
+
+    def traced_div(num, den):
+        try:
+            out = div_exact(num, den)
+        except ArithmeticError:
+            trace.append("inexact")
+            raise
+        trace.append("exact")
+        return out
+
+    def traced_prem(*args):
+        trace.append("prem")
+        return prem(*args)
+
+    monkeypatch.setattr(scalar_algebra, "_div_exact", traced_div)
+    monkeypatch.setattr(scalar_algebra, "_prem", traced_prem)
+    return trace
+
+
+def test_gcd_trial_division_is_gated_by_the_degree_bound(monkeypatch):
+    p = (N * KAPPA + A - 2).num
+    q = (6 * N + 3 * C + 3).num
+    # the gcd of the second pair has degree 1 in n, below the 2 of the input
+    # with fewer terms, so no trial division is made
+    first, second = ((N + 1) * (N + 2)).num, ((N + 1) * (N + 3) * (KAPPA + 1)).num
+    answer = (N + 1).num
+    trace = _gcd_trace(monkeypatch)
+    assert poly_gcd(p * q, q) == q.primitive()
+    assert trace == ["exact"]
+    assert poly_gcd(first, second) == answer
+    assert "inexact" not in trace and "prem" in trace
+
+
+def test_gcd_falls_back_when_the_trial_division_fails(monkeypatch):
+    # the degree bound in n is 1, the degree of kappa*(n+1), but kappa is
+    # content that (n+1)*(n+2) lacks: the trial fails and the PRS answers
+    first, second, answer = (KAPPA * (N + 1)).num, ((N + 1) * (N + 2)).num, (N + 1).num
+    trace = _gcd_trace(monkeypatch)
+    assert poly_gcd(first, second) == answer
+    assert trace[0] == "inexact" and "prem" in trace
 
 
 def test_unknown_indeterminate_rejected():
@@ -670,15 +730,57 @@ def test_exponent_literals_above_the_cap_are_rejected():
 
 
 def test_powers_of_huge_constants_are_rejected_before_computing():
-    # (9^32767)^1024 would be a 134-million-bit integer
-    for text in ("(9^32767)^1024", "1/(9^32767)^1024", "(2^32767)^33", "((9^32767)^7)^7"):
+    # (9^32767)^1024 would be a 134-million-bit integer; the bound is on
+    # terms times coefficient bits, so it also stops (n+kappa+a+c+1)^40,
+    # 135,751 terms that took 28 s to form
+    for text in ("(9^32767)^1024", "1/(9^32767)^1024", "(2^32767)^33", "((9^32767)^7)^7",
+                 "(n+kappa+a+c+1)^40", "(n+1)^6000", "(99999*n+99999)^1000"):
         start = time.perf_counter()
-        with pytest.raises(ExprSyntaxError, match=f"above {MAX_POWER_BITS} bits"):
+        with pytest.raises(ExprSyntaxError, match=f"power above {MAX_POWER_BITS} bits"):
             parse_expr(text)
-        assert time.perf_counter() - start < 1
+        assert time.perf_counter() - start < 0.1
     # up to the budget a power is computed: 32768 bits times 32
     assert parse_expr("(2^32767)^32") == RationalExpr.constant(2 ** (32767 * 32))
     assert parse_expr("(1/9)^-32767") == RationalExpr.constant(9 ** 32767)
+    # each factor is within the bound and is formed (a few tenths of a
+    # second each); their product is rejected before it is formed
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError, match=f"product above {MAX_POWER_BITS} bits"):
+        parse_expr("(n+kappa+a+c+1)^20*(n+kappa+a+c+1)^20")
+    assert time.perf_counter() - start < 5
+    assert len(parse_expr("(n+kappa+a+c+1)^12").num.terms) == 1820
+    assert parse_expr("(n+1)^400") == (N + 1) ** 400
+
+
+def test_over_long_integer_literals_are_syntax_errors():
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1
+    if digits == 1:
+        pytest.skip("this interpreter does not limit the digits of an int literal")
+    for text in ("1" * digits, f"n + {'9' * digits}/2"):
+        with pytest.raises(ExprSyntaxError, match=f"integer literal of {digits} digits"):
+            parse_expr(text)
+    # a long exponent literal of leading zeros is read by its value
+    assert parse_expr("n^" + "0" * digits + "2") == N ** 2
+
+
+_FUZZ_TOKENS = st.sampled_from(
+    tuple("0123456789+-*/^()") + (" ", " ") + VARIABLES + ("x", ".", "_", "\u00b2", "#"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FUZZ_TOKENS, max_size=12).map("".join))
+@example("(n+kappa+a+c+1)^40")
+@example("(n+1)^6000")
+@example("(99999*n+99999)^1000")
+@example("(n+kappa+a+c+1)^20*(n+kappa+a+c+1)^20")
+@example("1" * 5000)
+@example("2\u00b2")
+@example("n^" + "0" * 5000 + "2")
+def test_parse_expr_accepts_or_raises_its_own_errors(text):
+    try:
+        parse_expr(text)
+    except ScalarAlgebraError:
+        pass
 
 
 def test_products_and_powers_beyond_a_field_raise():
