@@ -19,12 +19,14 @@ identical, so ``==`` is decidable equality.
 
 Because the canonical form is unique, it can be taken once per result:
 ``parse_expr`` and ``substitute`` work on (numerator, denominator) polynomial
-pairs with plain ring arithmetic and canonicalise at the end.  ``poly_gcd``
-has one path: closed forms for monomial and constant inputs; else integer
-primitive parts, a modular bound on the gcd degree in the main variable, one
-trial division by the input with fewer terms where the bound equals its
-degree, and then contents and the subresultant PRS.  ``_div_exact`` is the
-one exact division, also of an ``A + B*s`` numerator by an s-free divisor.
+pairs with plain ring arithmetic and canonicalise at the end, and field
+operations on s-free numerators skip the gcd where coprimality is known.
+``poly_gcd`` has one path: closed forms for monomial and constant inputs;
+else integer primitive parts and the heuristic GCD (GCDHEU on a Kronecker
+image, skipped above ``MAX_HEU_BITS``); where it declines, a modular bound on
+the main-variable gcd degree, one trial division it gates, then contents and
+the subresultant PRS.  ``_div_exact`` is the one exact division, also of an
+``A + B*s`` numerator by an s-free divisor.
 
 Representation.  A monomial is one packed ``int``: a 16-bit field per
 indeterminate in ``VARIABLES`` order, ``n`` in the high bits and ``s`` in the
@@ -496,11 +498,74 @@ def _gcd_degree_bound(a: Poly, b: Poly, name: str) -> int:
     return min(a.degree(name), b.degree(name))
 
 
+MAX_HEU_BITS = 1 << 16  # bound on radix product x bits(xi) of a heuristic gcd image
+
+
+def _heu_gcd(a: Poly, b: Poly) -> Optional[Poly]:
+    """GCDHEU (Char, Geddes & Gonnet 1989) on integer primitive inputs, or
+    None.  A Kronecker substitution (radix deg + 1 per used variable, n most
+    significant) maps a and b to integers at up to six growing xi from
+    2 min(|a|, |b|) + 29, each coprime to a's lowest coefficient; balanced
+    xi-adic digits of their gcd, or of a cofactor, read back a candidate.
+    For such xi a candidate dividing both inputs is their gcd, and nothing
+    else is accepted.  No image above MAX_HEU_BITS bits is built."""
+    keys = list(chain(a.terms, b.terms))
+    shifts = [_SHIFTS[_VAR_INDEX[v]] for v in _used(keys)]
+    radices = [max(k >> shift & MAX_EXPONENT for k in keys) + 1 for shift in shifts]
+    weights = [prod(radices[i + 1:]) for i in range(len(radices))]
+    xi = 2 * min(max(map(abs, p.terms.values())) for p in (a, b)) + 29
+    mono_a, mono_b = (reduce(_mono_min, p.terms) for p in (a, b))
+    common, low = _mono_min(mono_a, mono_b), a.terms[min(a.terms)]
+
+    def image(poly):
+        return sum(c * xi ** sum((k >> sh & MAX_EXPONENT) * w for sh, w in zip(shifts, weights))
+                   for k, c in poly.terms.items())
+
+    def read_back(value, mono):
+        # digits past the radix box have no monomial: the zero candidate
+        terms, p = {}, 0
+        while value:
+            value, digit = divmod(value, xi)
+            if 2 * digit > xi:
+                value, digit = value + 1, digit - xi
+            if p == weights[0] * radices[0]:
+                return Poly()
+            if digit:
+                terms[sum(p // w % r << s for w, r, s in zip(weights, radices, shifts))] = digit
+            p += 1
+        # a power of xi in the gcd of the images can be spurious: the
+        # candidate's monomial factor is the one the answer implies instead
+        lo = reduce(_mono_min, terms)
+        return _poly({k - lo + mono: c for k, c in terms.items()}).primitive()
+
+    for _ in range(6):
+        while gcd(xi, low) != 1:
+            xi += 1
+        if weights[0] * radices[0] * xi.bit_length() > MAX_HEU_BITS:
+            return None
+        va, vb = image(a), image(b)
+        g = gcd(va, vb)
+        # the gcd, or a cofactor of a or of b that gives it as a quotient
+        for i, (value, p, q, mono) in enumerate(((g, a, b, common), (va // g, a, b, mono_a - common),
+                                                 (vb // g, b, a, mono_b - common))):
+            try:  # a zero candidate raises ZeroDivisionError
+                candidate = read_back(value, mono)
+                quotient = _div_exact(p, candidate)
+                h = quotient if i else candidate
+                _div_exact(q, h)
+                return h.primitive()
+            except ArithmeticError:
+                pass
+        xi = xi * isqrt(isqrt(xi)) * 3 // 2
+    return None
+
+
 def poly_gcd(first: Poly, second: Poly) -> Poly:
     """Primitive GCD in Q[vars] of s-free inputs, on one path: closed forms
-    for monomials and constants, integer primitive parts, the main-variable
-    degree bound, the trial division it gates, then contents and the
-    subresultant PRS (Brown 1971)."""
+    for monomials and constants, integer primitive parts, then the heuristic
+    GCD (``_heu_gcd``).  Where that declines: the main-variable degree bound,
+    the trial division it gates, then contents and the subresultant PRS
+    (Brown 1971)."""
     if first.is_zero():
         return second.primitive()
     if second.is_zero():
@@ -509,13 +574,13 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
         # a monomial's divisors are monomials: the answer is the smallest
         # power of each variable over all terms (a constant input gives 1)
         return _poly({reduce(_mono_min, chain(first.terms, second.terms)): 1})
-    names = [v for v in _used(chain(first.terms, second.terms)) if v != "s"]
-    if not names:
-        return Poly.constant(1)
     # the answer is primitive, so the integer primitive parts can stand in
     # for the inputs from here on
     first, second = first.primitive(), second.primitive()
-    name = names[0]
+    heuristic = _heu_gcd(first, second)
+    if heuristic is not None:
+        return heuristic
+    name = _used(chain(first.terms, second.terms))[0]
     # certify the main-variable gcd degree from a random evaluation before
     # paying for a trial division, content extraction or the PRS; the
     # content is x-free, so a zero bound reduces the answer to the gcd of
@@ -626,6 +691,22 @@ def _gcd_against_sfree(num: Poly, den: Poly) -> Poly:
     return poly_gcd(common, b) if b.terms else common
 
 
+def _s_free(*polys) -> bool:
+    return not any(key & 1 for p in polys for key in p.terms)
+
+
+def _lowest_terms(num: Poly, den: Poly) -> "RationalExpr":
+    """num/den already in lowest terms over an s-free den: only the joint
+    content and the sign of den's leading coefficient are normalised.  A
+    product or Henrici sum is coprime only for s-free numerators: Q[vars] is
+    a UFD, Q[vars][s]/(s^2 - n) is none (s*s = n).  Negation keeps either."""
+    if not num.terms:
+        return RationalExpr(num)
+    out = RationalExpr.__new__(RationalExpr)
+    out.num, out.den = _primitive((num, den), den.leading()[1] < 0)
+    return out
+
+
 class RationalExpr:
     """A multivariate rational function in canonical form (see module docs)."""
 
@@ -716,13 +797,16 @@ class RationalExpr:
         self_co = _div_exact(self.den, shared)
         other_co = _div_exact(other.den, shared)
         num = self.num * other_co + other.num * self_co
-        den = self.den * other_co
-        return RationalExpr(num, den)
+        if not _s_free(self.num, other.num):
+            return RationalExpr(num, self.den * other_co)
+        # Henrici: num can share a factor of the lcm only within shared
+        common = poly_gcd(num, shared)
+        return _lowest_terms(_div_exact(num, common), self_co * _div_exact(other.den, common))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalExpr(-self.num, self.den)
+        return _lowest_terms(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -746,7 +830,8 @@ class RationalExpr:
         g = _gcd_against_sfree(b_num, a_den)
         b_num = _div_exact(b_num, g)
         a_den = _div_exact(a_den, g)
-        return RationalExpr(a_num * b_num, a_den * b_den)
+        build = _lowest_terms if _s_free(a_num, b_num) else RationalExpr
+        return build(a_num * b_num, a_den * b_den)
 
     __rmul__ = __mul__
 
@@ -756,7 +841,8 @@ class RationalExpr:
             return NotImplemented
         if other.num.is_zero():
             raise DivisionByZero("division by the zero expression")
-        return self * RationalExpr(other.den, other.num)
+        build = _lowest_terms if _s_free(other.num) else RationalExpr
+        return self * build(other.den, other.num)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -966,11 +1052,11 @@ def parse_expr(text: str) -> RationalExpr:
     integer literal past the interpreter's digit limit is a syntax error.
     Every product and power is bounded before it is formed: an estimate of
     its terms times coefficient bits must not exceed ``MAX_POWER_BITS``, with
-    a*b at most t_a*t_b terms of bits_a + bits_b + ceil(log2 min(t_a, t_b))
-    bits and p^k at most C(t+k-1, k) terms of k*(bits + ceil(log2 t)) bits
-    (for a single term, the bits of lc(p)^k).  The parser carries (numerator,
-    denominator) polynomial pairs through plain ring arithmetic and
-    canonicalises once, at the end.
+    a*b at most min(t_a*t_b, prod_v (deg_a v + deg_b v + 1)) terms of
+    bits_a + bits_b + ceil(log2 min(t_a, t_b)) bits and p^k at most
+    C(t+k-1, k) terms of k*(bits + ceil(log2 t)) bits (for a single term, the
+    bits of lc(p)^k).  The parser carries (numerator, denominator) polynomial
+    pairs through plain ring arithmetic and canonicalises once, at the end.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, text)
@@ -1033,7 +1119,11 @@ class _Parser:
         if b.is_one():  # as most denominators are
             return a
         (ta, ba), (tb, bb) = _size(a), _size(b)
-        self.bound("product", ta * tb, ba + bb + (min(ta, tb) - 1).bit_length())
+        terms, bits = ta * tb, ba + bb + (min(ta, tb) - 1).bit_length()
+        if terms * bits > MAX_POWER_BITS:  # the degree box may hold fewer
+            terms = min(terms, prod(a.degree(v) + b.degree(v) + 1
+                                    for v in _used(chain(a.terms, b.terms))))
+        self.bound("product", terms, bits)
         return a * b
 
     def power(self, p: Poly, k: int) -> Poly:

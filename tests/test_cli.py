@@ -309,6 +309,23 @@ def test_console_entry_point_runs():
     assert "kappa_bar = kappa" in proc.stdout
 
 
+def test_closed_stdout_pipe_exits_quietly():
+    # ``nkt presets-list --format json | head -1``: the reader is gone
+    # before the output is written
+    import os, subprocess, sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nkt.cli", "presets-list", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def _golden_copy(tmp_path, monkeypatch):
     from nkt.classification import golden_dir
 

@@ -166,10 +166,19 @@ def test_exact_division_of_an_s_carrying_numerator():
         _div_exact(value * divisor + Poly.constant(1), divisor)
 
 
+def _decline_heuristic(monkeypatch):
+    # the heuristic gcd answers these inputs first; declining it drives the
+    # fallback path the route tests are about
+    from nkt import scalar_algebra
+
+    monkeypatch.setattr(scalar_algebra, "_heu_gcd", lambda a, b: None)
+
+
 def _gcd_trace(monkeypatch):
     # which exact divisions succeed or fail, and whether the PRS runs
     from nkt import scalar_algebra
 
+    _decline_heuristic(monkeypatch)
     trace = []
     div_exact, prem = scalar_algebra._div_exact, scalar_algebra._prem
 
@@ -528,6 +537,114 @@ def test_canonical_form_matches_sympy_cancel(a, b, c, d):
 
 
 # ---------------------------------------------------------------------------
+# the heuristic gcd ahead of the PRS, and the lowest-terms fast paths
+
+
+def _prs_gcd(first, second):
+    with pytest.MonkeyPatch.context() as patch:
+        _decline_heuristic(patch)
+        return poly_gcd(first, second)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_polys(3), raw_polys(3), raw_polys(3))
+# a candidate read back here divides one input and not the other
+@example(*(parse_expr(text).num for text in
+           ("-2*kappa^2*a*c^2 - 2*kappa^2*a*c", "-4*n^3 + 4*c^2", "-4*n - 3*kappa^3")))
+def test_heuristic_gcd_equals_the_prs_answer(first, second, common):
+    from nkt.scalar_algebra import _div_exact, _heu_gcd
+
+    a, b = first * common, second * common
+    if a.leading()[1] > 0:
+        a = -a
+    want = _prs_gcd(a, b)
+    assert poly_gcd(a, b) == want
+    _div_exact(want, common)  # the planted factor divides the answer
+    if len(a.terms) > 1 and len(b.terms) > 1:
+        assert _heu_gcd(a.primitive(), b.primitive()) in (None, want)
+
+
+def test_heuristic_gcd_retries_with_a_larger_xi(monkeypatch):
+    import math
+
+    from nkt import scalar_algebra
+
+    # at the first xi the integer images share a factor that the inputs do
+    # not, so no candidate divides both; xi grows (through isqrt) and the
+    # next one answers
+    grown = []
+    monkeypatch.setattr(scalar_algebra, "isqrt", lambda x: grown.append(x) or math.isqrt(x))
+    first, second = ((N + 3) * (N - 1)).num, ((N + 3) * (3 * N * A - 1)).num
+    assert scalar_algebra._heu_gcd(first, second) == (N + 3).num
+    assert grown
+    assert poly_gcd(first, second) == _prs_gcd(first, second) == (N + 3).num
+
+
+def test_heuristic_gcd_declines_above_the_size_cap():
+    from nkt.scalar_algebra import MAX_HEU_BITS, _heu_gcd
+
+    # an image of 20001^2 digits is never built: the cap is checked first
+    huge = parse_expr("n^20000*kappa^20000 + n + 1").num
+    start = time.perf_counter()
+    assert _heu_gcd(huge, (N * KAPPA + 1).num) is None
+    assert time.perf_counter() - start < 0.1
+    # 92 * 91 * 2 * 3 digits of 5 bits pass the cap; the fallback answers
+    common = (N + C).num
+    first = parse_expr("n^90*kappa^90 + a*c + 1").num * common
+    second = parse_expr("n*a - kappa^90*c^2").num * common
+    assert 92 * 91 * 2 * 3 * 5 > MAX_HEU_BITS
+    assert _heu_gcd(first, second) is None
+    assert poly_gcd(first, second) == common
+
+
+def test_substitution_through_a_conjugate_denominator_is_bounded():
+    # clearing s from the substituted denominator gives a norm that shares a
+    # factor with the replacement's denominator; the PRS alone took more
+    # than a minute to find it
+    sympy = pytest.importorskip("sympy")
+    value = parse_expr("(8*a*s + 4*s + 23)/(6*n*a + 4*kappa - 8*c - 8)")
+    replacement = parse_expr(
+        "(108*n*kappa^2 - 72*n*kappa*c*s + 120*n*kappa*s - 108*kappa^2 + 135*kappa*a"
+        " + 72*kappa*c*s - 120*kappa*s + 54*kappa - 90*a*c*s + 150*a*s - 36*c*s + 60*s)"
+        "/(36*n*c^2 - 120*n*c + 100*n - 81*kappa^2)")
+    start = time.perf_counter()
+    got = substitute(value, "c", replacement)
+    assert time.perf_counter() - start < 1
+    rng, checked = random.Random(14), 0
+    while checked < 8:
+        point = _random_point(rng)
+        try:
+            want = eval_at(value, dict(point, c=eval_at(replacement, point)))
+        except DivisionByZero:
+            continue
+        assert eval_at(got, point) == want
+        checked += 1
+    # lowest terms: no factor of the denominator divides both s-halves
+    halves = [_to_sympy(sympy, half) for half in got.num.split_s()]
+    assert sympy.gcd(sympy.gcd(_to_sympy(sympy, got.den), halves[0]), halves[1]) == 1
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+               "neg": lambda x, y: -x, "int+": lambda x, y: 3 + x, "int/": lambda x, y: 2 / x}
+
+
+@settings(max_examples=120, deadline=None)
+@given(exprs(), exprs(), st.sampled_from(sorted(_ARITHMETIC)))
+# the sum's numerator 2n shares the factor n of both denominators
+@example(1 / (N * (N + 1)), 1 / (N * (N - 1)), "+")
+def test_field_operations_give_canonical_forms(first, second, op):
+    # + - * / skip the gcd where the operands' coprimality carries over;
+    # the result must still be the canonical form normalize() computes,
+    # also with s in either numerator
+    if (op == "/" and second.is_zero()) or (op == "int/" and first.is_zero()):
+        return
+    value = _ARITHMETIC[op](first, second)
+    again = normalize(value)
+    assert value.num.terms == again.num.terms and value.den.terms == again.den.terms
+    assert all(type(c) is int for c in _coefficients(value))
+
+
+# ---------------------------------------------------------------------------
 # the int / Fraction boundary
 
 
@@ -708,6 +825,7 @@ def test_gcd_intermediates_hold_ints(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(scalar_algebra, name, checked(name, getattr(scalar_algebra, name)))
+    _decline_heuristic(monkeypatch)
     # the heavy corpus entry: its e*e - e runs the subresultant PRS
     e = parse_expr("(90*n^2*a - 135*n^2*c + 108*n*kappa*c + 10*n*a^2*s - 15*n*a*c*s"
                    " - 30*n*a + 45*n*c + 216*n + 12*kappa*a*c*s - 36*kappa*c + 24*a*s - 72)"
@@ -750,6 +868,19 @@ def test_powers_of_huge_constants_are_rejected_before_computing():
     assert time.perf_counter() - start < 5
     assert len(parse_expr("(n+kappa+a+c+1)^12").num.terms) == 1820
     assert parse_expr("(n+1)^400") == (N + 1) ** 400
+
+
+def test_product_bound_counts_the_degree_box():
+    # t_a * t_b = 40,401 terms of about 400 bits would pass the bound, but
+    # (n+1)^200 * (n-1)^200 has at most 200 + 200 + 1 terms: it is formed
+    start = time.perf_counter()
+    value = parse_expr("(n+1)^200*(n-1)^200")
+    assert time.perf_counter() - start < 1
+    assert len(value.num.terms) == 201
+    assert value == (N * N - 1) ** 200
+    # a box of 41^4 terms still exceeds it
+    with pytest.raises(ExprSyntaxError, match=f"product above {MAX_POWER_BITS} bits"):
+        parse_expr("(n+kappa+a+c+1)^20*(n+kappa+a+c+1)^20")
 
 
 def test_over_long_integer_literals_are_syntax_errors():
