@@ -926,7 +926,7 @@ def substitute(value: RationalExpr, name: str, replacement: ExprLike) -> Rationa
             f"denominator of {value} vanishes identically after {name} substitution"
         )
     # num~ Q^deg den / (den~ Q^deg num); the shared power of Q comes out
-    # here, since the canonicaliser would need a PRS to find it again
+    # here, so the canonicaliser need not find it again with a gcd
     shift = den_deg - num_deg
     num = homogenised(num_coeffs, num_deg) * q_powers[max(shift, 0)]
     return RationalExpr(num, den * q_powers[max(-shift, 0)])
