@@ -31,7 +31,6 @@ P row the source leaves out of table 6.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -43,6 +42,7 @@ from .scalar_algebra import (
     N,
     R,
     RationalExpr,
+    Record,
     S,
     ScalarAlgebraError,
     _frac_sqrt,
@@ -78,8 +78,7 @@ class FormTag(str, Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class EtaEinsteinForm:
+class EtaEinsteinForm(Record):
     """S = b1 g + b2 eta (x) eta, valid where the denominator condition is
     nonzero; degenerate rows carry no coefficients."""
 
@@ -261,9 +260,7 @@ def boeckx(
     return (1 - mu / 2) / root
 
 
-def d_homothetic(
-    kappa: ExprLike, mu: ExprLike, a: ExprLike, c: ExprLike
-) -> tuple:
+def d_homothetic(kappa: ExprLike, mu: ExprLike, a: ExprLike, c: ExprLike) -> tuple:
     """Parameter transform of a D-homothetic deformation, as printed in its
     source: kappa_bar = (kappa + a^2 - 1)/a, mu_bar = (mu + 2c - 2)/a.
 
@@ -275,8 +272,7 @@ def d_homothetic(
     return (kappa + a * a - 1) / a, (mu + 2 * c - 2) / a
 
 
-@dataclass(frozen=True)
-class BoeckxExampleReport:
+class BoeckxExampleReport(Record):
     """The constant-curvature-c family with kappa = c(2-c), mu = -2c and
     c = (sqrt(n) +- 1)^2/(n - 1); its invariant equals sqrt(n) exactly."""
 
@@ -324,25 +320,14 @@ def boeckx_example(n: int, sign: Union[int, str]) -> BoeckxExampleReport:
     mu = -2 * c
     root = c - 1 if eps > 0 else 1 - c  # |1 - c| per branch
     invariant = boeckx(kappa, mu, root_hint=root)
-    return BoeckxExampleReport(
-        n=n,
-        sign=eps,
-        c=c,
-        a=a,
-        kappa=kappa,
-        mu=mu,
-        invariant=invariant,
-        target=S,
-        ok=invariant == S,
-    )
+    return BoeckxExampleReport(n, eps, c, a, kappa, mu, invariant, S, invariant == S)
 
 
 # ---------------------------------------------------------------------------
 # table reproduction against golden transcriptions
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(Record):
     preset: PresetName
     condition: ConditionKind
     kappa: Optional[LinearSolution]
@@ -350,8 +335,7 @@ class ClassificationRow:
     flags: tuple
 
 
-@dataclass(frozen=True)
-class RowDiff:
+class RowDiff(Record):
     """One reproduced row plus its comparison against the transcription.
 
     ``matches`` is None for rows excluded from the diff (degenerate rows the
@@ -373,8 +357,7 @@ class RowDiff:
         return tuple(f for f in self.mismatches if f not in allowed_fields)
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(Record):
     table: int
     rows: tuple
 
@@ -578,9 +561,7 @@ def reproduce_table(which: int) -> TableReport:
         if _derivable(row):
             diffs.append(_diff_row(which, row, None, allowlist))
         elif name in _ABSENT_ROWS.get(which, []):
-            row = replace(
-                row, flags=row.flags + ("absent from the reference table; not diffed",)
-            )
+            row = row.replace(flags=row.flags + ("absent from the reference table; not diffed",))
             diffs.append(RowDiff(row, None, None, (), ()))
     _flag_stale_entries(which, diffs, allowlist)
     return TableReport(which, tuple(diffs))
@@ -597,4 +578,4 @@ def _flag_stale_entries(which: int, diffs: list, allowlist: dict) -> None:
         at = next((i for i, diff in enumerate(diffs) if diff.row.preset is name), len(diffs))
         if at == len(diffs):
             diffs.append(RowDiff(classification_row(which, name), None, None, (), ()))
-        diffs[at] = replace(diffs[at], matches=False, mismatches=diffs[at].mismatches + stale)
+        diffs[at] = diffs[at].replace(matches=False, mismatches=diffs[at].mismatches + stale)

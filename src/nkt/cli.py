@@ -22,7 +22,6 @@ errors, 2 golden-table mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -137,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, markdown: str, fmt: str) -> None:
     if fmt == "json":
+        import json  # only json output loads it
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(markdown.rstrip("\n"))

@@ -36,12 +36,11 @@ Indices are 0-based in code; the plain-text model file format is 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .scalar_algebra import RationalLike, _frac_str, as_rational
+from .scalar_algebra import RationalLike, Record, _frac_str, as_rational
 
 MAX_DIM = 15  # the largest frame a model file may declare
 
@@ -59,8 +58,7 @@ class ModelFormatError(ValueError):
     """A model file could not be parsed."""
 
 
-@dataclass(frozen=True)
-class FrameModel:
+class FrameModel(Record):
     """An odd-dimensional left-invariant frame model.
 
     dim        frame size 2n+1;
@@ -165,8 +163,7 @@ def _max_abs(tensor: dict) -> Fraction:
 # models
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(Record):
     """All curvature objects of a model, exact, as sparse tensors.
 
     sparse_gamma[i, j, k] = g(nabla_{e_i} e_j, e_k); sparse_riemann[i, j, k, l]
@@ -188,8 +185,7 @@ class CurvatureData:
     h = _view("sparse_h", 2)
 
 
-@dataclass(frozen=True)
-class NullityFit:
+class NullityFit(Record):
     """Best exact (kappa, mu) for R(X,Y)xi = kappa(eta(Y)X - eta(X)Y)
     + mu(eta(Y)hX - eta(X)hY); exact is True iff the residual is zero."""
 
@@ -199,15 +195,13 @@ class NullityFit:
     max_residual: Fraction
 
 
-@dataclass(frozen=True)
-class AuditCheck:
+class AuditCheck(Record):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     checks: tuple
 
     @property

@@ -43,7 +43,6 @@ return ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -62,6 +61,7 @@ _S = _VAR_INDEX["s"]
 
 _WIDTH = 16
 MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
+MAX_DECIMAL_EXPONENT = 4300  # in a rational literal: str prints no int of over 4300 digits
 _SHIFTS = tuple(_WIDTH * (_NVARS - 1 - i) for i in range(_NVARS))
 _GUARDS = sum(1 << (shift + _WIDTH - 1) for shift in _SHIFTS)
 _LOW_BITS = sum(1 << shift for shift in _SHIFTS)
@@ -102,6 +102,48 @@ class ExponentOverflow(ScalarAlgebraError):
     """An exponent would exceed MAX_EXPONENT, the width of its packed field."""
 
 
+class Record:
+    """A frozen record without generated code: the fields are the class
+    annotations in order, a class-level value is a default.  ``==`` holds
+    within one class only; ``__dict__`` stays, so cached_property works."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args), **kwargs)
+        values = {**self._defaults, **given}
+        if len(given) < len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}{self._fields} cannot take {args} {kwargs}")
+        self.__dict__.update((name, values[name]) for name in self._fields)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validation hook, run once the fields are set."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact rational."""
     if isinstance(value, Fraction):
@@ -109,10 +151,12 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
+        try:  # an 'e' marks the exponent; bound it before Fraction computes 10^e
+            if abs(int(value.lower().partition("e")[2] or 0)) <= MAX_DECIMAL_EXPONENT:
+                return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ExprSyntaxError(f"not a rational: {value!r}") from exc
+        raise ExprSyntaxError(f"decimal exponent above {MAX_DECIMAL_EXPONENT} in {value!r}")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
@@ -698,8 +742,9 @@ def _s_free(*polys) -> bool:
 def _lowest_terms(num: Poly, den: Poly) -> "RationalExpr":
     """num/den already in lowest terms over an s-free den: only the joint
     content and the sign of den's leading coefficient are normalised.  A
-    product or Henrici sum is coprime only for s-free numerators: Q[vars] is
-    a UFD, Q[vars][s]/(s^2 - n) is none (s*s = n).  Negation keeps either."""
+    product or Henrici sum is coprime only for s-free numerators: the ring is
+    Q[s, vars] (n = s^2), but canonical dens are s-free, so 1+s, a factor of
+    n-1, stays a numerator: (1+s)*((1-s)/(n-1)) = (1-n)/(n-1).  Negation keeps either."""
     if not num.terms:
         return RationalExpr(num)
     out = RationalExpr.__new__(RationalExpr)
@@ -936,8 +981,7 @@ def substitute(value: RationalExpr, name: str, replacement: ExprLike) -> Rationa
 # linear solver
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(Record):
     """Outcome of solving a degree-<=1 equation ``expression = 0``.
 
     ``unique``      one root, valid where the side condition (the leading

@@ -38,9 +38,9 @@ rather than d^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence, Union
 
 from .frame_geometry import CurvatureData, FrameModel, SparseTensor, curvature
@@ -51,6 +51,7 @@ from .scalar_algebra import (
     N,
     RationalExpr,
     RationalLike,
+    Record,
     as_rational,
     eval_at,
     expr,
@@ -109,8 +110,7 @@ class ConditionKind(str, Enum):
         raise KeyError(f"unknown condition {label!r}")
 
 
-@dataclass(frozen=True)
-class TCoeffs:
+class TCoeffs(Record):
     """Coefficient vector (a0..a7) of rational functions of n (and the free
     parameters a0, a1 for the starred presets)."""
 
@@ -150,7 +150,7 @@ class TCoeffs:
         return tuple(values)
 
     def annotate(self, *notes: str) -> "TCoeffs":
-        return replace(self, annotations=self.annotations + notes)
+        return self.replace(annotations=self.annotations + notes)
 
 
 def coeffs_from(entries: Sequence[Union[RationalExpr, int, Fraction, str]]) -> TCoeffs:
@@ -160,6 +160,7 @@ def coeffs_from(entries: Sequence[Union[RationalExpr, int, Fraction, str]]) -> T
 _TWO_N = 2 * N
 
 
+@cache
 def _rows() -> dict:
     inv_2n = 1 / _TWO_N
     inv_2n_minus = 1 / (_TWO_N - 1)
@@ -168,18 +169,8 @@ def _rows() -> dict:
         PresetName.C_STAR: coeffs_from(
             [A0, A1, -A1, 0, A1, -A1, 0, -(A0 / _TWO_N + 2 * A1) / (_TWO_N + 1)]
         ).annotate("free parameters a0, a1"),
-        PresetName.C: coeffs_from(
-            [
-                1,
-                -inv_2n_minus,
-                inv_2n_minus,
-                0,
-                -inv_2n_minus,
-                inv_2n_minus,
-                0,
-                1 / (_TWO_N * (_TWO_N - 1)),
-            ]
-        ),
+        PresetName.C: coeffs_from([1, -inv_2n_minus, inv_2n_minus, 0, -inv_2n_minus,
+                                   inv_2n_minus, 0, 1 / (_TWO_N * (_TWO_N - 1))]),
         PresetName.L: coeffs_from(
             [1, -inv_2n_minus, inv_2n_minus, 0, -inv_2n_minus, inv_2n_minus, 0, 0]
         ),
@@ -217,12 +208,10 @@ def _rows() -> dict:
     return rows
 
 
-_PRESETS = _rows()
-
-
+@cache
 def _printed_rows() -> dict:
     inv_2n = 1 / _TWO_N
-    rows = dict(_PRESETS)
+    rows = dict(_rows())
     rows[PresetName.W0_STAR] = coeffs_from(
         [1, -inv_2n, 0, 0, 0, inv_2n, 0, 0]
     ).annotate("as printed: identical to W0")
@@ -232,21 +221,18 @@ def _printed_rows() -> dict:
     return rows
 
 
-_PRESETS_PRINTED = _printed_rows()
-
-
 def preset(name: Union[PresetName, str]) -> TCoeffs:
     """Coefficient vector for a named tensor (corrected rows flagged)."""
     if not isinstance(name, PresetName):
         name = PresetName.parse(name)
-    return _PRESETS[name]
+    return _rows()[name]
 
 
 def preset_as_printed(name: Union[PresetName, str]) -> TCoeffs:
     """The verbatim catalog row, including the known-typo rows."""
     if not isinstance(name, PresetName):
         name = PresetName.parse(name)
-    return _PRESETS_PRINTED[name]
+    return _printed_rows()[name]
 
 
 def catalog() -> dict:
@@ -256,7 +242,7 @@ def catalog() -> dict:
             "coefficients": [str(e) for e in row.a],
             "flags": list(row.annotations),
         }
-        for name, row in _PRESETS.items()
+        for name, row in _rows().items()
     }
 
 
@@ -294,14 +280,8 @@ def t_components(model: FrameModel, coeffs, curv: Optional[CurvatureData] = None
     return SparseTensor(_lincomb((*a[:7], r_term, -r_term), parts), dim, 4), curv
 
 
-def flatness_residual(
-    model: FrameModel,
-    coeffs,
-    kind: ConditionKind,
-    *,
-    strict: bool = False,
-    variant: str = "standard",
-) -> Fraction:
+def flatness_residual(model: FrameModel, coeffs, kind: ConditionKind, *,
+                      strict: bool = False, variant: str = "standard") -> Fraction:
     """Max-abs residual of a flatness or derivation condition over all frame
     tuples; t-dot-r and t-dot-s go to t_dot_riemann (with ``variant``) and
     t_dot_ricci.

@@ -1,11 +1,14 @@
 """CLI surface: commands, formats, exit codes, determinism, schema."""
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nkt.cli import run
 from nkt.frame_geometry import nk_lie_group_3d, render_model
@@ -495,3 +498,47 @@ def test_allowlist_entry_for_an_unknown_table_or_field_is_located(tmp_path, monk
         path.write_text(original)
         assert (code, out) == (1, "")
         assert err == f"error: {path}:{line}: {reason}\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the values of classify, residual, model-build and deform
+
+_CONDITIONS = st.sampled_from(["t-flat", "xi-flat", "quasi-flat", "phi-flat", "t-dot-r",
+                               "t-dot-s"])
+_EXPR_TOKENS = ["n", "kappa", "a", "c", "s", "r", "mu", "lambda", "a0", "a1", "x", "0", "1",
+                "2", "7", "12", "1.5", "1e3", "9^32767", "^", "^-", "*", "/", "+", "-", "(",
+                ")", " ", ","]
+_RATIONAL_TOKENS = ["0", "1", "3", "7", "9", "12", "-", "+", "/", ".", "e", "E", "_", " "]
+_EXPRS = st.one_of(st.lists(st.sampled_from(_EXPR_TOKENS), max_size=10).map("".join),
+                   st.text(max_size=8))
+_RATIONALS = st.one_of(st.lists(st.sampled_from(_RATIONAL_TOKENS), max_size=10).map("".join),
+                       st.text(max_size=6))
+_COEFFS = st.one_of(st.lists(_EXPRS, min_size=7, max_size=9).map(",".join), _EXPRS)
+_ARGVS = st.one_of(
+    st.builds(lambda cond, v: ["classify", "--condition", cond, f"--coeffs={v}"],
+              _CONDITIONS, _COEFFS),
+    st.builds(lambda cond, lam, name: ["residual", f"--lambda={lam}", "--condition", cond,
+                                       "--preset", name],
+              _CONDITIONS, _RATIONALS, st.sampled_from(["W3", "C", "C_star"])),
+    st.builds(lambda cond, lam, v: ["residual", f"--lambda={lam}", "--condition", cond,
+                                    f"--coeffs={v}"],
+              _CONDITIONS, _RATIONALS, _COEFFS),
+    st.builds(lambda lam, audit: ["model-build", f"--lambda={lam}"] + ["--audit"] * audit,
+              _RATIONALS, st.booleans()),
+    st.builds(lambda k, m, a, c: ["deform", f"--kappa={k}", f"--mu={m}", f"--a={a}", f"--c={c}"],
+              _EXPRS, _EXPRS, _EXPRS, _EXPRS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGVS, st.sampled_from(["md", "json"]))
+# Fraction builds 10^e for a decimal exponent e before any other check
+@example(["residual", "--lambda=1e999999", "--condition", "t-dot-r", "--preset", "W3"], "md")
+def test_fuzzed_values_exit_0_or_with_one_error_line(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + ["--format", fmt])  # an escaping exception fails the test
+    if code == 1:
+        _assert_one_error_line(code, out.getvalue(), err.getvalue())
+    else:
+        assert code in (0, 2) and err.getvalue() == ""

@@ -9,7 +9,6 @@ permutation), and on the 5-dimensional Heisenberg model.
 """
 
 import random
-from dataclasses import replace
 
 from nkt.frame_geometry import contact_audit, curvature
 from nkt.t_tensor import ConditionKind, PresetName, flatness_residual, preset
@@ -53,7 +52,7 @@ def test_flatness_matches_bruteforce_with_dense_phi():
         model = random_model(rng)
         phi = tuple(tuple(random_fraction(rng) for _ in range(3)) for _ in range(3))
         name, numeric = random_preset_at_n1(rng)
-        _assert_matches(replace(model, phi=phi), name, numeric)
+        _assert_matches(model.replace(phi=phi), name, numeric)
 
 
 def test_flatness_matches_bruteforce_on_heisenberg_5d():

@@ -1,7 +1,6 @@
 """Frame models: connection, curvature, h-operator, audits, nullity fits."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -256,7 +255,7 @@ def test_nullity_fit_rejects_inconsistent_ricci():
     # the Ricci checks of an exact fit must survive python -O
     model = nk_lie_group_3d(HALF)
     curv = curvature(model)
-    doctored = replace(curv, sparse_ricci={**curv.sparse_ricci, (0, 2): Fraction(1)})
+    doctored = curv.replace(sparse_ricci={**curv.sparse_ricci, (0, 2): Fraction(1)})
     with pytest.raises(InvalidModel, match=r"S\(e_1, xi\) = 1 != 0"):
         nullity_fit(model, doctored)
 

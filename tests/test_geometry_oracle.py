@@ -9,7 +9,6 @@ on the Heisenberg models H^5 and H^7.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -70,7 +69,7 @@ def test_geometry_matches_loops_on_random_3d_models():
     for _ in range(30):
         model = random_model(rng)
         assert _assert_matches_loops(model)
-        assert _assert_matches_loops(replace(model, phi=tuple(map(tuple, _dense_phi(rng, 3)))))
+        assert _assert_matches_loops(model.replace(phi=tuple(map(tuple, _dense_phi(rng, 3)))))
 
 
 def test_geometry_matches_loops_on_random_5d_tables():

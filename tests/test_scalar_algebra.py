@@ -624,6 +624,34 @@ def test_substitution_through_a_conjugate_denominator_is_bounded():
     assert sympy.gcd(sympy.gcd(_to_sympy(sympy, got.den), halves[0]), halves[1]) == 1
 
 
+def test_decimal_exponents_of_rational_literals_are_bounded():
+    from nkt.scalar_algebra import MAX_DECIMAL_EXPONENT, as_rational
+
+    assert as_rational("1.5e-3") == Fraction(3, 2000)
+    assert as_rational(f"1E+{MAX_DECIMAL_EXPONENT}") == 10 ** MAX_DECIMAL_EXPONENT
+    start = time.perf_counter()
+    for text in (f"1e{MAX_DECIMAL_EXPONENT + 1}", "2.5e-999999999", "1e99999999999999999"):
+        with pytest.raises(ExprSyntaxError, match="decimal exponent above"):
+            as_rational(text)
+    assert time.perf_counter() - start < 0.1
+    for text in ("1e", "e5", "1e1.5", "1e" + "9" * 5000):
+        with pytest.raises(ExprSyntaxError, match="not a rational"):
+            as_rational(text)
+
+
+def test_products_with_s_in_both_numerators_take_the_gcd():
+    from nkt.scalar_algebra import _lowest_terms
+
+    # the ring is Q[s, vars] with n = s^2, a UFD; canonical denominators are
+    # s-free, so 1+s, a factor of n-1 = (s-1)(s+1), stays in a numerator, and
+    # two such numerators multiply to a factor of the denominator
+    first, second = 1 + S, (1 - S) / (N - 1)
+    assert first * second == -1
+    raw = _lowest_terms(first.num * second.num, first.den * second.den)
+    assert str(raw) == "(-n + 1)/(n - 1)"
+    assert raw != -1
+
+
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
                "neg": lambda x, y: -x, "int+": lambda x, y: 3 + x, "int/": lambda x, y: 2 / x}
 
