@@ -9,8 +9,8 @@ Layers, bottom up:
   h-operator, contact audits and nullity fits, on a sparse contraction
   kernel whose work follows the nonzero entries;
 * :mod:`nkt.t_tensor` - the coefficient presets, the sparse components of
-  T built once per model, and the flatness residuals and two derivation
-  operators as contractions on its slots;
+  T at a point's curvature structure (a ``CurvatureData``), and the flatness
+  residuals and two derivation operators as contractions on its slots;
 * :mod:`nkt.classification` - the symbolic eta-Einstein classifications,
   Boeckx invariant, D-homothetic deformation and table reproduction;
 * :mod:`nkt.cli` - the ``nkt`` command line tool.
@@ -45,7 +45,6 @@ from .frame_geometry import (
     build_model,
     contact_audit,
     curvature,
-    h_tensor,
     levi_civita,
     nk_lie_group_3d,
     nullity_fit,

@@ -190,7 +190,7 @@ def _audit_payload(model) -> dict:
     }
     if report.passed:
         curv = curvature(model)
-        fit = nullity_fit(model, curv)
+        fit = nullity_fit(curv)
         payload["nullity"] = {
             "kappa": str(fit.kappa),
             "mu": str(fit.mu),
@@ -368,7 +368,8 @@ def _cmd_residual(args) -> int:
     # the free-parameter values bind preset rows only
     free = {} if args.coeffs else {"a0": args.a0, "a1": args.a1}
     bound = {k: as_rational(v) for k, v in free.items() if v is not None}
-    value = flatness_residual(model, coeffs.at(model.n, **bound), condition,
+    numeric = coeffs.at(model.n, **bound)
+    value = flatness_residual(curvature(model), numeric, condition,
                               strict=args.strict_xi, variant=args.variant)
     payload = {
         "command": "residual",
@@ -452,6 +453,8 @@ def run(argv: Optional[list] = None) -> int:
         ValueError,
     ) as exc:
         message = exc.args[0] if exc.args else exc
+        if isinstance(exc, ValueError) and "integer string conversion" in str(message):
+            message = f"the result has more than {sys.get_int_max_str_digits():,} decimal digits"
         print(f"error: {message}", file=sys.stderr)
         return 1
 

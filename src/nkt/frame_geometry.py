@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .scalar_algebra import RationalLike, Record, _frac_str, as_rational
 
@@ -47,7 +47,8 @@ MAX_DIM = 15  # the largest frame a model file may declare
 
 class InvalidModel(Exception):
     """The bracket table is not a Lie algebra (antisymmetry or Jacobi fails),
-    or curvature data passed with a model contradict it."""
+    or a curvature structure's Ricci contraction contradicts its exact
+    nullity fit."""
 
 
 class DegenerateFit(Exception):
@@ -164,22 +165,28 @@ def _max_abs(tensor: dict) -> Fraction:
 
 
 class CurvatureData(Record):
-    """All curvature objects of a model, exact, as sparse tensors.
+    """The curvature structure at a point, exact, as sparse tensors: all that
+    the T layer and the nullity fit read.  A model gives one through
+    ``curvature``; a tensor given by formula can be one directly.
 
-    sparse_gamma[i, j, k] = g(nabla_{e_i} e_j, e_k); sparse_riemann[i, j, k, l]
-    = g(R(e_i,e_j)e_k, e_l); sparse_ricci[j, k] = S(e_j,e_k), also the matrix
-    of the Ricci operator Q; scalar is the ricci trace; sparse_h is the matrix
-    of the h-operator.  gamma, riemann, ricci and h are the dense views.
+    The frame is orthonormal and xi_index is the Reeb vector's index in it;
+    sparse_phi[i, j] is the matrix of phi; sparse_riemann[i, j, k, l] =
+    g(R(e_i,e_j)e_k, e_l); sparse_h is the matrix of the h-operator.  The
+    contractions sparse_ricci[j, k] = S(e_j,e_k), also the matrix of the
+    Ricci operator Q, and its trace scalar are built on first use, as are
+    the dense views riemann, ricci and h.
     """
 
     dim: int
-    sparse_gamma: dict
+    xi_index: int
+    sparse_phi: dict
     sparse_riemann: dict
-    sparse_ricci: dict
-    scalar: Fraction
     sparse_h: dict
 
-    gamma = _view("sparse_gamma", 3)
+    sparse_ricci = cached_property(lambda self: _collect(
+        ((j, k), v) for (i, j, k, l), v in self.sparse_riemann.items() if i == l))
+    scalar = cached_property(
+        lambda self: sum((v for (j, k), v in self.sparse_ricci.items() if j == k), _ZERO_Q))
     riemann = _view("sparse_riemann", 4)
     ricci = _view("sparse_ricci", 2)
     h = _view("sparse_h", 2)
@@ -271,7 +278,8 @@ def validate_structure(model: FrameModel) -> None:
 
 def levi_civita(model: FrameModel) -> tuple:
     """Connection coefficients gamma[i][j][k] = g(nabla_{e_i} e_j, e_k)."""
-    return curvature(model).gamma
+    validate_structure(model)
+    return dense(_connection(_sparse(model.structure)), model.dim, 3)
 
 
 def _connection(c: dict) -> dict:
@@ -287,12 +295,8 @@ def _riemann(c: dict, gamma: dict) -> dict:
     return _lincomb((1, -1, -1), (products, _permute(products, (1, 0, 2, 3)), _act(c, gamma, 0)))
 
 
-def h_tensor(model: FrameModel) -> tuple:
-    """Matrix of h = (Lie derivative of phi along xi) / 2."""
-    return curvature(model).h
-
-
 def _h_operator(model: FrameModel) -> dict:
+    # h = (Lie derivative of phi along xi) / 2, and
     # (L_xi phi) e = [xi, phi e] - phi [xi, e], so 2h = ad_xi phi - phi ad_xi
     xi = model.xi_index
     ad_xi = {(x, p): v for (i, p, x), v in _sparse(model.structure).items() if i == xi}
@@ -301,14 +305,11 @@ def _h_operator(model: FrameModel) -> dict:
 
 
 def curvature(model: FrameModel) -> CurvatureData:
-    """All curvature data of the model; exact rational throughout."""
+    """The model's curvature structure; exact rational throughout."""
     validate_structure(model)
     c = _sparse(model.structure)
-    gamma = _connection(c)
-    riemann = _riemann(c, gamma)
-    ricci = _collect(((j, k), v) for (i, j, k, l), v in riemann.items() if i == l)
-    scalar = sum((v for (j, k), v in ricci.items() if j == k), _ZERO_Q)
-    return CurvatureData(model.dim, gamma, riemann, ricci, scalar, _h_operator(model))
+    riemann = _riemann(c, _connection(c))
+    return CurvatureData(model.dim, model.xi_index, _sparse(model.phi), riemann, _h_operator(model))
 
 
 def contact_audit(model: FrameModel) -> AuditReport:
@@ -369,11 +370,9 @@ def contact_audit(model: FrameModel) -> AuditReport:
     return AuditReport(tuple(checks))
 
 
-def nullity_residual(
-    model: FrameModel, curv: CurvatureData, kappa: Fraction, mu: Fraction
-) -> Fraction:
+def nullity_residual(curv: CurvatureData, kappa: Fraction, mu: Fraction) -> Fraction:
     """Max |component| of R(e_i,e_j)xi - kappa(...) - mu(...) over the frame."""
-    dim, xi = model.dim, model.xi_index
+    dim, xi = curv.dim, curv.xi_index
     r_xi = {(i, j, l): value for (i, j, k, l), value in curv.sparse_riemann.items() if k == xi}
     # kappa(eta(j) delta_il - eta(i) delta_jl) + mu(eta(j) h_li - eta(i) h_lj)
     # is a[i, j, l] - a[j, i, l] with a[i, xi, l] = kappa delta_il + mu h_li
@@ -383,7 +382,7 @@ def nullity_residual(
     return _max_abs(_lincomb((1, -1, 1), (r_xi, a, _permute(a, (1, 0, 2)))))
 
 
-def nullity_fit(model: FrameModel, curv: Optional[CurvatureData] = None) -> NullityFit:
+def nullity_fit(curv: CurvatureData) -> NullityFit:
     """Fit (kappa, mu) from the R(e_i, xi) xi block, then verify globally.
 
     The fit is the exact least-squares solution of the linear system the
@@ -391,10 +390,7 @@ def nullity_fit(model: FrameModel, curv: Optional[CurvatureData] = None) -> Null
     (trace h = 0), so kappa and mu decouple.  For exact fits the Ricci
     contractions S(X, xi) = 2 n kappa eta(X) are verified as well.
     """
-    if curv is None:
-        curv = curvature(model)
-    dim, xi = model.dim, model.xi_index
-    h = curv.sparse_h
+    dim, xi, h = curv.dim, curv.xi_index, curv.sparse_h
     # R(e_i, xi) xi = kappa e_i + mu h e_i for horizontal i
     block = {(i, l): v for (i, j, k, l), v in curv.sparse_riemann.items() if j == k == xi != i}
     kappa = sum(block.get((i, i), _ZERO_Q) for i in range(dim)) / Fraction(dim - 1)
@@ -405,13 +401,13 @@ def nullity_fit(model: FrameModel, curv: Optional[CurvatureData] = None) -> Null
         if h:
             raise DegenerateFit("h is nonzero but carries no frame norm")
         mu = Fraction(0)
-    residual = nullity_residual(model, curv, kappa, mu)
+    residual = nullity_residual(curv, kappa, mu)
     exact = residual == 0
     if exact:
-        # S(e_i, xi) = 2 n kappa eta(e_i); i = xi checks S(xi, xi) = 2 n kappa
+        # S(e_i, xi) = 2 n kappa eta(e_i), 2n = dim - 1; i = xi checks S(xi, xi)
         for i in range(dim):
             got = curv.sparse_ricci.get((i, xi), _ZERO_Q)
-            want = 2 * kappa * model.n * model.eta(i)
+            want = (dim - 1) * kappa if i == xi else _ZERO_Q
             if got != want:
                 raise InvalidModel(f"Ricci check fails: S(e_{i+1}, xi) = {got} != {want}")
     return NullityFit(kappa=kappa, mu=mu, exact=exact, max_residual=residual)

@@ -27,7 +27,10 @@ T(e_i, xi, xi, e_l) - the insertion the classification actually constrains;
 is strictly stronger and fails even on models whose Ricci tensor matches the
 classified form.
 
-Numerically, T is built once per call as a sparse (1,3) tensor: a0 R plus
+Numerically, every operation takes a point's curvature structure (a
+``CurvatureData``: R, S, r, phi, xi and h in an orthonormal frame, from
+``curvature`` of a model or given by formula) and eight numeric
+coefficients.  T is built once per call as a sparse (1,3) tensor: a0 R plus
 the Ricci and metric terms, each an outer product with the identity moved
 into place.  Every condition is T with a matrix (phi, the projector onto
 xi, or the matrices T(xi, e_i) taken together) contracted into some of its
@@ -43,8 +46,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, Union
 
-from .frame_geometry import CurvatureData, FrameModel, SparseTensor, curvature
-from .frame_geometry import _act, _lincomb, _max_abs, _permute, _sparse
+from .frame_geometry import CurvatureData, SparseTensor, _act, _lincomb, _max_abs, _permute
 from .scalar_algebra import (
     A0,
     A1,
@@ -246,9 +248,7 @@ def catalog() -> dict:
     }
 
 
-def _numeric(coeffs, model_n: int) -> tuple:
-    if isinstance(coeffs, TCoeffs):
-        return coeffs.at(model_n)
+def _numeric(coeffs) -> tuple:
     values = tuple(as_rational(v) for v in coeffs)
     if len(values) != 8:
         raise ValueError("a numeric coefficient vector has exactly 8 entries")
@@ -260,27 +260,24 @@ def _numeric(coeffs, model_n: int) -> tuple:
 _RICCI_SLOTS = ((0, 2, 3, 1), (2, 0, 3, 1), (2, 3, 0, 1), (2, 0, 1, 3), (0, 2, 1, 3), (0, 1, 2, 3))
 
 
-def t_components(model: FrameModel, coeffs, curv: Optional[CurvatureData] = None):
+def t_components(curv: CurvatureData, coeffs) -> SparseTensor:
     """Sparse (1,3) components T[i, j, k, l] = coefficient of e_l in
-    T(e_i,e_j)e_k, which also index as T[i][j][k][l], and the curvature.
+    T(e_i,e_j)e_k, which also index as T[i][j][k][l].
 
-    Coefficients are numeric rationals; a TCoeffs is evaluated at the
-    model's n and raises UnevaluatedCoefficient while free parameters
-    remain.
+    Coefficients are 8 numeric rationals; ``TCoeffs.at`` gives them for a
+    preset row.
     """
-    if curv is None:
-        curv = curvature(model)
-    a = _numeric(coeffs, model.n)
-    dim, r_term = model.dim, a[7] * curv.scalar
+    a = _numeric(coeffs)
+    dim, r_term = curv.dim, a[7] * curv.scalar
     delta_ricci = {(i, i, *key): v for i in range(dim) for key, v in curv.sparse_ricci.items()}
     delta_delta = {(i, i, j, j): Fraction(1) for i in range(dim) for j in range(dim)}
     # a0 R, the Ricci terms, then a7 r (g(X2,X3) X1 - g(X1,X3) X2)
     parts = (curv.sparse_riemann, *(_permute(delta_ricci, slots) for slots in _RICCI_SLOTS),
              _permute(delta_delta, (0, 2, 3, 1)), _permute(delta_delta, (0, 2, 1, 3)))
-    return SparseTensor(_lincomb((*a[:7], r_term, -r_term), parts), dim, 4), curv
+    return SparseTensor(_lincomb((*a[:7], r_term, -r_term), parts), dim, 4)
 
 
-def flatness_residual(model: FrameModel, coeffs, kind: ConditionKind, *,
+def flatness_residual(curv: CurvatureData, coeffs, kind: ConditionKind, *,
                       strict: bool = False, variant: str = "standard") -> Fraction:
     """Max-abs residual of a flatness or derivation condition over all frame
     tuples; t-dot-r and t-dot-s go to t_dot_riemann (with ``variant``) and
@@ -297,13 +294,12 @@ def flatness_residual(model: FrameModel, coeffs, kind: ConditionKind, *,
     transpose of its matrix).
     """
     if kind is ConditionKind.T_DOT_R:
-        return t_dot_riemann(model, coeffs, variant=variant)
+        return t_dot_riemann(curv, coeffs, variant=variant)
     if kind is ConditionKind.T_DOT_S:
-        return t_dot_ricci(model, coeffs)
-    tv, _ = t_components(model, coeffs)
-    xi = model.xi_index
-    on_xi = {(xi, xi): Fraction(1)}
-    phi_t = _permute(_sparse(model.phi), (1, 0))
+        return t_dot_ricci(curv, coeffs)
+    tv = t_components(curv, coeffs)
+    on_xi = {(curv.xi_index, curv.xi_index): Fraction(1)}
+    phi_t = _permute(curv.sparse_phi, (1, 0))
     insertions = {
         ConditionKind.T_FLAT: {},
         ConditionKind.XI_T_FLAT: {2: on_xi} if strict else {1: on_xi, 2: on_xi},
@@ -317,15 +313,14 @@ def flatness_residual(model: FrameModel, coeffs, kind: ConditionKind, *,
     return _max_abs(tv)
 
 
-def _lower(model: FrameModel, coeffs) -> tuple:
+def _lower(curv: CurvatureData, coeffs) -> dict:
     """lower[i, p, q] = T[xi, i, p, q], the matrices of T(xi, e_i) stacked
-    over i, and the curvature."""
-    tv, curv = t_components(model, coeffs)
-    return {key[1:]: v for key, v in tv.items() if key[0] == model.xi_index}, curv
+    over i."""
+    return {key[1:]: v for key, v in t_components(curv, coeffs).items() if key[0] == curv.xi_index}
 
 
 def t_dot_riemann_components(
-    model: FrameModel, coeffs, *, variant: str = "standard"
+    curv: CurvatureData, coeffs, *, variant: str = "standard"
 ) -> SparseTensor:
     """Full components of (T(xi, e_i) . R)(e_j, e_k) e_l, indexed
     [i][j][k][l] (a vector over the frame).
@@ -338,8 +333,8 @@ def t_dot_riemann_components(
     """
     if variant not in ("standard", "printed"):
         raise ValueError("variant must be 'standard' or 'printed'")
-    lower, curv = _lower(model, coeffs)
-    riemann, dim = curv.sparse_riemann, model.dim
+    lower = _lower(curv, coeffs)
+    riemann, dim = curv.sparse_riemann, curv.dim
     # an action of lower leaves its index pair (i, x) where the contracted
     # slot was; each permutation moves i back to the front
     fourth = _permute(_act(lower, riemann, 2), (2, 0, 1, 3, 4))
@@ -351,21 +346,20 @@ def t_dot_riemann_components(
     return SparseTensor(_lincomb((1, -1, -1, -1), terms), dim, 5)
 
 
-def t_dot_riemann(model: FrameModel, coeffs, *, variant: str = "standard") -> Fraction:
+def t_dot_riemann(curv: CurvatureData, coeffs, *, variant: str = "standard") -> Fraction:
     """Max-abs residual of (T(xi, e_i) . R)(e_j, e_k) e_l over all tuples."""
-    return _max_abs(t_dot_riemann_components(model, coeffs, variant=variant))
+    return _max_abs(t_dot_riemann_components(curv, coeffs, variant=variant))
 
 
-def t_dot_ricci_components(model: FrameModel, coeffs) -> SparseTensor:
+def t_dot_ricci_components(curv: CurvatureData, coeffs) -> SparseTensor:
     """Components S(T(xi,e_i)e_j, e_k) + S(e_j, T(xi,e_i)e_k), indexed
     [i][j][k], with the plus sign of the two-slot action as printed in its
     source definition."""
-    lower, curv = _lower(model, coeffs)
-    ricci = curv.sparse_ricci
+    lower, ricci = _lower(curv, coeffs), curv.sparse_ricci
     terms = (_act(lower, ricci, 0), _permute(_act(lower, ricci, 1), (1, 0, 2)))
-    return SparseTensor(_lincomb((1, 1), terms), model.dim, 3)
+    return SparseTensor(_lincomb((1, 1), terms), curv.dim, 3)
 
 
-def t_dot_ricci(model: FrameModel, coeffs) -> Fraction:
+def t_dot_ricci(curv: CurvatureData, coeffs) -> Fraction:
     """Max-abs residual of (T(xi, e_i) . S)(e_j, e_k) over all tuples."""
-    return _max_abs(t_dot_ricci_components(model, coeffs))
+    return _max_abs(t_dot_ricci_components(curv, coeffs))

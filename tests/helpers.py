@@ -1,9 +1,10 @@
 """Shared generators for randomized model and coefficient tests."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from nkt.frame_geometry import FrameModel, build_model, nk_lie_group_3d
+from nkt.frame_geometry import CurvatureData, FrameModel, _sparse, build_model, nk_lie_group_3d
 from nkt.t_tensor import PresetName, preset
 
 STANDARD_PHI = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
@@ -49,6 +50,32 @@ def heisenberg_model(n: int) -> FrameModel:
         phi[n + i][i] = 1
         phi[i][n + i] = -1
     return build_model(dim, [(i, n + i, xi, 2) for i in range(n)], xi, phi)
+
+
+def space_form_curvature(model: FrameModel, c) -> CurvatureData:
+    """Blair's Sasakian space form of phi-sectional curvature c (Blair,
+    Riemannian Geometry of Contact and Symplectic Manifolds, 2010, ch. 7) on
+    the model's frame, xi and phi, as a point with h = 0 and no model behind
+    its R; with Phi(X,Y) = g(X, phi Y),
+
+        R(X,Y)Z = (c+3)/4 (g(Y,Z)X - g(X,Z)Y)
+                + (c-1)/4 (eta(X)eta(Z)Y - eta(Y)eta(Z)X
+                           + g(X,Z)eta(Y)xi - g(Y,Z)eta(X)xi
+                           + Phi(Z,Y)phi X - Phi(Z,X)phi Y + 2 Phi(X,Y)phi Z).
+    """
+    dim, xi, p = model.dim, model.xi_index, model.phi
+    big, small = (Fraction(c) + 3) / 4, (Fraction(c) - 1) / 4
+    g = [[int(x == y) for y in range(dim)] for x in range(dim)]
+    eta = g[xi]
+    riemann = {}
+    for i, j, k, l in itertools.product(range(dim), repeat=4):
+        value = big * (g[j][k] * g[i][l] - g[i][k] * g[j][l]) + small * (
+            eta[i] * eta[k] * g[j][l] - eta[j] * eta[k] * g[i][l]
+            + g[i][k] * eta[j] * eta[l] - g[j][k] * eta[i] * eta[l]
+            + p[k][j] * p[l][i] - p[k][i] * p[l][j] + 2 * p[i][j] * p[l][k])
+        if value:
+            riemann[i, j, k, l] = value
+    return CurvatureData(dim, xi, _sparse(p), riemann, {})
 
 
 def random_nk_model(rng: random.Random) -> FrameModel:

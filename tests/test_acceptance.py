@@ -137,7 +137,7 @@ def test_criterion_4_model_suite():
         model = nk_lie_group_3d(lam)
         assert contact_audit(model).passed, lam
         curv = curvature(model)
-        fit = nullity_fit(model, curv)
+        fit = nullity_fit(curv)
         assert fit.exact and fit.max_residual == 0
         assert fit.kappa == 1 - lam * lam and fit.mu == 0
         kappa = fit.kappa
@@ -174,8 +174,8 @@ def test_criterion_5_flatness_cross_check():
                 worst = max(worst, abs(curv.ricci[i][j] - table))
         return worst
 
-    w7 = flatness_residual(model, preset("W7"), ConditionKind.XI_T_FLAT)
-    conharmonic = flatness_residual(model, preset("L"), ConditionKind.XI_T_FLAT)
+    w7 = flatness_residual(curv, preset("W7").at(1), ConditionKind.XI_T_FLAT)
+    conharmonic = flatness_residual(curv, preset("L").at(1), ConditionKind.XI_T_FLAT)
     assert w7 == 0
     assert conharmonic != 0
     # vanishing of the residual agrees with the model Ricci matching the form
@@ -235,7 +235,7 @@ def test_criterion_8_derivation_oracle():
         _, numeric = random_preset_at_n1(rng)
         curv = curvature(model)
         expected_r = t_dot_riemann_bruteforce(model, curv, numeric)
-        got_r = t_dot_riemann_components(model, numeric)
+        got_r = t_dot_riemann_components(curv, numeric)
         dim = model.dim
         for i in range(dim):
             for j in range(dim):
@@ -243,15 +243,15 @@ def test_criterion_8_derivation_oracle():
                     for l in range(dim):
                         assert got_r[i][j][k][l] == expected_r[(i, j, k, l)]
         expected_s = t_dot_ricci_bruteforce(model, curv, numeric)
-        got_s = t_dot_ricci_components(model, numeric)
+        got_s = t_dot_ricci_components(curv, numeric)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
                     assert got_s[i][j][k] == expected_s[(i, j, k)]
-        assert t_dot_riemann(model, numeric) == max(
+        assert t_dot_riemann(curv, numeric) == max(
             (abs(x) for cell in expected_r.values() for x in cell),
             default=Fraction(0),
         )
-        assert t_dot_ricci(model, numeric) == max(
+        assert t_dot_ricci(curv, numeric) == max(
             (abs(v) for v in expected_s.values()), default=Fraction(0)
         )

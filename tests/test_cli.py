@@ -446,6 +446,16 @@ def test_powers_of_huge_constants_rejected(capsys):
     assert "bits" in line
 
 
+def test_results_above_the_printable_digits_are_one_error_line(capsys):
+    # inputs within every bound whose result has more digits than the
+    # interpreter converts to text (4,300 by default, left as it is)
+    for argv in (["deform", "--kappa", "9^32767", "--mu", "0", "--a", "1", "--c", "1"],
+                 ["residual", "--lambda=1e4300", "--preset", "W1", "--condition", "xi-flat"]):
+        for fmt in ("md", "json"):
+            line = _assert_one_error_line(*invoke(capsys, *argv, "--format", fmt))
+            assert line == "error: the result has more than 4,300 decimal digits"
+
+
 def test_model_dim_above_the_maximum_is_rejected_on_its_line(tmp_path, capsys):
     from nkt.frame_geometry import MAX_DIM
 

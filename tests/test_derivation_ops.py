@@ -32,7 +32,7 @@ def test_t_dot_riemann_matches_bruteforce_componentwise():
     for model, name, numeric in _pairs():
         curv = curvature(model)
         expected = t_dot_riemann_bruteforce(model, curv, numeric)
-        got = t_dot_riemann_components(model, numeric)
+        got = t_dot_riemann_components(curv, numeric)
         dim = model.dim
         for i in range(dim):
             for j in range(dim):
@@ -41,7 +41,7 @@ def test_t_dot_riemann_matches_bruteforce_componentwise():
                         assert got[i][j][k][l] == expected[(i, j, k, l)], (
                             name, i, j, k, l,
                         )
-        assert t_dot_riemann(model, numeric) == max(
+        assert t_dot_riemann(curv, numeric) == max(
             (abs(x) for cell in expected.values() for x in cell),
             default=Fraction(0),
         )
@@ -51,7 +51,7 @@ def test_t_dot_riemann_printed_variant_matches_bruteforce():
     for model, name, numeric in _pairs(count=8, seed=5):
         curv = curvature(model)
         expected = t_dot_riemann_bruteforce(model, curv, numeric, variant="printed")
-        got = t_dot_riemann_components(model, numeric, variant="printed")
+        got = t_dot_riemann_components(curv, numeric, variant="printed")
         dim = model.dim
         for i in range(dim):
             for j in range(dim):
@@ -64,13 +64,13 @@ def test_t_dot_ricci_matches_bruteforce_componentwise():
     for model, name, numeric in _pairs(seed=777):
         curv = curvature(model)
         expected = t_dot_ricci_bruteforce(model, curv, numeric)
-        got = t_dot_ricci_components(model, numeric)
+        got = t_dot_ricci_components(curv, numeric)
         dim = model.dim
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
                     assert got[i][j][k] == expected[(i, j, k)], (name, i, j, k)
-        assert t_dot_ricci(model, numeric) == max(
+        assert t_dot_ricci(curv, numeric) == max(
             (abs(v) for v in expected.values()), default=Fraction(0)
         )
 
@@ -83,8 +83,8 @@ def test_variants_differ_only_in_fourth_term_slots():
     for _ in range(10):
         model = random_model(rng)
         _, numeric = random_preset_at_n1(rng)
-        std = t_dot_riemann_components(model, numeric)
-        prt = t_dot_riemann_components(model, numeric, variant="printed")
+        std = t_dot_riemann_components(curvature(model), numeric)
+        prt = t_dot_riemann_components(curvature(model), numeric, variant="printed")
         if std != prt:
             seen_difference = True
             break

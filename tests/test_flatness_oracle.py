@@ -27,9 +27,9 @@ def _assert_matches(model, name, numeric):
     curv = curvature(model)
     for kind in _FLATNESS:
         expected = flatness_bruteforce(model, curv, numeric, kind.value)
-        assert flatness_residual(model, numeric, kind) == expected, (name, kind)
+        assert flatness_residual(curv, numeric, kind) == expected, (name, kind)
     expected = flatness_bruteforce(model, curv, numeric, "xi-flat", strict=True)
-    assert flatness_residual(model, numeric, ConditionKind.XI_T_FLAT, strict=True) == expected
+    assert flatness_residual(curv, numeric, ConditionKind.XI_T_FLAT, strict=True) == expected
 
 
 def test_flatness_matches_bruteforce_on_random_3d_pairs():
@@ -40,7 +40,7 @@ def test_flatness_matches_bruteforce_on_random_3d_pairs():
         name, numeric = random_preset_at_n1(rng)
         _assert_matches(model, name, numeric)
         for kind in (ConditionKind.QUASI_T_FLAT, ConditionKind.PHI_T_FLAT):
-            if flatness_residual(model, numeric, kind):
+            if flatness_residual(curvature(model), numeric, kind):
                 nonzero.add(kind)
     # the phi insertions are exercised where they do not vanish
     assert nonzero == {ConditionKind.QUASI_T_FLAT, ConditionKind.PHI_T_FLAT}

@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from nkt.frame_geometry import (
+    _sparse,
+    CurvatureData,
     InvalidModel,
     ModelFormatError,
     build_model,
     contact_audit,
     curvature,
-    h_tensor,
     levi_civita,
     nk_lie_group_3d,
     nullity_fit,
+    nullity_residual,
     parse_model,
     render_model,
 )
@@ -110,19 +112,19 @@ def test_ricci_matches_milnor_on_random_diagonal_models():
 
 
 def test_h_eigenvalues_on_family():
-    h = h_tensor(nk_lie_group_3d(HALF))
+    h = curvature(nk_lie_group_3d(HALF)).h
     assert h[0][0] == HALF and h[1][1] == -HALF
     assert all(h[i][j] == 0 for i in range(3) for j in range(3) if i != j)
 
 
 def test_h_vanishes_for_sasakian_and_abelian():
-    assert all(x == 0 for row in h_tensor(nk_lie_group_3d(0)) for x in row)
-    assert all(x == 0 for row in h_tensor(abelian_model()) for x in row)
+    assert all(x == 0 for row in curvature(nk_lie_group_3d(0)).h for x in row)
+    assert all(x == 0 for row in curvature(abelian_model()).h for x in row)
 
 
 def test_h_algebraic_identities():
     model = nk_lie_group_3d(Fraction(3, 5))
-    h = h_tensor(model)
+    h = curvature(model).h
     phi = model.phi
     assert sum(h[i][i] for i in range(3)) == 0
     for i in range(3):
@@ -226,7 +228,7 @@ def test_audit_failure_details_are_pinned(check):
 @pytest.mark.parametrize("lam", [0, HALF, 1, Fraction(3, 5)])
 def test_family_nullity(lam):
     lam = Fraction(lam)
-    fit = nullity_fit(nk_lie_group_3d(lam))
+    fit = nullity_fit(curvature(nk_lie_group_3d(lam)))
     assert fit.exact
     assert fit.kappa == 1 - lam * lam
     assert fit.mu == 0
@@ -234,7 +236,7 @@ def test_family_nullity(lam):
 
 
 def test_sasakian_case_is_kappa_one():
-    fit = nullity_fit(nk_lie_group_3d(0))
+    fit = nullity_fit(curvature(nk_lie_group_3d(0)))
     assert fit.exact and fit.kappa == 1
 
 
@@ -242,22 +244,29 @@ def test_flat_case_lambda_one():
     model = nk_lie_group_3d(1)
     curv = curvature(model)
     assert curv.ricci[2][2] == 0  # S(xi,xi) = 2n kappa = 0
-    fit = nullity_fit(model, curv)
+    fit = nullity_fit(curv)
     assert fit.exact and fit.kappa == 0 and fit.mu == 0
 
 
 def test_abelian_nullity():
-    fit = nullity_fit(abelian_model())
+    fit = nullity_fit(curvature(abelian_model()))
     assert fit.exact and fit.kappa == 0 and fit.mu == 0
 
 
 def test_nullity_fit_rejects_inconsistent_ricci():
-    # the Ricci checks of an exact fit must survive python -O
-    model = nk_lie_group_3d(HALF)
-    curv = curvature(model)
-    doctored = curv.replace(sparse_ricci={**curv.sparse_ricci, (0, 2): Fraction(1)})
-    with pytest.raises(InvalidModel, match=r"S\(e_1, xi\) = 1 != 0"):
-        nullity_fit(model, doctored)
+    # the Ricci checks of an exact fit must survive python -O.  The point:
+    # R(X,Y)Z = g(Y,Z)hX - g(X,Z)hY, the nullity tensor of (kappa, mu) =
+    # (0, 1), with an h that sends e_1 partly along xi, so the fit is exact
+    # but S(e_1, xi) = -1
+    h = {(0, 0): Fraction(1), (1, 1): Fraction(-1), (2, 0): Fraction(1)}
+    riemann = {}
+    for (l, i), value in h.items():
+        for j in set(range(3)) - {i}:
+            riemann[i, j, j, l], riemann[j, i, j, l] = value, -value
+    curv = CurvatureData(3, 2, _sparse(STANDARD_PHI), riemann, h)
+    assert nullity_residual(curv, Fraction(0), Fraction(1)) == 0
+    with pytest.raises(InvalidModel, match=r"S\(e_1, xi\) = -1 != 0"):
+        nullity_fit(curv)
 
 
 # ---------------------------------------------------------------------------

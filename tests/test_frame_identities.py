@@ -84,7 +84,7 @@ def test_nullity_contractions_on_exact_models():
     models = [nk_lie_group_3d(Fraction(rng.randint(-8, 8), rng.randint(1, 5))) for _ in range(10)]
     for model in models:
         curv = curvature(model)
-        fit = nullity_fit(model, curv)
+        fit = nullity_fit(curv)
         assert fit.exact and fit.mu == 0
         kappa = fit.kappa
         dim, xi = model.dim, model.xi_index
@@ -110,7 +110,7 @@ def test_ricci_and_scalar_formulas_on_family():
     for lam in (0, Fraction(1, 2), 1, Fraction(3, 5), Fraction(-4, 3)):
         model = nk_lie_group_3d(lam)
         curv = curvature(model)
-        fit = nullity_fit(model, curv)
+        fit = nullity_fit(curv)
         kappa = fit.kappa
         for i in range(3):
             for j in range(3):

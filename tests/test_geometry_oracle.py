@@ -16,7 +16,6 @@ from nkt.frame_geometry import (
     InvalidModel,
     build_model,
     curvature,
-    h_tensor,
     validate_structure,
 )
 from helpers import heisenberg_model, random_fraction, random_model
@@ -41,7 +40,7 @@ def _assert_matches_loops(model):
     curv = curvature(model)
     assert _nested_lists(curv.riemann) == riemann_loop(c, dim)
     assert _nested_lists(curv.h) == h_loop(c, model.xi_index, model.phi, dim)
-    assert _nested_lists(h_tensor(model)) == _nested_lists(curv.h)
+    assert _nested_lists(curvature(model).h) == _nested_lists(curv.h)
     return True
 
 

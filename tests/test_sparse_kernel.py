@@ -39,23 +39,23 @@ def _assert_residuals_match(model, numeric):
     curv = curvature(model)
     for kind in _FLATNESS:
         expected = flatness_bruteforce(model, curv, numeric, kind)
-        assert flatness_residual(model, numeric, ConditionKind.parse(kind)) == expected, kind
+        assert flatness_residual(curv, numeric, ConditionKind.parse(kind)) == expected, kind
     expected = flatness_bruteforce(model, curv, numeric, "xi-flat", strict=True)
-    assert flatness_residual(model, numeric, ConditionKind.XI_T_FLAT, strict=True) == expected
+    assert flatness_residual(curv, numeric, ConditionKind.XI_T_FLAT, strict=True) == expected
     for variant in ("standard", "printed"):
         expected = t_dot_riemann_bruteforce(model, curv, numeric, variant)
-        got = t_dot_riemann_components(model, numeric, variant=variant)
+        got = t_dot_riemann_components(curv, numeric, variant=variant)
         assert {key: got[key[0]][key[1]][key[2]][key[3]] for key in expected} == expected
         worst = max((abs(x) for cell in expected.values() for x in cell), default=0)
-        assert t_dot_riemann(model, numeric, variant=variant) == worst
+        assert t_dot_riemann(curv, numeric, variant=variant) == worst
         kind = ConditionKind.T_DOT_R
-        assert flatness_residual(model, numeric, kind, variant=variant) == worst
+        assert flatness_residual(curv, numeric, kind, variant=variant) == worst
     expected = t_dot_ricci_bruteforce(model, curv, numeric)
-    got = t_dot_ricci_components(model, numeric)
+    got = t_dot_ricci_components(curv, numeric)
     assert {key: got[key[0]][key[1]][key[2]] for key in expected} == expected
     worst = max((abs(v) for v in expected.values()), default=0)
-    assert t_dot_ricci(model, numeric) == worst
-    assert flatness_residual(model, numeric, ConditionKind.T_DOT_S) == worst
+    assert t_dot_ricci(curv, numeric) == worst
+    assert flatness_residual(curv, numeric, ConditionKind.T_DOT_S) == worst
 
 
 @pytest.mark.parametrize(
@@ -68,12 +68,12 @@ def test_rotated_models_stay_contact_and_match_the_brute_force(model):
     # the rotation filled in the brackets and the connection, and beyond
     # dimension 3 (where it commutes with phi and R) phi and R as well
     assert len(_sparse(rotated.structure)) > len(_sparse(model.structure))
-    assert len(curvature(rotated).sparse_gamma) > len(curvature(model).sparse_gamma)
+    assert len(_connection(_sparse(rotated.structure))) > len(_connection(_sparse(model.structure)))
     if model.dim > 3:
         assert len(_sparse(rotated.phi)) > len(_sparse(model.phi))
         assert len(curvature(rotated).sparse_riemann) > len(curvature(model).sparse_riemann)
     assert contact_audit(rotated).passed
-    fit, rotated_fit = nullity_fit(model), nullity_fit(rotated)
+    fit, rotated_fit = nullity_fit(curvature(model)), nullity_fit(curvature(rotated))
     assert rotated_fit.exact and (rotated_fit.kappa, rotated_fit.mu) == (fit.kappa, fit.mu)
     _assert_residuals_match(rotated, random_numeric_coeffs(rng))
 
@@ -97,7 +97,7 @@ def test_kernel_contracts_rational_expressions():
         curv = curvature(nk_lie_group_3d(lam))
         bindings = {"lambda": lam, "c": weight}
         exact_phi = _sparse(nk_lie_group_3d(lam).phi)
-        assert _at(gamma, bindings) == curv.sparse_gamma
+        assert _at(gamma, bindings) == _connection(_sparse(nk_lie_group_3d(lam).structure))
         assert _at(riemann, bindings) == curv.sparse_riemann
         phi_t = _permute(exact_phi, (1, 0))
         exact_quasi = _act(phi_t, _act(phi_t, curv.sparse_riemann, 0), 3)

@@ -31,11 +31,6 @@ def model_and_curvature(lam=HALF):
     return model, curvature(model)
 
 
-def cells(model, coeffs, curv=None):
-    """Dense components tv[i][j][k][l] of T(e_i,e_j)e_k."""
-    return t_components(model, coeffs, curv)[0]
-
-
 # ---------------------------------------------------------------------------
 # presets
 
@@ -105,11 +100,11 @@ def test_catalog_export_shape():
 def test_riemann_preset_reproduces_curvature():
     model, curv = model_and_curvature()
     riem = preset("Riemann").at(1)
-    assert cells(model, riem, curv)[0][2][2] == (Fraction(3, 4), 0, 0)
+    assert t_components(curv, riem)[0][2][2] == (Fraction(3, 4), 0, 0)
     rng = random.Random(1234)
     for extra in [model] + [random_model(rng) for _ in range(5)]:
         curv_x = curvature(extra)
-        tv = cells(extra, riem, curv_x)
+        tv = t_components(curv_x, riem)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
@@ -119,35 +114,35 @@ def test_riemann_preset_reproduces_curvature():
 
 def test_symbolic_coefficients_are_evaluated_or_rejected():
     model, curv = model_and_curvature()
-    # plain rows evaluate at the model's n transparently
-    assert cells(model, preset("V"), curv)[0][2][2] == (HALF, 0, 0)
+    # plain rows evaluate at the model's n
+    assert t_components(curv, preset("V").at(1))[0][2][2] == (HALF, 0, 0)
     with pytest.raises(UnevaluatedCoefficient):
-        t_components(model, preset("C_star"), curv)
+        t_components(curv, preset("C_star").at(1))
     with pytest.raises(UnevaluatedCoefficient):
-        t_components(model, preset("P_star"), curv)
+        t_components(curv, preset("P_star").at(1))
 
 
 def test_zero_coefficients_give_zero():
     model, curv = model_and_curvature()
-    tv = cells(model, ZERO8, curv)
+    tv = t_components(curv, ZERO8)
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 assert tv[i][j][k] == (0, 0, 0)
     for kind in ConditionKind:
-        assert flatness_residual(model, ZERO8, kind) == 0
+        assert flatness_residual(curv, ZERO8, kind) == 0
 
 
 def test_concircular_value_at_n1():
     model, curv = model_and_curvature()
     v = preset("V").at(1)
     # 3/4 - (r/(2n(2n+1))) with r = 3/2 gives 1/2
-    assert cells(model, v, curv)[0][2][2] == (HALF, 0, 0)
+    assert t_components(curv, v)[0][2][2] == (HALF, 0, 0)
 
 
 def test_antisymmetric_slots_of_riemann_part():
     model, curv = model_and_curvature()
-    tv = cells(model, preset("Riemann").at(1), curv)
+    tv = t_components(curv, preset("Riemann").at(1))
     for i in range(3):
         for k in range(3):
             for l in range(3):
@@ -159,7 +154,7 @@ def test_conharmonic_pinned_value():
     # T(e3,e1,e1,e3) = R(e3,e1,e1,e3) + a4 S(e3,e3) = 3/4 - 3/2
     model, curv = model_and_curvature()
     conharmonic = preset("L").at(1)
-    assert cells(model, conharmonic, curv)[2][0][0][2] == Fraction(-3, 4)
+    assert t_components(curv, conharmonic)[2][0][0][2] == Fraction(-3, 4)
 
 
 def test_two_expansions_agree_on_random_input():
@@ -169,7 +164,7 @@ def test_two_expansions_agree_on_random_input():
         model = random_model(rng)
         curv = curvature(model)
         coeffs = random_numeric_coeffs(rng)
-        tv = cells(model, coeffs, curv)
+        tv = t_components(curv, coeffs)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
@@ -186,7 +181,7 @@ def test_linearity_in_coefficients():
         alpha = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         beta = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         mixed = tuple(alpha * x + beta * y for x, y in zip(a, b))
-        ta, tb, tm = (cells(model, c, curv) for c in (a, b, mixed))
+        ta, tb, tm = (t_components(curv, c) for c in (a, b, mixed))
         for i in range(3):
             for j in range(3):
                 for k in range(3):
@@ -202,7 +197,7 @@ def test_skew_symmetry_for_curvature_like_patterns():
         curv = curvature(model)
         a0, a1, a4, a7 = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
         coeffs = (a0, a1, -a1, Fraction(0), a4, -a4, Fraction(0), a7)
-        tv = cells(model, coeffs, curv)
+        tv = t_components(curv, coeffs)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
@@ -218,11 +213,11 @@ def test_xi_insertion_identity_on_exact_models():
         lam = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         model = nk_lie_group_3d(lam)
         curv = curvature(model)
-        fit = nullity_fit(model, curv)
+        fit = nullity_fit(curv)
         assert fit.exact
         kappa, r = fit.kappa, curv.scalar
         a = random_numeric_coeffs(rng)
-        tv = cells(model, a, curv)
+        tv = t_components(curv, a)
         for i in range(3):
             vec = tv[i][2][2]
             for l in range(3):
@@ -241,16 +236,16 @@ def test_xi_insertion_identity_on_exact_models():
 
 
 def test_w7_is_xi_flat_on_the_model():
-    model, _ = model_and_curvature()
-    w7 = preset("W7")
-    assert flatness_residual(model, w7, ConditionKind.XI_T_FLAT) == 0
+    _, curv = model_and_curvature()
+    w7 = preset("W7").at(1)
+    assert flatness_residual(curv, w7, ConditionKind.XI_T_FLAT) == 0
     # the full T(X1,X2)xi = 0 sweep is strictly stronger and fails here
-    assert flatness_residual(model, w7, ConditionKind.XI_T_FLAT, strict=True) > 0
+    assert flatness_residual(curv, w7, ConditionKind.XI_T_FLAT, strict=True) > 0
 
 
 def test_conharmonic_is_not_xi_flat_on_the_model():
     model, curv = model_and_curvature()
-    value = flatness_residual(model, preset("L"), ConditionKind.XI_T_FLAT)
+    value = flatness_residual(curv, preset("L").at(1), ConditionKind.XI_T_FLAT)
     assert value != 0
     # the residual is a4 times the gap between the model Ricci and the
     # classified eta-Einstein form evaluated at n = 1, kappa = 3/4
@@ -270,44 +265,44 @@ def test_conharmonic_is_not_xi_flat_on_the_model():
 
 
 def test_flatness_requires_numeric_coefficients():
-    model, _ = model_and_curvature()
+    _, curv = model_and_curvature()
     with pytest.raises(UnevaluatedCoefficient):
-        flatness_residual(model, preset("C_star"), ConditionKind.T_FLAT)
+        flatness_residual(curv, preset("C_star").at(1), ConditionKind.T_FLAT)
 
 
 def test_quasi_and_phi_sweeps_on_abelian_model():
     flat = build_model(3, [], 2, STANDARD_PHI)
     for kind in (ConditionKind.QUASI_T_FLAT, ConditionKind.PHI_T_FLAT,
                  ConditionKind.T_FLAT, ConditionKind.XI_T_FLAT):
-        assert flatness_residual(flat, preset("Riemann"), kind) == 0
+        assert flatness_residual(curvature(flat), preset("Riemann").at(1), kind) == 0
 
 
 def test_derivation_residual_trivial_cases():
-    model, _ = model_and_curvature()
-    assert t_dot_riemann(model, ZERO8) == 0
-    assert t_dot_ricci(model, ZERO8) == 0
+    _, curv = model_and_curvature()
+    assert t_dot_riemann(curv, ZERO8) == 0
+    assert t_dot_ricci(curv, ZERO8) == 0
     flat = build_model(3, [], 2, STANDARD_PHI)
     rng = random.Random(12)
-    assert t_dot_riemann(flat, (Fraction(3), *([Fraction(0)] * 7))) == 0
-    assert t_dot_ricci(flat, random_numeric_coeffs(rng)) == 0  # Ricci-flat
+    assert t_dot_riemann(curvature(flat), (Fraction(3), *([Fraction(0)] * 7))) == 0
+    assert t_dot_ricci(curvature(flat), random_numeric_coeffs(rng)) == 0  # Ricci-flat
 
 
 def test_derivation_residual_pinned_values():
     # frozen from the brute-force expansions in tests/oracles.py
-    model, _ = model_and_curvature()
-    assert t_dot_riemann(model, preset("W1")) == Fraction(9, 4)
-    assert t_dot_riemann(model, preset("W1"), variant="printed") == Fraction(9, 4)
-    assert t_dot_ricci(model, preset("P")) == Fraction(9, 8)
+    _, curv = model_and_curvature()
+    assert t_dot_riemann(curv, preset("W1").at(1)) == Fraction(9, 4)
+    assert t_dot_riemann(curv, preset("W1").at(1), variant="printed") == Fraction(9, 4)
+    assert t_dot_ricci(curv, preset("P").at(1)) == Fraction(9, 8)
 
 
 def test_flatness_residual_forwards_the_derivation_variant():
     # on this vector the two fourth-term variants of T(xi,X).R differ
-    model, _ = model_and_curvature()
+    _, curv = model_and_curvature()
     coeffs = tuple(Fraction(x) for x in (0, 3, 0, 0, 2, 0, 3, -2))
-    standard = t_dot_riemann(model, coeffs)
-    printed = t_dot_riemann(model, coeffs, variant="printed")
+    standard = t_dot_riemann(curv, coeffs)
+    printed = t_dot_riemann(curv, coeffs, variant="printed")
     assert standard != printed
     kind = ConditionKind.T_DOT_R
-    assert flatness_residual(model, coeffs, kind) == standard
-    assert flatness_residual(model, coeffs, kind, variant="printed") == printed
-    assert flatness_residual(model, coeffs, ConditionKind.T_DOT_S) == t_dot_ricci(model, coeffs)
+    assert flatness_residual(curv, coeffs, kind) == standard
+    assert flatness_residual(curv, coeffs, kind, variant="printed") == printed
+    assert flatness_residual(curv, coeffs, ConditionKind.T_DOT_S) == t_dot_ricci(curv, coeffs)

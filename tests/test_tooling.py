@@ -1,0 +1,41 @@
+"""The README's library tour and the benchmark's span tracer, each run the
+way a reader runs it."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+
+
+def test_readme_library_quick_tour_runs():
+    text = (ROOT / "README.md").read_text()
+    tour = text.split("## Library quick tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["residual", "--lambda=1/2", "--preset", "W1", "--condition", "xi-flat"],
+     ["t_tensor.flatness_residual.xi-flat.d3", "t_tensor.t_components.d3"]),
+    (["residual", "--lambda=1/2", "--preset", "W1", "--condition", "t-dot-r"],
+     ["t_tensor.t_dot_riemann.d3", "t_tensor.t_components.d3"]),
+    (["model-build", "--lambda=1/2", "--audit"], ["frame_geometry.nullity_fit"]),
+], ids=["xi-flat", "t-dot-r", "audit"])
+def test_tracer_script_names_the_spans_the_benchmark_keys_on(tmp_path, argv, spans):
+    # bench/tracer.py names a span from its call's arguments: args[0].dim,
+    # and for flatness_residual the kind as the third positional argument
+    out = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "tracer.py"), str(out), "--",
+                           *argv], capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    names = Counter(span[0] for span in json.loads(out.read_text())["spans"])
+    assert all(names[name] for name in spans), names
+    assert names["frame_geometry.curvature.d3"] == 1
