@@ -197,7 +197,7 @@ def _audit_payload(model) -> dict:
             "exact": fit.exact,
             "max_residual": str(fit.max_residual),
         }
-        payload["sasakian"] = bool(fit.exact and fit.kappa == 1 and not curv.sparse_h)
+        payload["sasakian"] = bool(fit.exact and fit.kappa == 1 and not curv.h)
         payload["scalar_curvature"] = str(curv.scalar)
     return payload
 

@@ -1,26 +1,29 @@
 """Contact metric manifold models built from left-invariant orthonormal frames.
 
-A model is a Lie algebra bracket table c[i][j][k] (so [e_i, e_j] =
-sum_k c[i][j][k] e_k), a distinguished Reeb index with eta the dual coframe
-vector, and a phi matrix acting by phi(e_j) = sum_i phi[i][j] e_i.  The frame
+Every tensor here, and in t_tensor, is sparse: a dict from index tuple to
+nonzero entry, so work follows the nonzero entries, and entries need only
++, *, unary - and a truth test (Fractions or RationalExprs).  A component
+is read as ``tensor.get(key, 0)``, e.g. ``curv.riemann.get((0, 2, 2, 0), 0)``
+for g(R(e_1,e_3)e_3, e_1).
+
+A model is a Lie algebra bracket table c[i, j, k] (so [e_i, e_j] =
+sum_k c[i, j, k] e_k), a distinguished Reeb index with eta the dual coframe
+vector, and a phi matrix acting by phi(e_j) = sum_i phi[i, j] e_i.  The frame
 is declared orthonormal, so the metric is the identity and every curvature
 quantity is a finite exact-rational computation:
 
 * Levi-Civita connection through the Koszul formula, which for constant
   structure coefficients reduces to
-  gamma[i][j][k] = (c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2;
+  gamma[i, j, k] = (c[i, j, k] - c[j, k, i] + c[k, i, j]) / 2;
 * Riemann tensor from R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
-  nabla_[X,Y] Z as matrix products: with Gamma_i = gamma[i] (the matrix of
-  nabla_{e_i}), R(e_i,e_j) = Gamma_j Gamma_i - Gamma_i Gamma_j
-  - sum_m c[i][j][m] Gamma_m; Ricci as S(X,Y) = sum_i g(R(e_i,X)Y, e_i);
+  nabla_[X,Y] Z as matrix products: with Gamma_i the matrix of nabla_{e_i},
+  R(e_i,e_j) = Gamma_j Gamma_i - Gamma_i Gamma_j - sum_m c[i, j, m] Gamma_m;
+  Ricci as S(X,Y) = sum_i g(R(e_i,X)Y, e_i);
 * the h-operator, half the Lie derivative of phi along the Reeb field, as the
   commutator h = [ad_xi, phi] / 2, with ad_i the matrix of [e_i, .]; the
   Jacobi identity as "ad is a homomorphism", ad([e_i,e_j]) = [ad_i, ad_j].
 
-All of it runs on the sparse kernel below, shared with t_tensor: a tensor is
-a dict from index tuple to nonzero entry, so work follows the nonzero
-entries, and entries need only +, *, unary - and a truth test (Fractions or
-RationalExprs).  Public results are indexed [i][j][k][l] through ``dense``.
+All of it runs on the contraction kernel below, shared with t_tensor.
 
 Sign conventions (documented because the literature is split):
 
@@ -60,19 +63,19 @@ class ModelFormatError(ValueError):
 
 
 class FrameModel(Record):
-    """An odd-dimensional left-invariant frame model.
+    """An odd-dimensional left-invariant frame model, 0-based.
 
     dim        frame size 2n+1;
-    structure  bracket table, structure[i][j][k] is the e_k coefficient of
-               [e_i, e_j];
-    xi_index   0-based index of the Reeb vector in the frame;
-    phi        matrix of phi, columns are images of the frame vectors.
+    structure  bracket table, structure[i, j, k] is the e_k coefficient of
+               [e_i, e_j], both orders of each pair present;
+    xi_index   index of the Reeb vector in the frame;
+    phi        matrix of phi, phi[i, j] is the e_i coefficient of phi(e_j).
     """
 
     dim: int
-    structure: tuple
+    structure: dict
     xi_index: int
-    phi: tuple
+    phi: dict
 
     @property
     def n(self) -> int:
@@ -95,41 +98,6 @@ def _collect(pairs) -> dict:
     for key, term in pairs:
         out[key] = out[key] + term if key in out else term
     return {key: value for key, value in out.items() if value}
-
-
-def _sparse(nested, prefix: tuple = ()) -> dict:
-    """The nonzero entries of a nested sequence."""
-    if not isinstance(nested, (tuple, list)):
-        return {prefix: nested} if nested else {}
-    return {k: v for i, sub in enumerate(nested) for k, v in _sparse(sub, prefix + (i,)).items()}
-
-
-def dense(tensor: dict, dim: int, rank: int, prefix: tuple = ()) -> tuple:
-    """Nested-tuple view of a sparse tensor, zeros filled in."""
-    if len(prefix) == rank:
-        return tensor.get(prefix, _ZERO_Q)
-    return tuple(dense(tensor, dim, rank, prefix + (i,)) for i in range(dim))
-
-
-def _view(name: str, rank: int) -> cached_property:
-    """The dense view of the sparse tensor attribute ``name``, built on first use."""
-    return cached_property(lambda self: dense(getattr(self, name), self.dim, rank))
-
-
-class SparseTensor(dict):
-    """A sparse tensor that also reads as its dense view: an int index,
-    ``t[i][j]...``, indexes ``dense(t, dim, rank)``, built on first use."""
-
-    def __init__(self, entries: dict, dim: int, rank: int):
-        super().__init__(entries)
-        self.dim, self.rank = dim, rank
-
-    view = cached_property(lambda self: dense(self, self.dim, self.rank))
-
-    def __missing__(self, key):
-        if not isinstance(key, int):
-            raise KeyError(key)
-        return self.view[key]
 
 
 def _lincomb(weights, parts) -> dict:
@@ -170,26 +138,22 @@ class CurvatureData(Record):
     ``curvature``; a tensor given by formula can be one directly.
 
     The frame is orthonormal and xi_index is the Reeb vector's index in it;
-    sparse_phi[i, j] is the matrix of phi; sparse_riemann[i, j, k, l] =
-    g(R(e_i,e_j)e_k, e_l); sparse_h is the matrix of the h-operator.  The
-    contractions sparse_ricci[j, k] = S(e_j,e_k), also the matrix of the
-    Ricci operator Q, and its trace scalar are built on first use, as are
-    the dense views riemann, ricci and h.
+    phi[i, j] is the matrix of phi; riemann[i, j, k, l] =
+    g(R(e_i,e_j)e_k, e_l); h is the matrix of the h-operator.  The
+    contraction ricci[j, k] = S(e_j,e_k), also the matrix of the Ricci
+    operator Q, and its trace scalar are built on first use.
     """
 
     dim: int
     xi_index: int
-    sparse_phi: dict
-    sparse_riemann: dict
-    sparse_h: dict
+    phi: dict
+    riemann: dict
+    h: dict
 
-    sparse_ricci = cached_property(lambda self: _collect(
-        ((j, k), v) for (i, j, k, l), v in self.sparse_riemann.items() if i == l))
+    ricci = cached_property(lambda self: _collect(
+        ((j, k), v) for (i, j, k, l), v in self.riemann.items() if i == l))
     scalar = cached_property(
-        lambda self: sum((v for (j, k), v in self.sparse_ricci.items() if j == k), _ZERO_Q))
-    riemann = _view("sparse_riemann", 4)
-    ricci = _view("sparse_ricci", 2)
-    h = _view("sparse_h", 2)
+        lambda self: sum((v for (j, k), v in self.ricci.items() if j == k), _ZERO_Q))
 
 
 class NullityFit(Record):
@@ -225,20 +189,21 @@ def build_model(
     xi_index: int,
     phi: Sequence[Sequence[RationalLike]],
 ) -> FrameModel:
-    """Assemble a model from sparse brackets (i, j, k, value), 0-based.
+    """Assemble a model from brackets (i, j, k, value) and phi rows, 0-based;
+    messages name frame vectors 1-based, as model files do.
 
     The (j, i, k) entry is filled by antisymmetry; giving both with
-    inconsistent values is rejected.
+    inconsistent values is rejected.  Zero entries are dropped.
     """
     if dim < 3 or dim % 2 == 0:
         raise ModelFormatError(f"dimension must be odd and >= 3, got {dim}")
     if not 0 <= xi_index < dim:
-        raise ModelFormatError(f"xi index {xi_index} out of range for dim {dim}")
+        raise ModelFormatError(f"xi index {xi_index + 1} out of range for dim {dim}")
     given = {}
     for i, j, k, value in brackets:
         value = as_rational(value)
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ModelFormatError(f"bracket index ({i},{j},{k}) out of range")
+            raise ModelFormatError(f"bracket index ({i+1},{j+1},{k+1}) out of range")
         if i == j and value:
             raise ModelFormatError(f"[e_{i+1}, e_{i+1}] must vanish")
         if (i, j, k) in given:
@@ -248,12 +213,13 @@ def build_model(
                 f"entries ({i+1},{j+1},{k+1}) and ({j+1},{i+1},{k+1}) are not antisymmetric"
             )
         given[(i, j, k)] = value
-    table = {(j, i, k): -value for (i, j, k), value in given.items()}
-    table.update(given)
-    phi_rows = tuple(tuple(as_rational(x) for x in row) for row in phi)
-    if len(phi_rows) != dim or any(len(row) != dim for row in phi_rows):
+    table = {(j, i, k): -value for (i, j, k), value in given.items() if value}
+    table.update((key, value) for key, value in given.items() if value)
+    if len(phi) != dim or any(len(row) != dim for row in phi):
         raise ModelFormatError("phi matrix must be dim x dim")
-    return FrameModel(dim, dense(table, dim, 3), xi_index, phi_rows)
+    rows = (map(as_rational, row) for row in phi)
+    matrix = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+    return FrameModel(dim, table, xi_index, matrix)
 
 
 def validate_structure(model: FrameModel) -> None:
@@ -262,7 +228,7 @@ def validate_structure(model: FrameModel) -> None:
     Jacobi is checked as ad([e_i,e_j]) = [ad_i, ad_j]: column k of the
     difference is the Jacobi sum on (e_i, e_j, e_k), reported for the first
     failing triple i < j < k in lexicographic order."""
-    c = _sparse(model.structure)
+    c = model.structure
     broken = [key for key, value in c.items() if c.get((key[1], key[0], key[2])) != -value]
     if broken:
         i, j, k = min(min(key, (key[1], key[0], key[2])) for key in broken)
@@ -276,10 +242,10 @@ def validate_structure(model: FrameModel) -> None:
         raise InvalidModel(f"Jacobi identity fails on (e_{i+1}, e_{j+1}, e_{k+1})")
 
 
-def levi_civita(model: FrameModel) -> tuple:
-    """Connection coefficients gamma[i][j][k] = g(nabla_{e_i} e_j, e_k)."""
+def levi_civita(model: FrameModel) -> dict:
+    """Connection coefficients gamma[i, j, k] = g(nabla_{e_i} e_j, e_k)."""
     validate_structure(model)
-    return dense(_connection(_sparse(model.structure)), model.dim, 3)
+    return _connection(model.structure)
 
 
 def _connection(c: dict) -> dict:
@@ -289,8 +255,8 @@ def _connection(c: dict) -> dict:
 
 
 def _riemann(c: dict, gamma: dict) -> dict:
-    # gamma[i] is the matrix of nabla_{e_i} acting on row vectors, so
-    # R(e_i,e_j) = Gamma_j Gamma_i - Gamma_i Gamma_j - sum_m c[i][j][m] Gamma_m
+    # gamma[i, ., .] is the matrix of nabla_{e_i} acting on row vectors, so
+    # R(e_i,e_j) = Gamma_j Gamma_i - Gamma_i Gamma_j - sum_m c[i, j, m] Gamma_m
     products = _act(gamma, gamma, 1)  # [i, j] -> Gamma_j Gamma_i
     return _lincomb((1, -1, -1), (products, _permute(products, (1, 0, 2, 3)), _act(c, gamma, 0)))
 
@@ -298,18 +264,17 @@ def _riemann(c: dict, gamma: dict) -> dict:
 def _h_operator(model: FrameModel) -> dict:
     # h = (Lie derivative of phi along xi) / 2, and
     # (L_xi phi) e = [xi, phi e] - phi [xi, e], so 2h = ad_xi phi - phi ad_xi
-    xi = model.xi_index
-    ad_xi = {(x, p): v for (i, p, x), v in _sparse(model.structure).items() if i == xi}
-    phi = _sparse(model.phi)
+    xi, phi = model.xi_index, model.phi
+    ad_xi = {(x, p): v for (i, p, x), v in model.structure.items() if i == xi}
     return _lincomb((Fraction(1, 2), Fraction(-1, 2)), (_act(ad_xi, phi, 0), _act(phi, ad_xi, 0)))
 
 
 def curvature(model: FrameModel) -> CurvatureData:
     """The model's curvature structure; exact rational throughout."""
     validate_structure(model)
-    c = _sparse(model.structure)
+    c = model.structure
     riemann = _riemann(c, _connection(c))
-    return CurvatureData(model.dim, model.xi_index, _sparse(model.phi), riemann, _h_operator(model))
+    return CurvatureData(model.dim, model.xi_index, model.phi, riemann, _h_operator(model))
 
 
 def contact_audit(model: FrameModel) -> AuditReport:
@@ -326,7 +291,7 @@ def contact_audit(model: FrameModel) -> AuditReport:
     = 0 give v = 0; the row case is the same argument transposed.
     """
     dim, xi = model.dim, model.xi_index
-    c, phi = _sparse(model.structure), _sparse(model.phi)
+    c, phi = model.structure, model.phi
     checks = []
 
     def matrix_check(name, got, want, detail):
@@ -373,11 +338,11 @@ def contact_audit(model: FrameModel) -> AuditReport:
 def nullity_residual(curv: CurvatureData, kappa: Fraction, mu: Fraction) -> Fraction:
     """Max |component| of R(e_i,e_j)xi - kappa(...) - mu(...) over the frame."""
     dim, xi = curv.dim, curv.xi_index
-    r_xi = {(i, j, l): value for (i, j, k, l), value in curv.sparse_riemann.items() if k == xi}
+    r_xi = {(i, j, l): value for (i, j, k, l), value in curv.riemann.items() if k == xi}
     # kappa(eta(j) delta_il - eta(i) delta_jl) + mu(eta(j) h_li - eta(i) h_lj)
     # is a[i, j, l] - a[j, i, l] with a[i, xi, l] = kappa delta_il + mu h_li
     identity = {(i, i): Fraction(1) for i in range(dim)}
-    row = _lincomb((kappa, mu), (identity, _permute(curv.sparse_h, (1, 0))))
+    row = _lincomb((kappa, mu), (identity, _permute(curv.h, (1, 0))))
     a = {(i, xi, l): value for (i, l), value in row.items()}
     return _max_abs(_lincomb((1, -1, 1), (r_xi, a, _permute(a, (1, 0, 2)))))
 
@@ -390,9 +355,9 @@ def nullity_fit(curv: CurvatureData) -> NullityFit:
     (trace h = 0), so kappa and mu decouple.  For exact fits the Ricci
     contractions S(X, xi) = 2 n kappa eta(X) are verified as well.
     """
-    dim, xi, h = curv.dim, curv.xi_index, curv.sparse_h
+    dim, xi, h = curv.dim, curv.xi_index, curv.h
     # R(e_i, xi) xi = kappa e_i + mu h e_i for horizontal i
-    block = {(i, l): v for (i, j, k, l), v in curv.sparse_riemann.items() if j == k == xi != i}
+    block = {(i, l): v for (i, j, k, l), v in curv.riemann.items() if j == k == xi != i}
     kappa = sum(block.get((i, i), _ZERO_Q) for i in range(dim)) / Fraction(dim - 1)
     h_norm = sum(value**2 for (l, i), value in h.items() if i != xi)
     if h_norm:
@@ -406,7 +371,7 @@ def nullity_fit(curv: CurvatureData) -> NullityFit:
     if exact:
         # S(e_i, xi) = 2 n kappa eta(e_i), 2n = dim - 1; i = xi checks S(xi, xi)
         for i in range(dim):
-            got = curv.sparse_ricci.get((i, xi), _ZERO_Q)
+            got = curv.ricci.get((i, xi), _ZERO_Q)
             want = (dim - 1) * kappa if i == xi else _ZERO_Q
             if got != want:
                 raise InvalidModel(f"Ricci check fails: S(e_{i+1}, xi) = {got} != {want}")
@@ -431,15 +396,14 @@ def nk_lie_group_3d(lam: RationalLike) -> FrameModel:
 
 def render_model(model: FrameModel) -> str:
     """Serialize to the plain-text format accepted by parse_model."""
-    lines = [f"dim {model.dim}", f"xi {model.xi_index + 1}"]
-    for row in model.phi:
-        lines.append("phi " + " ".join(_frac_str(x) for x in row))
-    for i in range(model.dim):
-        for j in range(i + 1, model.dim):
-            for k in range(model.dim):
-                value = model.structure[i][j][k]
-                if value:
-                    lines.append(f"c {i+1} {j+1} {k+1} : {_frac_str(value)}")
+    dim = model.dim
+    lines = [f"dim {dim}", f"xi {model.xi_index + 1}"]
+    for i in range(dim):
+        row = (model.phi.get((i, j), _ZERO_Q) for j in range(dim))
+        lines.append("phi " + " ".join(map(_frac_str, row)))
+    for (i, j, k), value in sorted(model.structure.items()):
+        if i < j:
+            lines.append(f"c {i+1} {j+1} {k+1} : {_frac_str(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -448,12 +412,11 @@ def parse_model(text: str) -> FrameModel:
 
     Lines: ``dim D``, ``xi I``, one ``phi r1 ... rD`` per matrix row, and
     ``c i j k : p/q`` for each nonzero structure constant (1-based).  Blank
-    lines and ``#`` comments are ignored.  A ``dim`` above ``MAX_DIM`` is
-    rejected on its own line.  Non-antisymmetric input and pairs given twice
-    inconsistently are rejected.
+    lines and ``#`` comments are ignored.  A ``dim`` above ``MAX_DIM``, and a
+    second ``dim`` or ``xi``, is rejected on its own line.  Non-antisymmetric
+    input and pairs given twice inconsistently are rejected.
     """
-    dim = None
-    xi = None
+    header = {}  # "dim" and "xi", each declared once
     phi_rows = []
     brackets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -462,12 +425,12 @@ def parse_model(text: str) -> FrameModel:
             continue
         parts = line.split()
         try:
-            if parts[0] == "dim":
-                dim = int(parts[1])
-                if dim > MAX_DIM:
-                    raise ModelFormatError(f"dim {dim} is above the maximum {MAX_DIM}")
-            elif parts[0] == "xi":
-                xi = int(parts[1]) - 1
+            if parts[0] in ("dim", "xi"):
+                if parts[0] in header:
+                    raise ModelFormatError(f"duplicate directive {parts[0]!r}")
+                value = header[parts[0]] = int(parts[1])
+                if parts[0] == "dim" and value > MAX_DIM:
+                    raise ModelFormatError(f"dim {value} is above the maximum {MAX_DIM}")
             elif parts[0] == "phi":
                 phi_rows.append([as_rational(x) for x in parts[1:]])
             elif parts[0] == "c":
@@ -479,8 +442,9 @@ def parse_model(text: str) -> FrameModel:
                 raise ModelFormatError(f"unknown directive {parts[0]!r}")
         except (ValueError, IndexError) as exc:
             raise ModelFormatError(f"line {lineno}: {exc}") from exc
-    if dim is None or xi is None:
+    if header.keys() != {"dim", "xi"}:
         raise ModelFormatError("model file must declare dim and xi")
+    dim = header["dim"]
     if len(phi_rows) != dim:
         raise ModelFormatError(f"expected {dim} phi rows, found {len(phi_rows)}")
-    return build_model(dim, brackets, xi, phi_rows)
+    return build_model(dim, brackets, header["xi"] - 1, phi_rows)

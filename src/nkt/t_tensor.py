@@ -30,13 +30,15 @@ classified form.
 Numerically, every operation takes a point's curvature structure (a
 ``CurvatureData``: R, S, r, phi, xi and h in an orthonormal frame, from
 ``curvature`` of a model or given by formula) and eight numeric
-coefficients.  T is built once per call as a sparse (1,3) tensor: a0 R plus
+coefficients.  T is built once per call as a (1,3) tensor in the one format
+of ``frame_geometry``, a dict from index tuple to nonzero entry: a0 R plus
 the Ricci and metric terms, each an outer product with the identity moved
 into place.  Every condition is T with a matrix (phi, the projector onto
 xi, or the matrices T(xi, e_i) taken together) contracted into some of its
-slots by the sparse kernel of ``frame_geometry``, the same one the
-curvature build uses, so the cost follows the nonzero entries of R and T
-rather than d^4.
+slots by the kernel the curvature build uses, so the cost follows the
+nonzero entries of R and T rather than d^4.  The component functions return
+such dicts: ``t_components(curv, a).get((i, j, k, l), 0)`` is the e_l
+coefficient of T(e_i,e_j)e_k.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, Union
 
-from .frame_geometry import CurvatureData, SparseTensor, _act, _lincomb, _max_abs, _permute
+from .frame_geometry import CurvatureData, _act, _lincomb, _max_abs, _permute
 from .scalar_algebra import (
     A0,
     A1,
@@ -260,21 +262,21 @@ def _numeric(coeffs) -> tuple:
 _RICCI_SLOTS = ((0, 2, 3, 1), (2, 0, 3, 1), (2, 3, 0, 1), (2, 0, 1, 3), (0, 2, 1, 3), (0, 1, 2, 3))
 
 
-def t_components(curv: CurvatureData, coeffs) -> SparseTensor:
-    """Sparse (1,3) components T[i, j, k, l] = coefficient of e_l in
-    T(e_i,e_j)e_k, which also index as T[i][j][k][l].
+def t_components(curv: CurvatureData, coeffs) -> dict:
+    """The (1,3) components T[i, j, k, l] = coefficient of e_l in
+    T(e_i,e_j)e_k.
 
     Coefficients are 8 numeric rationals; ``TCoeffs.at`` gives them for a
     preset row.
     """
     a = _numeric(coeffs)
     dim, r_term = curv.dim, a[7] * curv.scalar
-    delta_ricci = {(i, i, *key): v for i in range(dim) for key, v in curv.sparse_ricci.items()}
+    delta_ricci = {(i, i, *key): v for i in range(dim) for key, v in curv.ricci.items()}
     delta_delta = {(i, i, j, j): Fraction(1) for i in range(dim) for j in range(dim)}
     # a0 R, the Ricci terms, then a7 r (g(X2,X3) X1 - g(X1,X3) X2)
-    parts = (curv.sparse_riemann, *(_permute(delta_ricci, slots) for slots in _RICCI_SLOTS),
+    parts = (curv.riemann, *(_permute(delta_ricci, slots) for slots in _RICCI_SLOTS),
              _permute(delta_delta, (0, 2, 3, 1)), _permute(delta_delta, (0, 2, 1, 3)))
-    return SparseTensor(_lincomb((*a[:7], r_term, -r_term), parts), dim, 4)
+    return _lincomb((*a[:7], r_term, -r_term), parts)
 
 
 def flatness_residual(curv: CurvatureData, coeffs, kind: ConditionKind, *,
@@ -299,7 +301,7 @@ def flatness_residual(curv: CurvatureData, coeffs, kind: ConditionKind, *,
         return t_dot_ricci(curv, coeffs)
     tv = t_components(curv, coeffs)
     on_xi = {(curv.xi_index, curv.xi_index): Fraction(1)}
-    phi_t = _permute(curv.sparse_phi, (1, 0))
+    phi_t = _permute(curv.phi, (1, 0))
     insertions = {
         ConditionKind.T_FLAT: {},
         ConditionKind.XI_T_FLAT: {2: on_xi} if strict else {1: on_xi, 2: on_xi},
@@ -321,9 +323,9 @@ def _lower(curv: CurvatureData, coeffs) -> dict:
 
 def t_dot_riemann_components(
     curv: CurvatureData, coeffs, *, variant: str = "standard"
-) -> SparseTensor:
-    """Full components of (T(xi, e_i) . R)(e_j, e_k) e_l, indexed
-    [i][j][k][l] (a vector over the frame).
+) -> dict:
+    """Full components of (T(xi, e_i) . R)(e_j, e_k) e_l, keyed
+    (i, j, k, l, m) for its e_m coefficient.
 
     variant="standard" uses the four-term derivation acting on every slot of
     R: the action of T(xi, e_i) on the upper slot minus its actions on the
@@ -334,7 +336,7 @@ def t_dot_riemann_components(
     if variant not in ("standard", "printed"):
         raise ValueError("variant must be 'standard' or 'printed'")
     lower = _lower(curv, coeffs)
-    riemann, dim = curv.sparse_riemann, curv.dim
+    riemann, dim = curv.riemann, curv.dim
     # an action of lower leaves its index pair (i, x) where the contracted
     # slot was; each permutation moves i back to the front
     fourth = _permute(_act(lower, riemann, 2), (2, 0, 1, 3, 4))
@@ -343,7 +345,7 @@ def t_dot_riemann_components(
                   if y == i for x in range(dim)}
     terms = (_permute(_act(_permute(lower, (0, 2, 1)), riemann, 3), (3, 0, 1, 2, 4)),
              _act(lower, riemann, 0), _permute(_act(lower, riemann, 1), (1, 0, 2, 3, 4)), fourth)
-    return SparseTensor(_lincomb((1, -1, -1, -1), terms), dim, 5)
+    return _lincomb((1, -1, -1, -1), terms)
 
 
 def t_dot_riemann(curv: CurvatureData, coeffs, *, variant: str = "standard") -> Fraction:
@@ -351,13 +353,13 @@ def t_dot_riemann(curv: CurvatureData, coeffs, *, variant: str = "standard") -> 
     return _max_abs(t_dot_riemann_components(curv, coeffs, variant=variant))
 
 
-def t_dot_ricci_components(curv: CurvatureData, coeffs) -> SparseTensor:
-    """Components S(T(xi,e_i)e_j, e_k) + S(e_j, T(xi,e_i)e_k), indexed
-    [i][j][k], with the plus sign of the two-slot action as printed in its
+def t_dot_ricci_components(curv: CurvatureData, coeffs) -> dict:
+    """Components S(T(xi,e_i)e_j, e_k) + S(e_j, T(xi,e_i)e_k), keyed
+    (i, j, k), with the plus sign of the two-slot action as printed in its
     source definition."""
-    lower, ricci = _lower(curv, coeffs), curv.sparse_ricci
+    lower, ricci = _lower(curv, coeffs), curv.ricci
     terms = (_act(lower, ricci, 0), _permute(_act(lower, ricci, 1), (1, 0, 2)))
-    return SparseTensor(_lincomb((1, 1), terms), curv.dim, 3)
+    return _lincomb((1, 1), terms)
 
 
 def t_dot_ricci(curv: CurvatureData, coeffs) -> Fraction:

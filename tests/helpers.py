@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from nkt.frame_geometry import CurvatureData, FrameModel, _sparse, build_model, nk_lie_group_3d
+from nkt.frame_geometry import CurvatureData, FrameModel, build_model, nk_lie_group_3d
 from nkt.t_tensor import PresetName, preset
 
 STANDARD_PHI = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
@@ -72,10 +72,16 @@ def space_form_curvature(model: FrameModel, c) -> CurvatureData:
         value = big * (g[j][k] * g[i][l] - g[i][k] * g[j][l]) + small * (
             eta[i] * eta[k] * g[j][l] - eta[j] * eta[k] * g[i][l]
             + g[i][k] * eta[j] * eta[l] - g[j][k] * eta[i] * eta[l]
-            + p[k][j] * p[l][i] - p[k][i] * p[l][j] + 2 * p[i][j] * p[l][k])
+            + p.get((k, j), 0) * p.get((l, i), 0) - p.get((k, i), 0) * p.get((l, j), 0)
+            + 2 * p.get((i, j), 0) * p.get((l, k), 0))
         if value:
             riemann[i, j, k, l] = value
-    return CurvatureData(dim, xi, _sparse(p), riemann, {})
+    return CurvatureData(dim, xi, p, riemann, {})
+
+
+def with_phi(model: FrameModel, rows) -> FrameModel:
+    """The model with the phi matrix given by rows, through build_model."""
+    return model.replace(phi=build_model(model.dim, [], model.xi_index, rows).phi)
 
 
 def random_nk_model(rng: random.Random) -> FrameModel:
@@ -135,10 +141,10 @@ def rotated_model(model: FrameModel, q: list) -> FrameModel:
     orthogonal with q e_xi = e_xi: c'[a][b][c] = sum q_ia q_jb q_kc c[i][j][k]
     and phi' = q^T phi q, summed slot by slot with plain loops."""
     dim, c, r = model.dim, model.structure, range(model.dim)
-    one = [[[sum(q[i][a] * c[i][j][k] for i in r) for k in r] for j in r] for a in r]
+    one = [[[sum(q[i][a] * c.get((i, j, k), 0) for i in r) for k in r] for j in r] for a in r]
     two = [[[sum(q[j][b] * one[a][j][k] for j in r) for k in r] for b in r] for a in r]
     three = [[[sum(q[k][d] * two[a][b][k] for k in r) for d in r] for b in r] for a in r]
-    phi_q = [[sum(model.phi[i][j] * q[j][b] for j in r) for b in r] for i in r]
+    phi_q = [[sum(model.phi.get((i, j), 0) * q[j][b] for j in r) for b in r] for i in r]
     phi = [[sum(q[i][a] * phi_q[i][b] for i in r) for b in r] for a in r]
     brackets = [
         (a, b, d, three[a][b][d]) for a in r for b in r for d in r if a < b and three[a][b][d]

@@ -28,7 +28,8 @@ def koszul_gamma(structure, dim):
         for j in range(dim):
             for k in range(dim):
                 gamma[i][j][k] = (
-                    structure[i][j][k] - structure[j][k][i] + structure[k][i][j]
+                    structure.get((i, j, k), Fraction(0)) - structure.get((j, k, i), Fraction(0))
+                    + structure.get((k, i, j), Fraction(0))
                 ) / 2
     return gamma
 
@@ -49,7 +50,7 @@ def riemann_loop(structure, dim):
                     for m in range(dim):
                         value += gamma[j][k][m] * gamma[i][m][l]
                         value -= gamma[i][k][m] * gamma[j][m][l]
-                        value -= structure[i][j][m] * gamma[m][k][l]
+                        value -= structure.get((i, j, m), 0) * gamma[m][k][l]
                     riemann[i][j][k][l] = value
     return riemann
 
@@ -65,9 +66,9 @@ def first_jacobi_failure(structure, dim):
                     total = Fraction(0)
                     for m in range(dim):
                         total += (
-                            c[i][j][m] * c[m][k][l]
-                            + c[j][k][m] * c[m][i][l]
-                            + c[k][i][m] * c[m][j][l]
+                            c.get((i, j, m), 0) * c.get((m, k, l), 0)
+                            + c.get((j, k, m), 0) * c.get((m, i, l), 0)
+                            + c.get((k, i, m), 0) * c.get((m, j, l), 0)
                         )
                     if total:
                         return (i, j, k)
@@ -83,32 +84,32 @@ def h_loop(structure, xi, phi, dim):
         for k in range(dim):
             value = Fraction(0)
             for p in range(dim):
-                value += phi[p][i] * c[xi][p][k]
-                value -= c[xi][i][p] * phi[k][p]
+                value += phi.get((p, i), 0) * c.get((xi, p, k), 0)
+                value -= c.get((xi, i, p), 0) * phi.get((k, p), 0)
             h[k][i] = value / 2
     return h
 
 
 def t_vector(curv, a, i, j, k):
     """T(e_i,e_j)e_k from the defining eight-term formula, written out."""
-    dim = len(curv.ricci)
+    dim = curv.dim
     ricci = curv.ricci
     scalar = curv.scalar
     out = [Fraction(0)] * dim
     for l in range(dim):
-        out[l] += a[0] * curv.riemann[i][j][k][l]
-    out[i] += a[1] * ricci[j][k]
-    out[j] += a[2] * ricci[i][k]
-    out[k] += a[3] * ricci[i][j]
+        out[l] += a[0] * curv.riemann.get((i, j, k, l), 0)
+    out[i] += a[1] * ricci.get((j, k), 0)
+    out[j] += a[2] * ricci.get((i, k), 0)
+    out[k] += a[3] * ricci.get((i, j), 0)
     if j == k:
         for l in range(dim):
-            out[l] += a[4] * ricci[i][l]
+            out[l] += a[4] * ricci.get((i, l), 0)
     if i == k:
         for l in range(dim):
-            out[l] += a[5] * ricci[j][l]
+            out[l] += a[5] * ricci.get((j, l), 0)
     if i == j:
         for l in range(dim):
-            out[l] += a[6] * ricci[k][l]
+            out[l] += a[6] * ricci.get((k, l), 0)
     if j == k:
         out[i] += a[7] * scalar
     if i == k:
@@ -126,7 +127,7 @@ def flatness_bruteforce(model, curv, a, kind, strict=False):
     dim, xi, phi = model.dim, model.xi_index, model.phi
 
     def phi_of(i):
-        return [phi[p][i] for p in range(dim)]
+        return [phi.get((p, i), 0) for p in range(dim)]
 
     def t_of(u, v, w):
         # T(u, v) w for frame-component vectors u, v, w
@@ -193,7 +194,7 @@ def t_dot_riemann_bruteforce(model, curv, a, variant="standard"):
         for p in range(dim):
             if vec_first[p]:
                 for m in range(dim):
-                    out[m] += vec_first[p] * curv.riemann[p][b][c][m]
+                    out[m] += vec_first[p] * curv.riemann.get((p, b, c, m), 0)
         return out
 
     def r_last(bidx, cidx, vec):
@@ -201,7 +202,7 @@ def t_dot_riemann_bruteforce(model, curv, a, variant="standard"):
         for p in range(dim):
             if vec[p]:
                 for m in range(dim):
-                    out[m] += vec[p] * curv.riemann[bidx][cidx][p][m]
+                    out[m] += vec[p] * curv.riemann.get((bidx, cidx, p, m), 0)
         return out
 
     result = {}
@@ -209,7 +210,7 @@ def t_dot_riemann_bruteforce(model, curv, a, variant="standard"):
         for j in range(dim):
             for k in range(dim):
                 for l in range(dim):
-                    r_jkl = [curv.riemann[j][k][l][m] for m in range(dim)]
+                    r_jkl = [curv.riemann.get((j, k, l, m), 0) for m in range(dim)]
                     term1 = t_of_vector(i, r_jkl)
                     term2 = r_of(t_vector(curv, a, xi, i, j), k, l)
                     term3 = [Fraction(0)] * dim
@@ -217,7 +218,7 @@ def t_dot_riemann_bruteforce(model, curv, a, variant="standard"):
                     for p in range(dim):
                         if tvk[p]:
                             for m in range(dim):
-                                term3[m] += tvk[p] * curv.riemann[j][p][l][m]
+                                term3[m] += tvk[p] * curv.riemann.get((j, p, l, m), 0)
                     tvl = t_vector(curv, a, xi, i, l)
                     if variant == "standard":
                         term4 = r_last(j, k, tvl)
@@ -240,8 +241,8 @@ def t_dot_ricci_bruteforce(model, curv, a):
                 tik = t_vector(curv, a, xi, i, k)
                 value = Fraction(0)
                 for p in range(dim):
-                    value += tij[p] * curv.ricci[p][k]
-                    value += curv.ricci[j][p] * tik[p]
+                    value += tij[p] * curv.ricci.get((p, k), 0)
+                    value += curv.ricci.get((j, p), 0) * tik[p]
                 result[(i, j, k)] = value
     return result
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nkt.cli import run
 from nkt.frame_geometry import nk_lie_group_3d, render_model
@@ -552,3 +552,92 @@ def test_fuzzed_values_exit_0_or_with_one_error_line(argv, fmt):
         _assert_one_error_line(code, out.getvalue(), err.getvalue())
     else:
         assert code in (0, 2) and err.getvalue() == ""
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)  # an escaping exception fails the test
+    return code, out.getvalue(), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the model-file reader end to end
+
+_VALID_HEADER = "dim 3\nxi 3\nphi 0 -1 0\nphi 1 0 0\nphi 0 0 0\n"
+_INDICES = st.sampled_from(["1", "2", "3", "1", "2", "3", "0", "4", "-1", "x"])
+_ENTRIES = st.sampled_from(["0", "1", "2", "-1", "1/2", "-3/2", "0", "1", "1/0", "1e9", "x", ""])
+_C_LINES = st.builds("c {} {} {} : {}".format, _INDICES, _INDICES, _INDICES, _ENTRIES)
+_MODEL_LINES = st.one_of(
+    _C_LINES, _C_LINES, _C_LINES,
+    st.lists(_ENTRIES, max_size=4).map(lambda row: " ".join(["phi", *row])),
+    st.builds("{} {}".format, st.sampled_from(["dim", "xi"]), _INDICES),
+    st.lists(st.sampled_from(["dim", "xi", "phi", "c", ":", "#", "3", "16", "1/2"]),
+             max_size=6).map(" ".join),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.booleans(), st.lists(_MODEL_LINES, max_size=8))
+@example(True, ["c 1 2 3 : 2", "c 2 3 1 : 1/2", "c 3 1 2 : 3/2"])
+def test_fuzzed_model_files_exit_0_or_with_one_error_line(tmp_path, header, lines):
+    path = tmp_path / "model.txt"
+    path.write_text(_VALID_HEADER * header + "\n".join(lines) + "\n")
+    code, out, err = _run_captured(["model-audit", str(path)])
+    assert code in (0, 1)
+    if err:
+        _assert_one_error_line(code, out, err)
+    else:  # a parsed model: the audit report, failed checks exit 1
+        verdict = "audit: all checks pass\n" if code == 0 else "audit: FAILED\n"
+        assert out.endswith(verdict)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the golden loader end to end
+
+_GOLDEN_CELLS = st.sampled_from([
+    "W2", "C_star", "Riemann", "Q", "einstein", "eta", "degenerate", "kappa", "b1", "b2",
+    "tag", "2*n-2", "2*n*kappa", "0", "1/0", "(", "3", "9", "n^", "", "# note"])
+# (action, row index, cell index, cells): "cell" puts a random cell into a
+# row, "swap" the same field of another row
+_GOLDEN_EDITS = st.tuples(st.sampled_from(["delete", "swap", "swap", "swap", "cell", "insert"]),
+                          st.integers(0, 80), st.integers(0, 4),
+                          st.lists(_GOLDEN_CELLS, min_size=1, max_size=5))
+
+
+def _edit_golden_rows(lines, edits):
+    for action, index, cell, texts in edits:
+        rows = [i for i, line in enumerate(lines) if "|" in line and line[0] != "#"]
+        if action == "insert" or not rows:
+            lines.insert(index % (len(lines) + 1), " | ".join(texts))
+            continue
+        row = rows[index % len(rows)]
+        cells = lines[row].split("|")
+        if action == "delete":
+            del lines[row]
+            continue
+        if action == "cell" or len(cells) < 2:
+            cells[cell % len(cells)] = f" {texts[0]} "
+        else:  # a field past the preset, so that the row set stays
+            cell = 1 + cell % (len(cells) - 1)
+            other = lines[rows[(index + len(texts)) % len(rows)]].split("|")
+            cells[cell] = other[cell] if cell < len(other) else ""
+        lines[row] = "|".join(cells)
+    return lines
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 7), st.booleans(), st.lists(_GOLDEN_EDITS, min_size=1, max_size=2))
+def test_fuzzed_golden_files_exit_0_1_or_2(tmp_path, monkeypatch, table, allowlist, edits):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    path = golden / ("allowlist.txt" if allowlist else f"table{table}.txt")
+    path.write_text("\n".join(_edit_golden_rows(path.read_text().splitlines(), edits)) + "\n")
+    code, out, err = _run_captured(["table", str(table)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        _assert_one_error_line(code, out, err)
+    else:
+        assert err == ""

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from nkt.frame_geometry import (
-    _sparse,
     CurvatureData,
     InvalidModel,
     ModelFormatError,
@@ -20,7 +19,13 @@ from nkt.frame_geometry import (
     parse_model,
     render_model,
 )
-from helpers import STANDARD_PHI, random_diagonal_model
+from helpers import (
+    STANDARD_PHI,
+    cayley_rotation,
+    heisenberg_model,
+    random_diagonal_model,
+    rotated_model,
+)
 
 HALF = Fraction(1, 2)
 
@@ -35,20 +40,22 @@ def abelian_model():
 
 def test_abelian_connection_vanishes():
     gamma = levi_civita(abelian_model())
-    assert all(x == 0 for plane in gamma for row in plane for x in row)
+    assert all(x == 0 for x in gamma.values())
 
 
 def test_koszul_hand_value():
     # nabla_{e1} e3 = ((c1 - c2 - c3)/2) e2 with c1 = 1/2, c2 = 3/2, c3 = 2
     gamma = levi_civita(nk_lie_group_3d(HALF))
-    assert gamma[0][2][1] == Fraction(-3, 2)
-    assert gamma[0][2][0] == 0 and gamma[0][2][2] == 0
+    assert gamma.get((0, 2, 1), 0) == Fraction(-3, 2)
+    assert gamma.get((0, 2, 0), 0) == 0 and gamma.get((0, 2, 2), 0) == 0
 
 
 def test_koszul_sasakian_values():
     gamma = levi_civita(nk_lie_group_3d(0))
-    assert gamma[0][1] == (Fraction(0), Fraction(0), Fraction(1))   # nabla_e1 e2 = e3
-    assert gamma[1][0] == (Fraction(0), Fraction(0), Fraction(-1))  # nabla_e2 e1 = -e3
+    nabla_e1_e2 = tuple(gamma.get((0, 1, k), 0) for k in range(3))
+    nabla_e2_e1 = tuple(gamma.get((1, 0, k), 0) for k in range(3))
+    assert nabla_e1_e2 == (Fraction(0), Fraction(0), Fraction(1))   # nabla_e1 e2 = e3
+    assert nabla_e2_e1 == (Fraction(0), Fraction(0), Fraction(-1))  # nabla_e2 e1 = -e3
 
 
 def test_torsion_free_and_metric_compatible():
@@ -57,8 +64,9 @@ def test_torsion_free_and_metric_compatible():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert gamma[i][j][k] - gamma[j][i][k] == model.structure[i][j][k]
-                assert gamma[i][j][k] == -gamma[i][k][j]
+                torsion = gamma.get((i, j, k), 0) - gamma.get((j, i, k), 0)
+                assert torsion == model.structure.get((i, j, k), 0)
+                assert gamma.get((i, j, k), 0) == -gamma.get((i, k, j), 0)
 
 
 def test_invalid_model_rejected():
@@ -73,17 +81,15 @@ def test_invalid_model_rejected():
 
 def test_abelian_curvature_vanishes():
     curv = curvature(abelian_model())
-    assert all(
-        x == 0 for b1 in curv.riemann for b2 in b1 for b3 in b2 for x in b3
-    )
-    assert all(x == 0 for row in curv.ricci for x in row)
+    assert all(x == 0 for x in curv.riemann.values())
+    assert all(x == 0 for x in curv.ricci.values())
     assert curv.scalar == 0
 
 
 def test_curvature_oracle_values():
     curv = curvature(nk_lie_group_3d(HALF))
-    assert curv.riemann[0][2][2][0] == Fraction(3, 4)
-    assert [curv.ricci[i][i] for i in range(3)] == [0, 0, Fraction(3, 2)]
+    assert curv.riemann.get((0, 2, 2, 0), 0) == Fraction(3, 4)
+    assert [curv.ricci.get((i, i), 0) for i in range(3)] == [0, 0, Fraction(3, 2)]
     assert curv.scalar == Fraction(3, 2)
     # scalar curvature identity 2n(2n - 2 + kappa) at n = 1, kappa = 3/4
     assert curv.scalar == 2 * (0 + Fraction(3, 4))
@@ -95,16 +101,16 @@ def test_ricci_matches_milnor_on_random_diagonal_models():
     rng = random.Random(91)
     for _ in range(25):
         model = random_diagonal_model(rng)
-        c1 = model.structure[1][2][0]
-        c2 = model.structure[2][0][1]
-        c3 = model.structure[0][1][2]
+        c1 = model.structure.get((1, 2, 0), 0)
+        c2 = model.structure.get((2, 0, 1), 0)
+        c3 = model.structure.get((0, 1, 2), 0)
         curv = curvature(model)
         expected = milnor_ricci(c1, c2, c3)
         for i in range(3):
-            assert curv.ricci[i][i] == expected[i]
+            assert curv.ricci.get((i, i), 0) == expected[i]
             for j in range(3):
                 if i != j:
-                    assert curv.ricci[i][j] == 0
+                    assert curv.ricci.get((i, j), 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +119,26 @@ def test_ricci_matches_milnor_on_random_diagonal_models():
 
 def test_h_eigenvalues_on_family():
     h = curvature(nk_lie_group_3d(HALF)).h
-    assert h[0][0] == HALF and h[1][1] == -HALF
-    assert all(h[i][j] == 0 for i in range(3) for j in range(3) if i != j)
+    assert h.get((0, 0), 0) == HALF and h.get((1, 1), 0) == -HALF
+    assert all(h.get((i, j), 0) == 0 for i in range(3) for j in range(3) if i != j)
 
 
 def test_h_vanishes_for_sasakian_and_abelian():
-    assert all(x == 0 for row in curvature(nk_lie_group_3d(0)).h for x in row)
-    assert all(x == 0 for row in curvature(abelian_model()).h for x in row)
+    assert all(x == 0 for x in curvature(nk_lie_group_3d(0)).h.values())
+    assert all(x == 0 for x in curvature(abelian_model()).h.values())
 
 
 def test_h_algebraic_identities():
     model = nk_lie_group_3d(Fraction(3, 5))
     h = curvature(model).h
     phi = model.phi
-    assert sum(h[i][i] for i in range(3)) == 0
+    assert sum(h.get((i, i), 0) for i in range(3)) == 0
     for i in range(3):
-        assert h[i][2] == 0  # h(xi) = 0
+        assert h.get((i, 2), 0) == 0  # h(xi) = 0
         for j in range(3):
-            assert h[i][j] == h[j][i]
-            anti = sum(h[i][p] * phi[p][j] + phi[i][p] * h[p][j] for p in range(3))
+            assert h.get((i, j), 0) == h.get((j, i), 0)
+            anti = sum(h.get((i, p), 0) * phi.get((p, j), 0) + phi.get((i, p), 0) * h.get((p, j), 0)
+                       for p in range(3))
             assert anti == 0  # h phi = -phi h
 
 
@@ -243,7 +250,7 @@ def test_sasakian_case_is_kappa_one():
 def test_flat_case_lambda_one():
     model = nk_lie_group_3d(1)
     curv = curvature(model)
-    assert curv.ricci[2][2] == 0  # S(xi,xi) = 2n kappa = 0
+    assert curv.ricci.get((2, 2), 0) == 0  # S(xi,xi) = 2n kappa = 0
     fit = nullity_fit(curv)
     assert fit.exact and fit.kappa == 0 and fit.mu == 0
 
@@ -263,7 +270,7 @@ def test_nullity_fit_rejects_inconsistent_ricci():
     for (l, i), value in h.items():
         for j in set(range(3)) - {i}:
             riemann[i, j, j, l], riemann[j, i, j, l] = value, -value
-    curv = CurvatureData(3, 2, _sparse(STANDARD_PHI), riemann, h)
+    curv = CurvatureData(3, 2, abelian_model().phi, riemann, h)
     assert nullity_residual(curv, Fraction(0), Fraction(1)) == 0
     with pytest.raises(InvalidModel, match=r"S\(e_1, xi\) = -1 != 0"):
         nullity_fit(curv)
@@ -273,10 +280,72 @@ def test_nullity_fit_rejects_inconsistent_ricci():
 # model files
 
 
+def _rotated_h5():
+    return rotated_model(heisenberg_model(2), cayley_rotation(random.Random(5), 5, 4))
+
+
 def test_model_file_round_trip():
-    model = nk_lie_group_3d(HALF)
-    again = parse_model(render_model(model))
-    assert again == model
+    models = (nk_lie_group_3d(HALF), nk_lie_group_3d(1), heisenberg_model(2),
+              heisenberg_model(3), _rotated_h5())
+    for model in models:
+        again = parse_model(render_model(model))
+        assert again == model
+
+
+def test_rendered_model_text_is_pinned():
+    # lambda = 1 has [e2,e3] = 0: no line for it
+    assert "c 2 3" not in render_model(nk_lie_group_3d(1))
+    assert render_model(_rotated_h5()) == (
+        "dim 5\n"
+        "xi 5\n"
+        "phi 0 293/303 -386/1515 -2/1515 0\n"
+        "phi -293/303 0 2/1515 -386/1515 0\n"
+        "phi 386/1515 -2/1515 0 -293/303 0\n"
+        "phi 2/1515 386/1515 293/303 0 0\n"
+        "phi 0 0 0 0 0\n"
+        "c 1 2 5 : -586/303\n"
+        "c 1 3 5 : 772/1515\n"
+        "c 1 4 5 : 4/1515\n"
+        "c 2 3 5 : -4/1515\n"
+        "c 2 4 5 : 772/1515\n"
+        "c 3 4 5 : 586/303\n"
+    )
+
+
+_HEADER = "dim 3\nphi 0 -1 0\nphi 1 0 0\nphi 0 0 0\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("xi 4", "xi index 4 out of range for dim 3"),
+    ("xi 0", "xi index 0 out of range for dim 3"),
+])
+def test_xi_out_of_range_is_named_as_written(line, message):
+    with pytest.raises(ModelFormatError) as info:
+        parse_model(_HEADER + line + "\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ("c 1 2 4 : 2", "bracket index (1,2,4) out of range"),
+    ("c 0 2 3 : 2", "bracket index (0,2,3) out of range"),
+])
+def test_bracket_out_of_range_is_named_as_written(line, message):
+    with pytest.raises(ModelFormatError) as info:
+        parse_model(_HEADER + "xi 3\n" + line + "\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # a second xi must not move the Reeb vector silently
+    (_HEADER + "xi 1\nxi 3\nc 1 2 3 : 2\n", "line 6: duplicate directive 'xi'"),
+    # a second dim is named on its line, not later as a phi-row count
+    ("dim 3\ndim 5\nxi 3\nphi 0 -1 0\nphi 1 0 0\nphi 0 0 0\n",
+     "line 2: duplicate directive 'dim'"),
+])
+def test_repeated_dim_or_xi_is_rejected_on_its_line(text, message):
+    with pytest.raises(ModelFormatError) as info:
+        parse_model(text)
+    assert str(info.value) == message
 
 
 def test_parser_rejects_non_antisymmetric():

@@ -1,13 +1,14 @@
 """Frame geometry against index-by-index loops.
 
 The library computes R, h and the Jacobi check as matrix products over its
-dense-tensor primitives; the oracles in tests/oracles.py sum the defining
+sparse-tensor primitives; the oracles in tests/oracles.py sum the defining
 formulas one index at a time.  Both must agree exactly on random 3-d
 models, on random 5-d bracket tables with a dense random phi (Lie and
 non-Lie, so that the first failing Jacobi triple is compared as well), and
 on the Heisenberg models H^5 and H^7.
 """
 
+import itertools
 import random
 
 import pytest
@@ -18,14 +19,8 @@ from nkt.frame_geometry import (
     curvature,
     validate_structure,
 )
-from helpers import heisenberg_model, random_fraction, random_model
+from helpers import heisenberg_model, random_fraction, random_model, with_phi
 from oracles import first_jacobi_failure, h_loop, riemann_loop
-
-
-def _nested_lists(tensor):
-    if isinstance(tensor, tuple):
-        return [_nested_lists(sub) for sub in tensor]
-    return tensor
 
 
 def _assert_matches_loops(model):
@@ -38,9 +33,12 @@ def _assert_matches_loops(model):
         assert str(info.value) == f"Jacobi identity fails on (e_{i+1}, e_{j+1}, e_{k+1})"
         return False
     curv = curvature(model)
-    assert _nested_lists(curv.riemann) == riemann_loop(c, dim)
-    assert _nested_lists(curv.h) == h_loop(c, model.xi_index, model.phi, dim)
-    assert _nested_lists(curvature(model).h) == _nested_lists(curv.h)
+    riemann, h = riemann_loop(c, dim), h_loop(c, model.xi_index, model.phi, dim)
+    for i, j, k, l in itertools.product(range(dim), repeat=4):
+        assert curv.riemann.get((i, j, k, l), 0) == riemann[i][j][k][l]
+    for i, j in itertools.product(range(dim), repeat=2):
+        assert curv.h.get((i, j), 0) == h[i][j]
+    assert curvature(model).h == curv.h
     return True
 
 
@@ -68,7 +66,7 @@ def test_geometry_matches_loops_on_random_3d_models():
     for _ in range(30):
         model = random_model(rng)
         assert _assert_matches_loops(model)
-        assert _assert_matches_loops(model.replace(phi=tuple(map(tuple, _dense_phi(rng, 3)))))
+        assert _assert_matches_loops(with_phi(model, _dense_phi(rng, 3)))
 
 
 def test_geometry_matches_loops_on_random_5d_tables():

@@ -85,11 +85,11 @@ def test_t_coeffs_needs_exactly_eight_entries():
     assert TCoeffs(tuple(expr(0) for _ in range(8))).annotations == ()
 
 
-def test_curvature_views_are_built_once_then_cached():
+def test_curvature_contractions_are_built_once_then_cached():
     curv = curvature(nk_lie_group_3d(Fraction(1, 2)))
     assert "ricci" not in vars(curv)
     ricci = curv.ricci
     assert curv.ricci is ricci and vars(curv)["ricci"] is ricci
-    assert ricci[2][2] == curv.sparse_ricci[2, 2]
-    # a cached view is no field: equality and replace ignore it
+    assert ricci.get((2, 2), 0) == Fraction(3, 2) == curv.scalar  # S(xi,xi) = 2n kappa
+    # a cached contraction is no field: equality and replace ignore it
     assert curv == curv.replace() and "ricci" not in vars(curv.replace())

@@ -49,4 +49,4 @@ def test_space_form_at_c_1_has_constant_curvature_1(n):
         for j in range(dim):
             if i != j:
                 want[i, j, j, i], want[i, j, i, j] = Fraction(1), Fraction(-1)
-    assert space_form_curvature(heisenberg_model(n), 1).sparse_riemann == want
+    assert space_form_curvature(heisenberg_model(n), 1).riemann == want

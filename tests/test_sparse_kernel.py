@@ -20,7 +20,6 @@ from nkt.frame_geometry import (
     _lincomb,
     _permute,
     _riemann,
-    _sparse,
     contact_audit,
     curvature,
     nk_lie_group_3d,
@@ -45,14 +44,16 @@ def _assert_residuals_match(model, numeric):
     for variant in ("standard", "printed"):
         expected = t_dot_riemann_bruteforce(model, curv, numeric, variant)
         got = t_dot_riemann_components(curv, numeric, variant=variant)
-        assert {key: got[key[0]][key[1]][key[2]][key[3]] for key in expected} == expected
+        dim = model.dim
+        assert {key: tuple(got.get((*key, m), 0) for m in range(dim))
+                for key in expected} == expected
         worst = max((abs(x) for cell in expected.values() for x in cell), default=0)
         assert t_dot_riemann(curv, numeric, variant=variant) == worst
         kind = ConditionKind.T_DOT_R
         assert flatness_residual(curv, numeric, kind, variant=variant) == worst
     expected = t_dot_ricci_bruteforce(model, curv, numeric)
     got = t_dot_ricci_components(curv, numeric)
-    assert {key: got[key[0]][key[1]][key[2]] for key in expected} == expected
+    assert {key: got.get(key, 0) for key in expected} == expected
     worst = max((abs(v) for v in expected.values()), default=0)
     assert t_dot_ricci(curv, numeric) == worst
     assert flatness_residual(curv, numeric, ConditionKind.T_DOT_S) == worst
@@ -67,11 +68,11 @@ def test_rotated_models_stay_contact_and_match_the_brute_force(model):
     rotated = rotated_model(model, cayley_rotation(rng, model.dim, model.xi_index))
     # the rotation filled in the brackets and the connection, and beyond
     # dimension 3 (where it commutes with phi and R) phi and R as well
-    assert len(_sparse(rotated.structure)) > len(_sparse(model.structure))
-    assert len(_connection(_sparse(rotated.structure))) > len(_connection(_sparse(model.structure)))
+    assert len(rotated.structure) > len(model.structure)
+    assert len(_connection(rotated.structure)) > len(_connection(model.structure))
     if model.dim > 3:
-        assert len(_sparse(rotated.phi)) > len(_sparse(model.phi))
-        assert len(curvature(rotated).sparse_riemann) > len(curvature(model).sparse_riemann)
+        assert len(rotated.phi) > len(model.phi)
+        assert len(curvature(rotated).riemann) > len(curvature(model).riemann)
     assert contact_audit(rotated).passed
     fit, rotated_fit = nullity_fit(curvature(model)), nullity_fit(curvature(rotated))
     assert rotated_fit.exact and (rotated_fit.kappa, rotated_fit.mu) == (fit.kappa, fit.mu)
@@ -96,11 +97,11 @@ def test_kernel_contracts_rational_expressions():
     for lam, weight in ((Fraction(1, 2), 3), (Fraction(2), Fraction(-1, 4)), (Fraction(-1, 3), 0)):
         curv = curvature(nk_lie_group_3d(lam))
         bindings = {"lambda": lam, "c": weight}
-        exact_phi = _sparse(nk_lie_group_3d(lam).phi)
-        assert _at(gamma, bindings) == _connection(_sparse(nk_lie_group_3d(lam).structure))
-        assert _at(riemann, bindings) == curv.sparse_riemann
+        exact_phi = nk_lie_group_3d(lam).phi
+        assert _at(gamma, bindings) == _connection(nk_lie_group_3d(lam).structure)
+        assert _at(riemann, bindings) == curv.riemann
         phi_t = _permute(exact_phi, (1, 0))
-        exact_quasi = _act(phi_t, _act(phi_t, curv.sparse_riemann, 0), 3)
+        exact_quasi = _act(phi_t, _act(phi_t, curv.riemann, 0), 3)
         assert _at(quasi, bindings) == exact_quasi
-        want = _lincomb((weight, 1 - weight), (curv.sparse_riemann, exact_quasi))
+        want = _lincomb((weight, 1 - weight), (curv.riemann, exact_quasi))
         assert _at(mixed, bindings) == want

@@ -1,4 +1,4 @@
-"""Coefficient presets, dense tensor components and flatness residuals."""
+"""Coefficient presets, tensor components and flatness residuals."""
 
 import random
 from fractions import Fraction
@@ -94,13 +94,14 @@ def test_catalog_export_shape():
 
 
 # ---------------------------------------------------------------------------
-# dense components
+# components
 
 
 def test_riemann_preset_reproduces_curvature():
     model, curv = model_and_curvature()
     riem = preset("Riemann").at(1)
-    assert t_components(curv, riem)[0][2][2] == (Fraction(3, 4), 0, 0)
+    tv = t_components(curv, riem)
+    assert tuple(tv.get((0, 2, 2, m), 0) for m in range(3)) == (Fraction(3, 4), 0, 0)
     rng = random.Random(1234)
     for extra in [model] + [random_model(rng) for _ in range(5)]:
         curv_x = curvature(extra)
@@ -109,13 +110,14 @@ def test_riemann_preset_reproduces_curvature():
             for j in range(3):
                 for k in range(3):
                     for l in range(3):
-                        assert tv[i][j][k][l] == curv_x.riemann[i][j][k][l]
+                        assert tv.get((i, j, k, l), 0) == curv_x.riemann.get((i, j, k, l), 0)
 
 
 def test_symbolic_coefficients_are_evaluated_or_rejected():
     model, curv = model_and_curvature()
     # plain rows evaluate at the model's n
-    assert t_components(curv, preset("V").at(1))[0][2][2] == (HALF, 0, 0)
+    tv = t_components(curv, preset("V").at(1))
+    assert tuple(tv.get((0, 2, 2, m), 0) for m in range(3)) == (HALF, 0, 0)
     with pytest.raises(UnevaluatedCoefficient):
         t_components(curv, preset("C_star").at(1))
     with pytest.raises(UnevaluatedCoefficient):
@@ -128,7 +130,7 @@ def test_zero_coefficients_give_zero():
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert tv[i][j][k] == (0, 0, 0)
+                assert tuple(tv.get((i, j, k, m), 0) for m in range(3)) == (0, 0, 0)
     for kind in ConditionKind:
         assert flatness_residual(curv, ZERO8, kind) == 0
 
@@ -137,7 +139,8 @@ def test_concircular_value_at_n1():
     model, curv = model_and_curvature()
     v = preset("V").at(1)
     # 3/4 - (r/(2n(2n+1))) with r = 3/2 gives 1/2
-    assert t_components(curv, v)[0][2][2] == (HALF, 0, 0)
+    tv = t_components(curv, v)
+    assert tuple(tv.get((0, 2, 2, m), 0) for m in range(3)) == (HALF, 0, 0)
 
 
 def test_antisymmetric_slots_of_riemann_part():
@@ -146,7 +149,7 @@ def test_antisymmetric_slots_of_riemann_part():
     for i in range(3):
         for k in range(3):
             for l in range(3):
-                assert tv[i][i][k][l] == 0
+                assert tv.get((i, i, k, l), 0) == 0
 
 
 def test_conharmonic_pinned_value():
@@ -154,11 +157,11 @@ def test_conharmonic_pinned_value():
     # T(e3,e1,e1,e3) = R(e3,e1,e1,e3) + a4 S(e3,e3) = 3/4 - 3/2
     model, curv = model_and_curvature()
     conharmonic = preset("L").at(1)
-    assert t_components(curv, conharmonic)[2][0][0][2] == Fraction(-3, 4)
+    assert t_components(curv, conharmonic).get((2, 0, 0, 2), 0) == Fraction(-3, 4)
 
 
 def test_two_expansions_agree_on_random_input():
-    # the dense build against the eight-term formula in tests/oracles.py
+    # the sparse build against the eight-term formula in tests/oracles.py
     rng = random.Random(5150)
     for _ in range(12):
         model = random_model(rng)
@@ -168,7 +171,8 @@ def test_two_expansions_agree_on_random_input():
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    assert list(tv[i][j][k]) == t_vector(curv, coeffs, i, j, k)
+                    got = [tv.get((i, j, k, m), 0) for m in range(3)]
+                    assert got == t_vector(curv, coeffs, i, j, k)
 
 
 def test_linearity_in_coefficients():
@@ -186,7 +190,9 @@ def test_linearity_in_coefficients():
             for j in range(3):
                 for k in range(3):
                     for l in range(3):
-                        assert tm[i][j][k][l] == alpha * ta[i][j][k][l] + beta * tb[i][j][k][l]
+                        key = (i, j, k, l)
+                        want = alpha * ta.get(key, 0) + beta * tb.get(key, 0)
+                        assert tm.get(key, 0) == want
 
 
 def test_skew_symmetry_for_curvature_like_patterns():
@@ -201,7 +207,8 @@ def test_skew_symmetry_for_curvature_like_patterns():
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    assert all(x == -y for x, y in zip(tv[i][j][k], tv[j][i][k]))
+                    assert all(tv.get((i, j, k, m), 0) == -tv.get((j, i, k, m), 0)
+                               for m in range(3))
 
 
 def test_xi_insertion_identity_on_exact_models():
@@ -219,16 +226,15 @@ def test_xi_insertion_identity_on_exact_models():
         a = random_numeric_coeffs(rng)
         tv = t_components(curv, a)
         for i in range(3):
-            vec = tv[i][2][2]
             for l in range(3):
                 g_part = Fraction(i == l) - model.eta(i) * model.eta(l)
                 eta_part = model.eta(i) * model.eta(l)
                 want = (
-                    a[4] * curv.ricci[i][l]
+                    a[4] * curv.ricci.get((i, l), 0)
                     + (a[0] * kappa + 2 * kappa * a[1] + a[7] * r) * g_part
                     + 2 * kappa * (a[1] + a[2] + a[3] + a[5] + a[6]) * eta_part
                 )
-                assert vec[l] == want
+                assert tv.get((i, 2, 2, l), 0) == want
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +266,7 @@ def test_conharmonic_is_not_xi_flat_on_the_model():
     for i in range(3):
         for l in range(3):
             table_ricci = b1 * Fraction(i == l) + b2 * model.eta(i) * model.eta(l)
-            worst = max(worst, abs(a4 * (curv.ricci[i][l] - table_ricci)))
+            worst = max(worst, abs(a4 * (curv.ricci.get((i, l), 0) - table_ricci)))
     assert value == worst == Fraction(3, 4)
 
 
