@@ -19,6 +19,7 @@ Layers, bottom up:
 from .scalar_algebra import (
     DivisionByZero,
     ExprSyntaxError,
+    InputError,
     LinearSolution,
     NonlinearInVariable,
     Rational,

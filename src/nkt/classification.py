@@ -37,6 +37,7 @@ from typing import Optional, Union
 
 from .scalar_algebra import (
     ExprLike,
+    InputError,
     KAPPA,
     LinearSolution,
     N,
@@ -44,9 +45,10 @@ from .scalar_algebra import (
     RationalExpr,
     Record,
     S,
-    ScalarAlgebraError,
     _frac_sqrt,
+    as_int,
     expr,
+    numbered_lines,
     parse_expr,
     solve_linear,
     sqrt_expr,
@@ -60,15 +62,15 @@ _DATA_DIR = Path(__file__).parent / "data" / "golden"
 GOLDEN_DIR_ENV = "NKT_GOLDEN_DIR"
 
 
-class SasakianInput(Exception):
+class SasakianInput(InputError):
     """The Boeckx invariant is undefined at kappa = 1."""
 
 
-class ZeroDeformation(Exception):
+class ZeroDeformation(InputError):
     """A D-homothetic deformation needs a nonzero scale parameter."""
 
 
-class BoeckxRadical(Exception):
+class BoeckxRadical(InputError):
     """sqrt(1 - kappa) is not expressible over the sqrt(n) extension."""
 
 
@@ -221,10 +223,10 @@ def consistency_kappa(form: EtaEinsteinForm) -> LinearSolution:
     """Solve b1 + b2 - 2 n kappa = 0, the trace constraint S(xi,xi) = 2 n
     kappa every genuine model satisfies; requires r already substituted."""
     if form.is_degenerate:
-        raise ValueError("consistency check needs a non-degenerate form")
+        raise InputError("consistency check needs a non-degenerate form")
     trace = form.b1 + form.b2 - 2 * N * KAPPA
     if "r" in trace.variables():
-        raise ValueError("substitute the scalar curvature before the consistency check")
+        raise InputError("substitute the scalar curvature before the consistency check")
     return solve_linear(trace, "kappa")
 
 
@@ -250,7 +252,7 @@ def boeckx(
     if root_hint is not None:
         root = expr(root_hint)
         if root * root != radicand:
-            raise ValueError(f"{root} does not square to 1 - kappa = {radicand}")
+            raise InputError(f"{root} does not square to 1 - kappa = {radicand}")
     else:
         root = sqrt_expr(radicand)
         if root is None or root.is_zero():
@@ -307,13 +309,10 @@ def boeckx_example(n: int, sign: Union[int, str]) -> BoeckxExampleReport:
     fixes |1 - c| without evaluating the radical numerically.
     """
     if n < 2:
-        raise ValueError("the family needs n >= 2")
-    if sign in ("+", 1, "+1", "plus"):
-        eps = 1
-    elif sign in ("-", -1, "-1", "minus"):
-        eps = -1
-    else:
-        raise ValueError(f"sign must be + or -, got {sign!r}")
+        raise InputError("the family needs n >= 2")
+    eps = {"+": 1, 1: 1, "+1": 1, "plus": 1, "-": -1, -1: -1, "-1": -1, "minus": -1}.get(sign)
+    if eps is None:
+        raise InputError(f"sign must be + or -, got {sign!r}")
     c = (S + eps) ** 2 / (N - 1)
     a = 1 + c
     kappa = c * (2 - c)
@@ -396,7 +395,7 @@ def golden_dir() -> Path:
     return Path(env) if env else _DATA_DIR
 
 
-class GoldenFormatError(ValueError):
+class GoldenFormatError(InputError):
     """A golden transcription file is missing or malformed; the message
     starts with the file and, for a bad row, its line."""
 
@@ -404,13 +403,13 @@ class GoldenFormatError(ValueError):
 def _golden_rows(path: Path, maxsplit: int = -1):
     """(line number, '|'-separated fields) of each non-comment line."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise GoldenFormatError(f"{path}: {exc.strerror or exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, [p.strip() for p in line.split("|", maxsplit)]
+    except UnicodeDecodeError as exc:
+        raise GoldenFormatError(f"{path}: not UTF-8 text") from exc
+    for lineno, line in numbered_lines(text):
+        yield lineno, [p.strip() for p in line.split("|", maxsplit)]
 
 
 def _need_fields(parts: list, count: int) -> None:
@@ -443,8 +442,8 @@ def load_golden_table(which: int) -> dict:
             name, record = _golden_record(which, parts)
             if name in records:
                 raise GoldenFormatError(f"duplicate row {name.value}")
-        except (GoldenFormatError, KeyError, ScalarAlgebraError) as exc:
-            raise GoldenFormatError(f"{path}:{lineno}: {exc.args[0]}") from exc
+        except InputError as exc:
+            raise GoldenFormatError(f"{path}:{lineno}: {exc}") from exc
         records[name] = record
     return records
 
@@ -463,14 +462,14 @@ def load_allowlist() -> dict:
         try:
             _need_fields(parts, 4)
             table, name, field, note = parts
-            table = int(table)
+            table = as_int(table, "table")
             if table not in _TABLE_CONDITIONS:
                 raise GoldenFormatError(f"unknown table {table}; expected 2..7")
             if field not in (("kappa",) if table == 2 else _FORM_FIELDS):
                 raise GoldenFormatError(f"unknown field {field!r} for table {table}")
             entries[(table, PresetName.parse(name), field)] = note
-        except (KeyError, ValueError) as exc:
-            raise GoldenFormatError(f"{path}:{lineno}: {exc.args[0]}") from exc
+        except InputError as exc:
+            raise GoldenFormatError(f"{path}:{lineno}: {exc}") from exc
     return entries
 
 
@@ -546,7 +545,7 @@ def reproduce_table(which: int) -> TableReport:
     allow-list entry of this table that excuses no mismatch.
     """
     if which not in _TABLE_CONDITIONS:
-        raise ValueError(f"no reference table {which}; pick 2..7")
+        raise InputError(f"no reference table {which}; pick 2..7")
     reference = load_golden_table(which)
     allowlist = load_allowlist()
     diffs = [

@@ -15,8 +15,9 @@ Commands map one-to-one onto library operations:
 * ``deform``        the D-homothetic parameter transform.
 
 All numeric output is exact (rationals rendered p/q); identical argv
-produces byte-identical output.  Exit codes: 0 success, 1 usage or model
-errors, 2 golden-table mismatch.
+produces byte-identical output.  Exit codes: 0 success; 1 an ``nkt.InputError``
+(one ``error:`` line), a failed audit or Boeckx check; 2 golden-table mismatch.
+Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from . import classification
 from .classification import boeckx_example, d_homothetic, reproduce_table
 from .frame_geometry import (
     FrameModel,
-    InvalidModel,
     ModelFormatError,
     contact_audit,
     curvature,
@@ -39,17 +39,10 @@ from .frame_geometry import (
     parse_model,
     render_model,
 )
-from .scalar_algebra import (
-    LinearSolution,
-    ScalarAlgebraError,
-    as_rational,
-    expr,
-)
+from .scalar_algebra import InputError, LinearSolution, as_rational, expr
 from .t_tensor import (
     ConditionKind,
     PresetName,
-    TCoeffs,
-    UnevaluatedCoefficient,
     catalog,
     coeffs_from,
     flatness_residual,
@@ -66,13 +59,9 @@ _CONDITION_LABELS = {
 }
 
 
-class CliError(Exception):
-    """Usage or input error; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
-        raise CliError(message)
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,9 +225,12 @@ def _cmd_model_build(args) -> int:
 def _read_model(path: str) -> FrameModel:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_model(handle.read())
+            text = handle.read()
     except OSError as exc:
-        raise CliError(f"cannot read model file: {exc}") from exc
+        raise ModelFormatError(f"cannot read model file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"cannot read model file: {path}: not UTF-8 text") from exc
+    return parse_model(text)
 
 
 def _cmd_model_audit(args) -> int:
@@ -249,19 +241,15 @@ def _cmd_model_audit(args) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _coeffs_from_arg(text: str) -> TCoeffs:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 8:
-        raise CliError("--coeffs needs exactly 8 comma-separated entries")
-    return coeffs_from(parts)
-
-
 def _resolve_coeffs(args) -> tuple:
     """(coefficients, label) from --coeffs or else --preset."""
     if args.coeffs:
-        return _coeffs_from_arg(args.coeffs), "custom"
+        parts = [p.strip() for p in args.coeffs.split(",")]
+        if len(parts) != 8:
+            raise InputError("--coeffs needs exactly 8 comma-separated entries")
+        return coeffs_from(parts), "custom"
     if not args.preset:
-        raise CliError("either --preset or --coeffs is required")
+        raise InputError("either --preset or --coeffs is required")
     name = PresetName.parse(args.preset)
     return preset(name), name.value
 
@@ -356,7 +344,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_residual(args) -> int:
     if bool(args.model) == bool(args.lam):
-        raise CliError("exactly one of --model or --lambda is required")
+        raise InputError("exactly one of --model or --lambda is required")
     if args.model:
         model = _read_model(args.model)
         source = args.model
@@ -367,8 +355,7 @@ def _cmd_residual(args) -> int:
     coeffs, label = _resolve_coeffs(args)
     # the free-parameter values bind preset rows only
     free = {} if args.coeffs else {"a0": args.a0, "a1": args.a1}
-    bound = {k: as_rational(v) for k, v in free.items() if v is not None}
-    numeric = coeffs.at(model.n, **bound)
+    numeric = coeffs.at(model.n, **free)
     value = flatness_residual(curvature(model), numeric, condition,
                               strict=args.strict_xi, variant=args.variant)
     payload = {
@@ -437,26 +424,17 @@ def run(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # argparse reads "--name=--" as no value at all
+            raise InputError("an option's value cannot be '--'")
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        ScalarAlgebraError,
-        InvalidModel,
-        ModelFormatError,
-        UnevaluatedCoefficient,
-        classification.SasakianInput,
-        classification.ZeroDeformation,
-        classification.BoeckxRadical,
-        KeyError,
-        ValueError,
-    ) as exc:
-        message = exc.args[0] if exc.args else exc
-        if isinstance(exc, ValueError) and "integer string conversion" in str(message):
-            message = f"the result has more than {sys.get_int_max_str_digits():,} decimal digits"
-        print(f"error: {message}", file=sys.stderr)
-        return 1
+    except InputError as exc:
+        message = str(exc)
+    except ValueError as exc:  # str() of an int past the interpreter's digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        message = f"the result has more than {sys.get_int_max_str_digits():,} decimal digits"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

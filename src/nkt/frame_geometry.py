@@ -43,22 +43,23 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .scalar_algebra import RationalLike, Record, _frac_str, as_rational
+from .scalar_algebra import (
+    InputError, RationalLike, Record, _frac_str, as_int, as_rational, numbered_lines)
 
 MAX_DIM = 15  # the largest frame a model file may declare
 
 
-class InvalidModel(Exception):
+class InvalidModel(InputError):
     """The bracket table is not a Lie algebra (antisymmetry or Jacobi fails),
     or a curvature structure's Ricci contraction contradicts its exact
     nullity fit."""
 
 
-class DegenerateFit(Exception):
+class DegenerateFit(InputError):
     """The nullity fit cannot attribute a mu-component to the h-operator."""
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     """A model file could not be parsed."""
 
 
@@ -419,16 +420,15 @@ def parse_model(text: str) -> FrameModel:
     header = {}  # "dim" and "xi", each declared once
     phi_rows = []
     brackets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         parts = line.split()
         try:
             if parts[0] in ("dim", "xi"):
                 if parts[0] in header:
                     raise ModelFormatError(f"duplicate directive {parts[0]!r}")
-                value = header[parts[0]] = int(parts[1])
+                if len(parts) < 2:
+                    raise ModelFormatError(f"expected '{parts[0]} <integer>'")
+                value = header[parts[0]] = as_int(parts[1], parts[0])
                 if parts[0] == "dim" and value > MAX_DIM:
                     raise ModelFormatError(f"dim {value} is above the maximum {MAX_DIM}")
             elif parts[0] == "phi":
@@ -436,11 +436,11 @@ def parse_model(text: str) -> FrameModel:
             elif parts[0] == "c":
                 if len(parts) != 6 or parts[4] != ":":
                     raise ModelFormatError("expected 'c i j k : value'")
-                i, j, k = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3]) - 1
+                i, j, k = (as_int(x, f"index {name}") - 1 for x, name in zip(parts[1:4], "ijk"))
                 brackets.append((i, j, k, as_rational(parts[5])))
             else:
                 raise ModelFormatError(f"unknown directive {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
+        except InputError as exc:
             raise ModelFormatError(f"line {lineno}: {exc}") from exc
     if header.keys() != {"dim", "xi"}:
         raise ModelFormatError("model file must declare dim and xi")

@@ -23,10 +23,10 @@ pairs with plain ring arithmetic and canonicalise at the end, and field
 operations on s-free numerators skip the gcd where coprimality is known.
 ``poly_gcd`` has one path: closed forms for monomial and constant inputs;
 else integer primitive parts and the heuristic GCD (GCDHEU on a Kronecker
-image, skipped above ``MAX_HEU_BITS``); where it declines, a modular bound on
-the main-variable gcd degree, one trial division it gates, then contents and
-the subresultant PRS.  ``_div_exact`` is the one exact division, also of an
-``A + B*s`` numerator by an s-free divisor.
+image, skipped above ``MAX_HEU_BITS``); where it declines, in the variable of
+least degree: a modular gcd degree bound, one trial division it gates, then
+contents and the subresultant PRS.  ``_div_exact`` is the one exact
+division, also of an ``A + B*s`` numerator by an s-free divisor.
 
 Representation.  A monomial is one packed ``int``: a 16-bit field per
 indeterminate in ``VARIABLES`` order, ``n`` in the high bits and ``s`` in the
@@ -73,7 +73,12 @@ _S_SQUARE = 2
 RationalLike = Union[int, Fraction, str]
 
 
-class ScalarAlgebraError(Exception):
+class InputError(ValueError):
+    """An input nkt rejects, from a caller, the command line or a file: the
+    root of every nkt error, printed by the CLI as one ``error:`` line."""
+
+
+class ScalarAlgebraError(InputError):
     """Base class for errors raised by this module."""
 
 
@@ -94,7 +99,7 @@ class NonlinearInVariable(ScalarAlgebraError):
     """solve_linear was given an expression of degree >= 2 in the variable."""
 
 
-class ExprSyntaxError(ScalarAlgebraError, ValueError):
+class ExprSyntaxError(ScalarAlgebraError):
     """parse_expr could not parse its input."""
 
 
@@ -160,6 +165,22 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+def as_int(text: str, field: str) -> int:
+    """The integer in one field of a text input; an error names the field."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{field} is not an integer: {text!r}") from None
+
+
+def numbered_lines(text: str):
+    """(line number, text) of each line left nonblank by stripping its ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _qdiv(a, b):
     """a / b for int or Fraction coefficients: an int when the quotient is
     integral, a Fraction otherwise (``int / int`` would be a float)."""
@@ -173,13 +194,20 @@ def _qdiv(a, b):
 def _pack(exps) -> int:
     """Packed monomial of an exponent tuple, reduced under s*s -> n."""
     if min(exps) < 0:
-        raise ValueError(f"negative exponent in {tuple(exps)}")
+        raise InputError(f"negative exponent in {tuple(exps)}")
     exps = list(exps)
     exps[_N] += exps[_S] // 2
     exps[_S] %= 2
     if max(exps) > MAX_EXPONENT:
         raise ExponentOverflow(f"exponent above {MAX_EXPONENT} in {tuple(exps)}")
     return sum(e << shift for e, shift in zip(exps, _SHIFTS))
+
+
+def _shift(name: str) -> int:
+    """Offset of an indeterminate's packed field; rejects unknown names."""
+    if name not in _VAR_INDEX:
+        raise ExprSyntaxError(f"unknown indeterminate {name!r}; expected one of {VARIABLES}")
+    return _SHIFTS[_VAR_INDEX[name]]
 
 
 def _unpack(key: int) -> tuple:
@@ -241,11 +269,7 @@ class Poly:
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        if name not in _VAR_INDEX:
-            raise ExprSyntaxError(
-                f"unknown indeterminate {name!r}; expected one of {VARIABLES}"
-            )
-        return _poly({1 << _SHIFTS[_VAR_INDEX[name]]: 1})
+        return _poly({1 << _shift(name): 1})
 
     # -- predicates ----------------------------------------------------
 
@@ -316,7 +340,7 @@ class Poly:
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InputError("negative power of a polynomial")
         out = Poly.constant(1)
         base = self
         while exponent:
@@ -337,12 +361,12 @@ class Poly:
         return key, self.terms[key]
 
     def degree(self, name: str) -> int:
-        shift = _SHIFTS[_VAR_INDEX[name]]
+        shift = _shift(name)
         return max((k >> shift & MAX_EXPONENT for k in self.terms), default=0)
 
     def coefficients_in(self, name: str) -> dict:
         """Split into {power: coefficient Poly} with respect to one variable."""
-        shift = _SHIFTS[_VAR_INDEX[name]]
+        shift = _shift(name)
         buckets: dict = {}
         for key, coeff in self.terms.items():
             power = key >> shift & MAX_EXPONENT
@@ -373,9 +397,7 @@ class Poly:
                 if not e:
                     continue
                 if name not in bindings:
-                    raise UnboundIndeterminate(
-                        f"no value supplied for indeterminate {name!r}"
-                    )
+                    raise UnboundIndeterminate(f"no value supplied for indeterminate {name!r}")
                 value *= bindings[name] ** e
             total += value
         return total
@@ -509,7 +531,7 @@ def _univariate_gcd_degree(a: list, b: list) -> int:
 
 def _image_mod(poly: Poly, name: str, point: list) -> list:
     # coefficient list in ``name`` of the integer poly at the point, mod _PRIME
-    main = _SHIFTS[_VAR_INDEX[name]]
+    main = _shift(name)
     image = [0] * (poly.degree(name) + 1)
     for key, coeff in poly.terms.items():
         for shift, x in point:
@@ -534,7 +556,7 @@ def _gcd_degree_bound(a: Poly, b: Poly, name: str) -> int:
     others = sorted((a.variables() | b.variables()) - {name})
     for seed in range(5):
         rng = random.Random(0x5EED + seed)
-        point = [(_SHIFTS[_VAR_INDEX[v]], rng.randint(2, 997)) for v in others]
+        point = [(_shift(v), rng.randint(2, 997)) for v in others]
         image_a = _image_mod(a, name, point)
         image_b = _image_mod(b, name, point)
         if image_a[-1] and image_b[-1]:
@@ -554,7 +576,7 @@ def _heu_gcd(a: Poly, b: Poly) -> Optional[Poly]:
     For such xi a candidate dividing both inputs is their gcd, and nothing
     else is accepted.  No image above MAX_HEU_BITS bits is built."""
     keys = list(chain(a.terms, b.terms))
-    shifts = [_SHIFTS[_VAR_INDEX[v]] for v in _used(keys)]
+    shifts = [_shift(v) for v in _used(keys)]
     radices = [max(k >> shift & MAX_EXPONENT for k in keys) + 1 for shift in shifts]
     weights = [prod(radices[i + 1:]) for i in range(len(radices))]
     xi = 2 * min(max(map(abs, p.terms.values())) for p in (a, b)) + 29
@@ -607,9 +629,9 @@ def _heu_gcd(a: Poly, b: Poly) -> Optional[Poly]:
 def poly_gcd(first: Poly, second: Poly) -> Poly:
     """Primitive GCD in Q[vars] of s-free inputs, on one path: closed forms
     for monomials and constants, integer primitive parts, then the heuristic
-    GCD (``_heu_gcd``).  Where that declines: the main-variable degree bound,
-    the trial division it gates, then contents and the subresultant PRS
-    (Brown 1971)."""
+    GCD (``_heu_gcd``).  Where that declines, in the variable of least degree:
+    the degree bound, the trial division it gates, then contents and the
+    subresultant PRS (Brown 1971)."""
     if first.is_zero():
         return second.primitive()
     if second.is_zero():
@@ -624,7 +646,9 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
     heuristic = _heu_gcd(first, second)
     if heuristic is not None:
         return heuristic
-    name = _used(chain(first.terms, second.terms))[0]
+    # the variable of least degree (first in VARIABLES on ties) keeps the PRS small
+    name = min(_used(chain(first.terms, second.terms)),
+               key=lambda v: max(first.degree(v), second.degree(v)))
     # certify the main-variable gcd degree from a random evaluation before
     # paying for a trial division, content extraction or the PRS; the
     # content is x-free, so a zero bound reduces the answer to the gcd of
@@ -884,10 +908,8 @@ class RationalExpr:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.num.is_zero():
-            raise DivisionByZero("division by the zero expression")
         build = _lowest_terms if _s_free(other.num) else RationalExpr
-        return self * build(other.den, other.num)
+        return self * build(*_reciprocal(other.num, other.den))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -938,7 +960,8 @@ def eval_at(value: RationalExpr, bindings: Mapping[str, RationalLike]) -> Fracti
     point = {name: as_rational(v) for name, v in bindings.items()}
     den = value.den.evaluate(point)
     if den == 0:
-        raise DivisionByZero(f"denominator of {value} vanishes at {bindings}")
+        at = ", ".join(f"{name} = {_frac_str(v)}" for name, v in point.items())
+        raise DivisionByZero(f"denominator of {value} vanishes at {at}")
     return value.num.evaluate(point) / den
 
 
@@ -949,8 +972,6 @@ def substitute(value: RationalExpr, name: str, replacement: ExprLike) -> Rationa
     with p~ = sum c_k P^k Q^(deg p - k), so the result is canonicalised once.
     """
     replacement = expr(replacement)
-    if name not in _VAR_INDEX:
-        raise ExprSyntaxError(f"unknown indeterminate {name!r}")
     num_coeffs = value.num.coefficients_in(name)
     den_coeffs = value.den.coefficients_in(name)
     num_deg, den_deg = max(num_coeffs, default=0), max(den_coeffs)
@@ -1014,8 +1035,6 @@ def solve_linear(value: RationalExpr, name: str) -> LinearSolution:
     Zero-ness of a fraction is decided by its numerator, so only the
     numerator polynomial is examined.
     """
-    if name not in _VAR_INDEX:
-        raise ExprSyntaxError(f"unknown indeterminate {name!r}")
     coeffs = value.num.coefficients_in(name)
     degree = max(coeffs, default=0)
     if degree >= 2:

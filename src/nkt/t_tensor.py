@@ -53,6 +53,7 @@ from .scalar_algebra import (
     A0,
     A1,
     N,
+    InputError,
     RationalExpr,
     RationalLike,
     Record,
@@ -62,8 +63,22 @@ from .scalar_algebra import (
 )
 
 
-class UnevaluatedCoefficient(Exception):
+class UnevaluatedCoefficient(InputError):
     """A numeric operation received coefficients with free indeterminates."""
+
+
+class UnknownLabel(InputError, KeyError):
+    """A preset or condition label naming no member (case ignored, ``*`` as ``_star``)."""
+
+    __str__ = InputError.__str__  # KeyError's would quote the message
+
+
+def _parse_label(enum, noun: str, label: str):
+    cleaned = label.strip().replace("*", "_star").lower()
+    for member in enum:
+        if member.value.lower() == cleaned:
+            return member
+    raise UnknownLabel(f"unknown {noun} {label!r}")
 
 
 class PresetName(str, Enum):
@@ -90,11 +105,7 @@ class PresetName(str, Enum):
 
     @classmethod
     def parse(cls, label: str) -> "PresetName":
-        cleaned = label.strip().replace("*", "_star")
-        for member in cls:
-            if member.value.lower() == cleaned.lower():
-                return member
-        raise KeyError(f"unknown preset {label!r}")
+        return _parse_label(cls, "preset", label)
 
 
 class ConditionKind(str, Enum):
@@ -107,11 +118,7 @@ class ConditionKind(str, Enum):
 
     @classmethod
     def parse(cls, label: str) -> "ConditionKind":
-        cleaned = label.strip().lower()
-        for member in cls:
-            if member.value == cleaned:
-                return member
-        raise KeyError(f"unknown condition {label!r}")
+        return _parse_label(cls, "condition", label)
 
 
 class TCoeffs(Record):
@@ -123,7 +130,7 @@ class TCoeffs(Record):
 
     def __post_init__(self):
         if len(self.a) != 8:
-            raise ValueError("a coefficient vector has exactly 8 entries")
+            raise InputError("a coefficient vector has exactly 8 entries")
 
     def __getitem__(self, index: int) -> RationalExpr:
         return self.a[index]
@@ -227,16 +234,12 @@ def _printed_rows() -> dict:
 
 def preset(name: Union[PresetName, str]) -> TCoeffs:
     """Coefficient vector for a named tensor (corrected rows flagged)."""
-    if not isinstance(name, PresetName):
-        name = PresetName.parse(name)
-    return _rows()[name]
+    return _rows()[PresetName.parse(name)]
 
 
 def preset_as_printed(name: Union[PresetName, str]) -> TCoeffs:
     """The verbatim catalog row, including the known-typo rows."""
-    if not isinstance(name, PresetName):
-        name = PresetName.parse(name)
-    return _printed_rows()[name]
+    return _printed_rows()[PresetName.parse(name)]
 
 
 def catalog() -> dict:
@@ -253,7 +256,7 @@ def catalog() -> dict:
 def _numeric(coeffs) -> tuple:
     values = tuple(as_rational(v) for v in coeffs)
     if len(values) != 8:
-        raise ValueError("a numeric coefficient vector has exactly 8 entries")
+        raise InputError("a numeric coefficient vector has exactly 8 entries")
     return values
 
 
@@ -295,6 +298,7 @@ def flatness_residual(curv: CurvatureData, coeffs, kind: ConditionKind, *,
     onto xi, or phi^T (inserting phi e_i into a slot contracts with the
     transpose of its matrix).
     """
+    kind = ConditionKind.parse(kind)
     if kind is ConditionKind.T_DOT_R:
         return t_dot_riemann(curv, coeffs, variant=variant)
     if kind is ConditionKind.T_DOT_S:
@@ -308,8 +312,6 @@ def flatness_residual(curv: CurvatureData, coeffs, kind: ConditionKind, *,
         ConditionKind.QUASI_T_FLAT: {0: phi_t, 3: phi_t},
         ConditionKind.PHI_T_FLAT: dict.fromkeys(range(4), phi_t),
     }
-    if kind not in insertions:
-        raise ValueError(f"unknown condition kind: {kind}")
     for slot, matrix in insertions[kind].items():
         tv = _act(matrix, tv, slot)
     return _max_abs(tv)
@@ -334,7 +336,7 @@ def t_dot_riemann_components(
     repeated.
     """
     if variant not in ("standard", "printed"):
-        raise ValueError("variant must be 'standard' or 'printed'")
+        raise InputError("variant must be 'standard' or 'printed'")
     lower = _lower(curv, coeffs)
     riemann, dim = curv.riemann, curv.dim
     # an action of lower leaves its index pair (i, x) where the contracted

@@ -214,6 +214,53 @@ def test_bad_model_line_is_reported_once(tmp_path, capsys):
     assert line == "error: line 7: expected 'c i j k : value'"
 
 
+@pytest.mark.parametrize("text, want", [
+    ("dim\n", "line 1: expected 'dim <integer>'"),
+    ("dim 3\nxi x\n", "line 2: xi is not an integer: 'x'"),
+    ("dim 3\nxi 3\nphi 0 -1 0\nphi 1 0 0\nphi 0 0 0\nc 1 x 3 : 1\n",
+     "line 6: index j is not an integer: 'x'"),
+], ids=["dim-alone", "xi-not-int", "index-not-int"])
+def test_bad_model_field_is_named(tmp_path, capsys, text, want):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert _assert_one_error_line(*invoke(capsys, "model-audit", str(path))) == f"error: {want}"
+
+
+def test_vanishing_denominator_names_the_binding(capsys):
+    line = _assert_one_error_line(*invoke(
+        capsys, "residual", "--lambda=1/2", "--coeffs", "1,0,0,0,0,0,0,1/(n-1)",
+        "--condition", "xi-flat",
+    ))
+    assert line == "error: denominator of (1)/(n - 1) vanishes at n = 1"
+
+
+def test_non_utf8_files_are_one_error_line_naming_the_file(tmp_path, monkeypatch, capsys):
+    model = tmp_path / "model.txt"
+    model.write_bytes(b"dim 3\nxi 3\n# caf\xe9\n")
+    line = _assert_one_error_line(*invoke(capsys, "model-audit", str(model)))
+    assert line == f"error: cannot read model file: {model}: not UTF-8 text"
+    golden = _golden_copy(tmp_path, monkeypatch)
+    table = golden / "table3.txt"
+    table.write_bytes(table.read_bytes() + b"# caf\xe9\n")
+    line = _assert_one_error_line(*invoke(capsys, "table", "3"))
+    assert line == f"error: {table}: not UTF-8 text"
+
+
+@pytest.mark.parametrize("exc", [KeyError("k"), ValueError("v")], ids=["KeyError", "ValueError"])
+def test_an_error_outside_the_input_boundary_propagates(monkeypatch, capsys, exc):
+    # only an InputError is a rejected input; anything else is a bug and
+    # keeps its traceback
+    from nkt import cli
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "deform", broken)
+    with pytest.raises(type(exc)):
+        run(["deform", "--kappa", "0", "--mu", "0", "--a", "1", "--c", "1"])
+    assert capsys.readouterr().err == ""
+
+
 def test_deeply_nested_coefficients_rejected(capsys):
     nested = "(" * 3000 + "1" + ")" * 3000
     line = _assert_one_error_line(*invoke(
@@ -501,6 +548,7 @@ def test_allowlist_entry_for_an_unknown_table_or_field_is_located(tmp_path, monk
         ("9 | W2 | kappa | no such table", "unknown table 9; expected 2..7"),
         ("3 | W2 | colour | no such field", "unknown field 'colour' for table 3"),
         ("2 | W2 | b1 | table 2 diffs kappa only", "unknown field 'b1' for table 2"),
+        ("x | W7 | b1 | note", "table is not an integer: 'x'"),
     ]
     for entry, reason in cases:
         line = _append_row(path, entry)
@@ -523,6 +571,9 @@ _EXPRS = st.one_of(st.lists(st.sampled_from(_EXPR_TOKENS), max_size=10).map("".j
                    st.text(max_size=8))
 _RATIONALS = st.one_of(st.lists(st.sampled_from(_RATIONAL_TOKENS), max_size=10).map("".join),
                        st.text(max_size=6))
+# preset and condition labels: real ones, their spellings and any text
+_LABELS = st.one_of(st.sampled_from(["W3", "c*", " w0_STAR ", "Riemann", "t-flat", "XI-FLAT",
+                                     "t-dot-r*", "W10", ""]), st.text(max_size=8))
 _COEFFS = st.one_of(st.lists(_EXPRS, min_size=7, max_size=9).map(",".join), _EXPRS)
 _ARGVS = st.one_of(
     st.builds(lambda cond, v: ["classify", "--condition", cond, f"--coeffs={v}"],
@@ -537,6 +588,13 @@ _ARGVS = st.one_of(
               _RATIONALS, st.booleans()),
     st.builds(lambda k, m, a, c: ["deform", f"--kappa={k}", f"--mu={m}", f"--a={a}", f"--c={c}"],
               _EXPRS, _EXPRS, _EXPRS, _EXPRS),
+    st.builds(lambda n, sign: ["example1", f"--n={n}", "--sign", sign],
+              st.integers(), st.sampled_from("+-")),
+    st.builds(lambda name, cond: ["classify", f"--preset={name}", f"--condition={cond}"],
+              _LABELS, _LABELS),
+    st.builds(lambda name, cond: ["residual", "--lambda=1/2", f"--preset={name}",
+                                  f"--condition={cond}"],
+              _LABELS, _LABELS),
 )
 
 
@@ -544,6 +602,9 @@ _ARGVS = st.one_of(
 @given(_ARGVS, st.sampled_from(["md", "json"]))
 # Fraction builds 10^e for a decimal exponent e before any other check
 @example(["residual", "--lambda=1e999999", "--condition", "t-dot-r", "--preset", "W3"], "md")
+# argparse reads "--name=--" as an empty list, not as text
+@example(["classify", "--preset=W3", "--condition=--"], "md")
+@example(["model-build", "--lambda=--"], "json")
 def test_fuzzed_values_exit_0_or_with_one_error_line(argv, fmt):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

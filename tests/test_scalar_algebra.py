@@ -205,7 +205,7 @@ def test_gcd_trial_division_is_gated_by_the_degree_bound(monkeypatch):
     q = (6 * N + 3 * C + 3).num
     # the gcd of the second pair has degree 1 in n, below the 2 of the input
     # with fewer terms, so no trial division is made
-    first, second = ((N + 1) * (N + 2)).num, ((N + 1) * (N + 3) * (KAPPA + 1)).num
+    first, second = ((N + 1) * (N + 2)).num, ((N + 1) * (N + 3) * (KAPPA ** 2 + 1)).num
     answer = (N + 1).num
     trace = _gcd_trace(monkeypatch)
     assert poly_gcd(p * q, q) == q.primitive()
@@ -215,12 +215,29 @@ def test_gcd_trial_division_is_gated_by_the_degree_bound(monkeypatch):
 
 
 def test_gcd_falls_back_when_the_trial_division_fails(monkeypatch):
-    # the degree bound in n is 1, the degree of kappa*(n+1), but kappa is
+    # the degree bound in n is 1, the degree of kappa^2*(n+1), but kappa^2 is
     # content that (n+1)*(n+2) lacks: the trial fails and the PRS answers
-    first, second, answer = (KAPPA * (N + 1)).num, ((N + 1) * (N + 2)).num, (N + 1).num
+    first, second, answer = (KAPPA ** 2 * (N + 1)).num, ((N + 1) * (N + 2)).num, (N + 1).num
     trace = _gcd_trace(monkeypatch)
     assert poly_gcd(first, second) == answer
     assert trace[0] == "inexact" and "prem" in trace
+
+
+@pytest.mark.parametrize("first, second, common, seconds", [
+    # a PRS in n (degree 151) raised kappa past its packed field
+    ("n^150*kappa + a", "kappa^150 + n*a + 1", "n*kappa - a + 2", 1),
+    # a PRS in n over these 454- and 486-term products took about a minute
+    ("(n+kappa+a+c+1)^7", "(n-kappa+a-c+2)^7", "n - kappa + 2", 5),
+], ids=["overflow", "slow"])
+def test_gcd_fallback_runs_on_the_variable_of_least_degree(first, second, common, seconds):
+    from nkt.scalar_algebra import _heu_gcd
+
+    common = parse_expr(common).num
+    first, second = parse_expr(first).num * common, parse_expr(second).num * common
+    assert _heu_gcd(first, second) is None  # both are past the heuristic's size cap
+    start = time.perf_counter()
+    assert poly_gcd(first, second) == common
+    assert time.perf_counter() - start < seconds
 
 
 def test_unknown_indeterminate_rejected():
