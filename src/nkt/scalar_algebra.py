@@ -23,10 +23,10 @@ pairs with plain ring arithmetic and canonicalise at the end, and field
 operations on s-free numerators skip the gcd where coprimality is known.
 ``poly_gcd`` has one path: closed forms for monomial and constant inputs;
 else integer primitive parts and the heuristic GCD (GCDHEU on a Kronecker
-image, skipped above ``MAX_HEU_BITS``); where it declines, in the variable of
-least degree: a modular gcd degree bound, one trial division it gates, then
-contents and the subresultant PRS.  ``_div_exact`` is the one exact
-division, also of an ``A + B*s`` numerator by an s-free divisor.
+image, skipped above ``MAX_HEU_BITS``); where it declines, Brown's
+interpolation in the variable of least degree, or in one variable a coprime
+image mod 2^61 - 1 or else the primitive PRS.  ``_div_exact`` is the one
+exact division, also of an ``A + B*s`` numerator by an s-free divisor.
 
 Representation.  A monomial is one packed ``int``: a 16-bit field per
 indeterminate in ``VARIABLES`` order, ``n`` in the high bits and ``s`` in the
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, count
 from math import comb, gcd, isqrt, lcm, prod
 from operator import or_
 from typing import Mapping, Optional, Union
@@ -461,6 +461,23 @@ def _primitive(polys: tuple, negate: bool) -> tuple:
 # multivariate GCD (s-free polynomials only)
 
 
+def _divide(num: Poly, den: Poly) -> tuple:
+    """(quotient, rest): num divided by den's leading term until the leading
+    monomial of rest is no multiple of den's.  rest is zero exactly when den
+    divides num, and in one variable it is the remainder."""
+    den_lm, den_lc = den.leading()
+    quotient, rest = {}, num
+    while rest.terms:
+        lm, lc = rest.leading()
+        diff = lm - den_lm
+        if diff & _GUARDS:
+            break
+        coeff = _qdiv(lc, den_lc)
+        quotient[diff] = coeff
+        rest = rest - _poly({diff: coeff}) * den
+    return _poly(quotient), rest
+
+
 def _div_exact(num: Poly, den: Poly) -> Poly:
     """Exact multivariate division; raises ArithmeticError on a remainder."""
     if den.is_zero():
@@ -476,46 +493,18 @@ def _div_exact(num: Poly, den: Poly) -> Poly:
                 raise ArithmeticError("inexact polynomial division")
             out[diff] = _qdiv(coeff, den_lc)
         return _poly(out)
-    quotient: dict = {}
-    rest = num
-    while rest.terms:
-        lm, lc = rest.leading()
-        diff = lm - den_lm
-        if diff & _GUARDS:
-            raise ArithmeticError("inexact polynomial division")
-        coeff = _qdiv(lc, den_lc)
-        quotient[diff] = coeff
-        rest = rest - _poly({diff: coeff}) * den
-    return _poly(quotient)
+    quotient, rest = _divide(num, den)
+    if rest.terms:
+        raise ArithmeticError("inexact polynomial division")
+    return quotient
 
 
-def _prem(num: Poly, den: Poly, name: str) -> Poly:
-    """Pseudo-remainder of num by den with respect to one variable: the
-    remainder of lc(den)^(deg num - deg den + 1) * num, the multiplier the
-    subresultant division in poly_gcd assumes.  A step that drops the degree
-    by more than one still owes the factors of the steps it skipped."""
-    deg_d = den.degree(name)
-    lead_d = den.coefficients_in(name)[deg_d]
-    var = Poly.variable(name)
-    rest = num
-    steps = num.degree(name) - deg_d + 1
-    while not rest.is_zero() and rest.degree(name) >= deg_d:
-        deg_r = rest.degree(name)
-        lead_r = rest.coefficients_in(name)[deg_r]
-        rest = lead_d * rest - lead_r * (var ** (deg_r - deg_d)) * den
-        steps -= 1
-    return lead_d ** steps * rest if steps > 0 and not rest.is_zero() else rest
-
-
-# _gcd_degree_bound takes its images in GF(_PRIME), a Mersenne prime
-_PRIME = (1 << 61) - 1
+_PRIME = (1 << 61) - 1  # a Mersenne prime: _univariate_gcd's images are in GF(_PRIME)
 
 
 def _univariate_gcd_degree(a: list, b: list) -> int:
     """Degree of the gcd of two univariate polynomials over GF(_PRIME),
     given as coefficient lists (lowest power first) with nonzero leads."""
-    if len(a) < len(b):
-        a, b = b, a
     while b:
         inverse = pow(b[-1], -1, _PRIME)
         while len(a) >= len(b):
@@ -529,39 +518,91 @@ def _univariate_gcd_degree(a: list, b: list) -> int:
     return len(a) - 1
 
 
-def _image_mod(poly: Poly, name: str, point: list) -> list:
-    # coefficient list in ``name`` of the integer poly at the point, mod _PRIME
-    main = _shift(name)
-    image = [0] * (poly.degree(name) + 1)
+def _univariate_gcd(a: Poly, b: Poly, shift: int) -> Poly:
+    """gcd of integer primitive inputs in the one variable at ``shift``: 1 if
+    their images in GF(_PRIME) are coprime with nonzero leads, else the
+    primitive PRS, dividing lc^(d+1) times the dividend for integral quotients."""
+    images = [[0] * ((max(p.terms) >> shift) + 1) for p in (a, b)]
+    for image, p in zip(images, (a, b)):
+        for key, coeff in p.terms.items():
+            image[key >> shift] = coeff % _PRIME
+    if images[0][-1] and images[1][-1] and not _univariate_gcd_degree(*images):
+        return Poly.constant(1)
+    if max(a.terms) < max(b.terms):
+        a, b = b, a
+    while b.terms:
+        lm, lc = b.leading()
+        rest = _divide(a.scale(lc ** (((max(a.terms) - lm) >> shift) + 1)), b)[1]
+        a, b = b, rest.primitive()
+    return a.primitive()
+
+
+def _over(poly: Poly, shift: int) -> dict:
+    # {monomial free of the variable at ``shift``: its coefficient in that variable}
+    out: dict = {}
     for key, coeff in poly.terms.items():
-        for shift, x in point:
-            e = key >> shift & MAX_EXPONENT
-            if e:
-                coeff = coeff * pow(x, e, _PRIME) % _PRIME
-        image[key >> main & MAX_EXPONENT] += coeff
-    return [c % _PRIME for c in image]
+        power = key & (MAX_EXPONENT << shift)
+        out.setdefault(key - power, {})[power] = coeff
+    return {k: _poly(t) for k, t in out.items()}
 
 
-def _gcd_degree_bound(a: Poly, b: Poly, name: str) -> int:
-    """Upper bound for the gcd degree in ``name`` from a random evaluation.
+def _at(poly: Poly, shift: int, point: int) -> Poly:
+    # the poly with the variable at ``shift`` set to an integer
+    out: dict = {}
+    for key, coeff in poly.terms.items():
+        e = key >> shift & MAX_EXPONENT
+        key -= e << shift
+        out[key] = out.get(key, 0) + coeff * point ** e
+    return _poly({k: c for k, c in out.items() if c})
 
-    The inputs are integer polynomials.  At a point where neither leading
-    coefficient vanishes mod _PRIME, the gcd maps to a divisor of the
-    univariate image gcd over GF(_PRIME) of the same degree, so a coprime
-    image certifies a trivial gcd.  Fixed seeds keep the routine
-    deterministic.
-    """
-    import random
 
-    others = sorted((a.variables() | b.variables()) - {name})
-    for seed in range(5):
-        rng = random.Random(0x5EED + seed)
-        point = [(_shift(v), rng.randint(2, 997)) for v in others]
-        image_a = _image_mod(a, name, point)
-        image_b = _image_mod(b, name, point)
-        if image_a[-1] and image_b[-1]:
-            return _univariate_gcd_degree(image_a, image_b)
-    return min(a.degree(name), b.degree(name))
+def _brown_gcd(a: Poly, b: Poly, shift: int) -> Poly:
+    """gcd of integer primitive inputs by evaluation and interpolation in
+    the variable y at ``shift`` (Brown 1971, J. ACM 18).
+
+    With the contents in Q[y] divided out, G = gcd(a, b) is y-primitive and
+    its leading coefficient in the other variables divides gamma, the gcd of
+    a's and b's.  At y = 0, 1, -1, 2, ... where neither of those vanishes,
+    the images' gcd is a multiple of G(y), and G(y) up to a constant if it
+    has G's leading monomial: scaled to lead with gamma(y), a value of
+    H = gamma/lc(G) * G.  Newton interpolation skips an image with a larger
+    leading monomial and restarts on a smaller one.  When a point adds
+    nothing, H's y-primitive part is G if it divides a and b, as it then
+    divides G and has G's leading monomial.  A constant image means G = 1."""
+    parts = []
+    for p in (a, b):
+        coeffs = _over(p, shift)
+        content = reduce(poly_gcd, coeffs.values())
+        parts.append((content, _div_exact(p, content), _div_exact(coeffs[max(coeffs)], content)))
+    (cont_a, a, lc_a), (cont_b, b, lc_b) = parts
+    scalar, gamma = poly_gcd(cont_a, cont_b), poly_gcd(lc_a, lc_b)
+    mono = _GUARDS  # above every monomial
+    for i in count():
+        point = (i + 1) // 2 if i % 2 else -(i // 2)
+        if not (_at(lc_a, shift, point) and _at(lc_b, shift, point)):
+            continue
+        image = poly_gcd(_at(a, shift, point), _at(b, shift, point))
+        lm, lc = image.leading()
+        if not lm:
+            return scalar
+        if lm > mono:
+            continue
+        value = image.scale(Fraction(_at(gamma, shift, point).terms[0], lc))
+        if lm < mono:
+            interpolant, mono, modulus = value, lm, Poly.constant(1)
+        elif (change := value - _at(interpolant, shift, point)).terms:
+            weight = Fraction(1, _at(modulus, shift, point).terms[0])
+            interpolant = interpolant + (change * modulus).scale(weight)
+        else:
+            h = interpolant.primitive()
+            candidate = _div_exact(h, reduce(poly_gcd, _over(h, shift).values()))
+            try:
+                _div_exact(a, candidate)
+                _div_exact(b, candidate)
+                return (scalar * candidate).primitive()
+            except ArithmeticError:
+                pass
+        modulus = modulus * (_poly({1 << shift: 1}) + Poly.constant(-point))
 
 
 MAX_HEU_BITS = 1 << 16  # bound on radix product x bits(xi) of a heuristic gcd image
@@ -629,9 +670,9 @@ def _heu_gcd(a: Poly, b: Poly) -> Optional[Poly]:
 def poly_gcd(first: Poly, second: Poly) -> Poly:
     """Primitive GCD in Q[vars] of s-free inputs, on one path: closed forms
     for monomials and constants, integer primitive parts, then the heuristic
-    GCD (``_heu_gcd``).  Where that declines, in the variable of least degree:
-    the degree bound, the trial division it gates, then contents and the
-    subresultant PRS (Brown 1971)."""
+    GCD (``_heu_gcd``).  Where that declines, Brown's evaluation and
+    interpolation in the variable of least degree (``_brown_gcd``), or in one
+    variable ``_univariate_gcd``."""
     if first.is_zero():
         return second.primitive()
     if second.is_zero():
@@ -646,61 +687,11 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
     heuristic = _heu_gcd(first, second)
     if heuristic is not None:
         return heuristic
-    # the variable of least degree (first in VARIABLES on ties) keeps the PRS small
-    name = min(_used(chain(first.terms, second.terms)),
-               key=lambda v: max(first.degree(v), second.degree(v)))
-    # certify the main-variable gcd degree from a random evaluation before
-    # paying for a trial division, content extraction or the PRS; the
-    # content is x-free, so a zero bound reduces the answer to the gcd of
-    # contents
-    bound = min(first.degree(name), second.degree(name))
-    if bound:
-        bound = _gcd_degree_bound(first, second, name)
-    small, large = (first, second) if len(first.terms) <= len(second.terms) else (second, first)
-    if bound == small.degree(name):
-        # the gcd may be the smaller input itself; a bound below its degree
-        # proves it is not
-        try:
-            _div_exact(large, small)
-            return small
-        except ArithmeticError:
-            pass
-    cont_a, a = _content_wrt(first, name)
-    cont_b, b = _content_wrt(second, name)
-    scalar = poly_gcd(cont_a, cont_b)
-    if bound == 0:
-        return scalar.primitive()
-    if a.degree(name) < b.degree(name):
-        a, b = b, a
-    g = Poly.constant(1)
-    h = Poly.constant(1)
-    while True:
-        delta = a.degree(name) - b.degree(name)
-        rem = _prem(a, b, name)
-        if rem.is_zero():
-            break
-        if rem.degree(name) == 0:
-            return scalar.primitive()
-        a, b = b, _div_exact(rem, g * h ** delta)
-        g = a.coefficients_in(name)[a.degree(name)]
-        if delta == 0:
-            pass  # h unchanged: h^(1-0) * g^0
-        elif delta == 1:
-            h = g
-        else:
-            h = _div_exact(g ** delta, h ** (delta - 1))
-    return (scalar * _content_wrt(b, name)[1].primitive()).primitive()
-
-
-def _content_wrt(poly: Poly, name: str) -> tuple:
-    """(content, primitive part) with respect to one variable."""
-    coeffs = poly.coefficients_in(name)
-    content = Poly()
-    for c in coeffs.values():
-        content = poly_gcd(content, c)
-        if content.is_one():
-            return content, poly
-    return content, _div_exact(poly, content)
+    # y of least degree (first in VARIABLES on ties) keeps the interpolation short
+    used = _used(chain(first.terms, second.terms))
+    name = min(used, key=lambda v: max(first.degree(v), second.degree(v)))
+    fallback = _brown_gcd if len(used) > 1 else _univariate_gcd
+    return fallback(first, second, _shift(name))
 
 
 def poly_sqrt(poly: Poly) -> Optional[Poly]:
@@ -1118,8 +1109,9 @@ def parse_expr(text: str) -> RationalExpr:
     a*b at most min(t_a*t_b, prod_v (deg_a v + deg_b v + 1)) terms of
     bits_a + bits_b + ceil(log2 min(t_a, t_b)) bits and p^k at most
     C(t+k-1, k) terms of k*(bits + ceil(log2 t)) bits (for a single term, the
-    bits of lc(p)^k).  The parser carries (numerator, denominator) polynomial
-    pairs through plain ring arithmetic and canonicalises once, at the end.
+    bits of lc(p)^k), and the estimates of one parse sum to at most
+    ``MAX_PARSE_BITS``.  The parser carries (numerator, denominator)
+    polynomial pairs through plain ring arithmetic and canonicalises once.
     """
     tokens = _tokenize(text)
     parser = _Parser(tokens, text)
@@ -1157,6 +1149,7 @@ def _tokenize(text: str) -> list:
 
 _MAX_NESTING = 100
 MAX_POWER_BITS = 1 << 20  # bound on terms x coefficient bits of a parsed product or power
+MAX_PARSE_BITS = 2 * MAX_POWER_BITS  # bound on their sum over one parse
 
 
 class _Parser:
@@ -1165,6 +1158,7 @@ class _Parser:
         self.pos = 0
         self.text = text
         self.depth = 0
+        self.spent = 0  # terms x bits of the products and powers formed so far
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -1198,6 +1192,10 @@ class _Parser:
     def bound(self, what, terms, bits):
         if terms * bits > MAX_POWER_BITS:
             raise ExprSyntaxError(f"{what} above {MAX_POWER_BITS} bits in {self.text!r}")
+        self.spent += terms * bits
+        if self.spent > MAX_PARSE_BITS:
+            raise ExprSyntaxError(f"products and powers above {MAX_PARSE_BITS} bits "
+                                  f"in {self.text!r}")
 
     # values are (numerator, denominator) Poly pairs; a denominator is never
     # zero, because a reduced A + B*s vanishes only when A = B = 0 and every

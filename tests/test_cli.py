@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -166,6 +167,29 @@ def test_deform(capsys):
     )
     assert code == 0
     assert "kappa_bar = 3/2" in out and "mu_bar = 0" in out
+
+
+def test_values_past_the_heuristic_gcd_finish(capsys):
+    # numerators and denominators that share a factor only the gcd fallback
+    # finds; the subresultant PRS it replaced took 13 s on the first value
+    # and did not finish within 60 s on the second
+    shared = "(-5 - mu^3*n^2 + 4*n*mu*a^2 - 3*c^2)"
+    first = (f"((-a*kappa^5*n^5 + 4*a^2 - 5*c^8*n - 3*mu^5 - n^3 + 3)*{shared})"
+             f"/((n^5*kappa^4*a^2 - 2*mu^4*n^3*c^4 + 2*n^2 + 4*kappa^4)*{shared})")
+    top, bottom = "(n+kappa+a+c+1)^8+n*kappa*a*c", "(n-kappa+a-c+2)^8+3*n*a"
+    second = f"(({top})*(n*kappa-a*c+2))/(({bottom})*(n*kappa-a*c+2))"
+    outputs = []
+    for kappa in (first, second):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "deform", "--kappa", kappa, "--mu", "0", "--a", "1", "--c", "1")
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == ("kappa_bar = (-n^5*kappa^5*a - n^3 - 5*n*c^8 - 3*mu^5 + 4*a^2 + 3)"
+                          "/(n^5*kappa^4*a^2 - 2*n^3*mu^4*c^4 + 2*n^2 + 4*kappa^4)\nmu_bar = 0\n")
+    # the shared factor cancels: the value prints as the quotient of the cofactors
+    assert outputs[1] == invoke(capsys, "deform", "--kappa", f"({top})/({bottom})",
+                                "--mu", "0", "--a", "1", "--c", "1")[1]
 
 
 def test_model_audit_failure_exit_code(tmp_path, capsys):

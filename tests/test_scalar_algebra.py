@@ -22,6 +22,7 @@ from nkt.scalar_algebra import (
     ExprSyntaxError,
     KAPPA,
     MAX_EXPONENT,
+    MAX_PARSE_BITS,
     MAX_POWER_BITS,
     N,
     NonlinearInVariable,
@@ -137,8 +138,8 @@ def _assert_square_minus_self(text):
 
 
 def test_pseudo_remainder_keeps_gcd_division_exact():
-    # the remainder sequence skips degrees here; the pseudo-remainder must
-    # still carry lc^(deg num - deg den + 1) for the subresultant division
+    # a remainder sequence that skips degrees: a subresultant PRS whose
+    # pseudo-remainder dropped the owed lc factors divided inexactly here
     _assert_square_minus_self(
         "(-30*n*kappa*a*s - 120*n*kappa + 15*kappa*a*c*s + 2*kappa*a*s"
         " + 60*kappa*c + 8*kappa + 6*a^2*s + 24*a)/(12*n*a^2 - 192)"
@@ -168,59 +169,37 @@ def test_exact_division_of_an_s_carrying_numerator():
 
 def _decline_heuristic(monkeypatch):
     # the heuristic gcd answers these inputs first; declining it drives the
-    # fallback path the route tests are about
+    # fallback, Brown's interpolation and the one-variable PRS
     from nkt import scalar_algebra
 
     monkeypatch.setattr(scalar_algebra, "_heu_gcd", lambda a, b: None)
 
 
-def _gcd_trace(monkeypatch):
-    # which exact divisions succeed or fail, and whether the PRS runs
-    from nkt import scalar_algebra
-
-    _decline_heuristic(monkeypatch)
-    trace = []
-    div_exact, prem = scalar_algebra._div_exact, scalar_algebra._prem
-
-    def traced_div(num, den):
-        try:
-            out = div_exact(num, den)
-        except ArithmeticError:
-            trace.append("inexact")
-            raise
-        trace.append("exact")
-        return out
-
-    def traced_prem(*args):
-        trace.append("prem")
-        return prem(*args)
-
-    monkeypatch.setattr(scalar_algebra, "_div_exact", traced_div)
-    monkeypatch.setattr(scalar_algebra, "_prem", traced_prem)
-    return trace
-
-
-def test_gcd_trial_division_is_gated_by_the_degree_bound(monkeypatch):
+def test_fallback_gcd_of_a_divisor_and_of_a_lower_degree_factor(monkeypatch):
+    # one input divides the other; and a gcd of degree 1 in n, below both
+    # inputs' degree 2, with a factor in kappa in one input only
     p = (N * KAPPA + A - 2).num
     q = (6 * N + 3 * C + 3).num
-    # the gcd of the second pair has degree 1 in n, below the 2 of the input
-    # with fewer terms, so no trial division is made
     first, second = ((N + 1) * (N + 2)).num, ((N + 1) * (N + 3) * (KAPPA ** 2 + 1)).num
-    answer = (N + 1).num
-    trace = _gcd_trace(monkeypatch)
+    _decline_heuristic(monkeypatch)
     assert poly_gcd(p * q, q) == q.primitive()
-    assert trace == ["exact"]
-    assert poly_gcd(first, second) == answer
-    assert "inexact" not in trace and "prem" in trace
+    assert poly_gcd(first, second) == (N + 1).num
 
 
-def test_gcd_falls_back_when_the_trial_division_fails(monkeypatch):
-    # the degree bound in n is 1, the degree of kappa^2*(n+1), but kappa^2 is
-    # content that (n+1)*(n+2) lacks: the trial fails and the PRS answers
+def test_fallback_gcd_leaves_out_content_one_input_lacks(monkeypatch):
+    # kappa^2 is content of kappa^2*(n+1) in Q[n] that (n+1)*(n+2) lacks
     first, second, answer = (KAPPA ** 2 * (N + 1)).num, ((N + 1) * (N + 2)).num, (N + 1).num
-    trace = _gcd_trace(monkeypatch)
+    _decline_heuristic(monkeypatch)
     assert poly_gcd(first, second) == answer
-    assert trace[0] == "inexact" and "prem" in trace
+    assert poly_gcd(second, first) == answer
+
+
+def test_fallback_gcd_rejects_a_candidate_that_divides_one_input(monkeypatch):
+    # the images at n = 0 and n = 1 share kappa, which divides kappa^2 + kappa
+    # but not kappa + n^2 - n: the interpolated candidate must divide both
+    first, second = parse_expr("kappa^2 + kappa").num, parse_expr("kappa + n^2 - n").num
+    _decline_heuristic(monkeypatch)
+    assert poly_gcd(first, second) == poly_gcd(second, first) == Poly.constant(1)
 
 
 @pytest.mark.parametrize("first, second, common, seconds", [
@@ -228,7 +207,14 @@ def test_gcd_falls_back_when_the_trial_division_fails(monkeypatch):
     ("n^150*kappa + a", "kappa^150 + n*a + 1", "n*kappa - a + 2", 1),
     # a PRS in n over these 454- and 486-term products took about a minute
     ("(n+kappa+a+c+1)^7", "(n-kappa+a-c+2)^7", "n - kappa + 2", 5),
-], ids=["overflow", "slow"])
+    # about 900 terms each: the subresultant PRS did not finish in 120 s
+    ("(n+kappa+a+c+1)^8+n*kappa*a*c", "(n-kappa+a-c+2)^8+3*n*a", "n*kappa-a*c+2", 1),
+    # coprime pairs that needed a modular degree bound ahead of the PRS
+    ("(n+kappa+a+1)^14+1", "(n-kappa+a+2)^14+3", "1", 1),
+    ("(n+kappa+a+c+1)^9+1", "(n-kappa+a-c+2)^9+3", "1", 1),
+    # one variable: a coprime image mod 2^61 - 1 answers before any PRS
+    ("(2^100+1)*n^1000 + 3*n^7 + 1", "(2^100+3)*n^999 + n + 5", "1", 0.1),
+], ids=["overflow", "slow", "dense", "coprime-3", "coprime-4", "coprime-1"])
 def test_gcd_fallback_runs_on_the_variable_of_least_degree(first, second, common, seconds):
     from nkt.scalar_algebra import _heu_gcd
 
@@ -554,10 +540,10 @@ def test_canonical_form_matches_sympy_cancel(a, b, c, d):
 
 
 # ---------------------------------------------------------------------------
-# the heuristic gcd ahead of the PRS, and the lowest-terms fast paths
+# the heuristic gcd ahead of the fallback, and the lowest-terms fast paths
 
 
-def _prs_gcd(first, second):
+def _fallback_gcd(first, second):
     with pytest.MonkeyPatch.context() as patch:
         _decline_heuristic(patch)
         return poly_gcd(first, second)
@@ -568,17 +554,51 @@ def _prs_gcd(first, second):
 # a candidate read back here divides one input and not the other
 @example(*(parse_expr(text).num for text in
            ("-2*kappa^2*a*c^2 - 2*kappa^2*a*c", "-4*n^3 + 4*c^2", "-4*n - 3*kappa^3")))
-def test_heuristic_gcd_equals_the_prs_answer(first, second, common):
+def test_heuristic_gcd_equals_the_fallback_answer(first, second, common):
     from nkt.scalar_algebra import _div_exact, _heu_gcd
 
     a, b = first * common, second * common
     if a.leading()[1] > 0:
         a = -a
-    want = _prs_gcd(a, b)
+    want = _fallback_gcd(a, b)
     assert poly_gcd(a, b) == want
     _div_exact(want, common)  # the planted factor divides the answer
     if len(a.terms) > 1 and len(b.terms) > 1:
         assert _heu_gcd(a.primitive(), b.primitive()) in (None, want)
+
+
+_ORACLE_VARS = ("n", "kappa", "mu", "a", "c")
+
+
+def _random_factor(rng, names):
+    # up to eight terms of total degree at most 5, spread over the variables
+    # in a random order, with coefficients in [-9, 9]
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exps, left = [0] * len(VARIABLES), rng.randint(0, 5)
+        for name in rng.sample(names, len(names)):
+            exps[VARIABLES.index(name)] = e = rng.randint(0, left)
+            left -= e
+        terms[tuple(exps)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+    return Poly(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_fallback_gcd_matches_sympy_on_planted_factors(seed):
+    # the fallback alone, against an independent gcd, on products over 4-5
+    # variables with a planted common factor; each gcd gets 2 s (the
+    # subresultant PRS it replaced took over 3 s on about 1 input in 40)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    names = rng.sample(_ORACLE_VARS, rng.randint(4, 5))
+    first, second, common = (_random_factor(rng, names) for _ in range(3))
+    a, b = first * common, second * common
+    start = time.perf_counter()
+    got = _fallback_gcd(a, b)
+    assert time.perf_counter() - start < 2
+    want = sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b))
+    assert sympy.cancel(_to_sympy(sympy, got) / want).is_number
 
 
 def test_heuristic_gcd_retries_with_a_larger_xi(monkeypatch):
@@ -594,7 +614,7 @@ def test_heuristic_gcd_retries_with_a_larger_xi(monkeypatch):
     first, second = ((N + 3) * (N - 1)).num, ((N + 3) * (3 * N * A - 1)).num
     assert scalar_algebra._heu_gcd(first, second) == (N + 3).num
     assert grown
-    assert poly_gcd(first, second) == _prs_gcd(first, second) == (N + 3).num
+    assert poly_gcd(first, second) == _fallback_gcd(first, second) == (N + 3).num
 
 
 def test_heuristic_gcd_declines_above_the_size_cap():
@@ -857,13 +877,13 @@ def test_raw_fraction_polys_canonicalise_like_integer_twins(data):
 def test_gcd_intermediates_hold_ints(monkeypatch):
     from nkt import scalar_algebra
 
-    calls = {"_prem": 0, "_div_exact": 0}
+    calls = {"_divide": 0, "_div_exact": 0}
 
     def checked(name, fn):
         def wrapper(*args):
             out = fn(*args)
             calls[name] += 1
-            for poly in (args[0], args[1], out):
+            for poly in (args[0], args[1], *(out if isinstance(out, tuple) else (out,))):
                 assert all(type(c) is int for c in poly.terms.values()), name
             return out
         return wrapper
@@ -871,12 +891,13 @@ def test_gcd_intermediates_hold_ints(monkeypatch):
     for name in calls:
         monkeypatch.setattr(scalar_algebra, name, checked(name, getattr(scalar_algebra, name)))
     _decline_heuristic(monkeypatch)
-    # the heavy corpus entry: its e*e - e runs the subresultant PRS
+    # the heavy corpus entry: its e*e - e runs Brown's interpolation, whose
+    # images run the one-variable PRS
     e = parse_expr("(90*n^2*a - 135*n^2*c + 108*n*kappa*c + 10*n*a^2*s - 15*n*a*c*s"
                    " - 30*n*a + 45*n*c + 216*n + 12*kappa*a*c*s - 36*kappa*c + 24*a*s - 72)"
                    "/(162*n^2 - 2*n*a^2 - 108*n + 18)")
     assert all(type(c) is int for c in _coefficients(e * e - e))
-    assert calls["_prem"] and calls["_div_exact"]
+    assert calls["_divide"] and calls["_div_exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +934,17 @@ def test_powers_of_huge_constants_are_rejected_before_computing():
     assert time.perf_counter() - start < 5
     assert len(parse_expr("(n+kappa+a+c+1)^12").num.terms) == 1820
     assert parse_expr("(n+1)^400") == (N + 1) ** 400
+
+
+def test_one_parse_has_one_budget():
+    # each power is within MAX_POWER_BITS and takes a few tenths of a second
+    # to form; their estimates are summed over the parse, so the sum is
+    # rejected after a few of them
+    assert MAX_PARSE_BITS >= 2 * MAX_POWER_BITS
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError, match=f"products and powers above {MAX_PARSE_BITS} bits"):
+        parse_expr(" + ".join(["(n+kappa+a+c+1)^20"] * 50))
+    assert time.perf_counter() - start < 2
 
 
 def test_product_bound_counts_the_degree_box():
