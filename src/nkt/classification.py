@@ -17,9 +17,9 @@ coefficient vector:
 
 Each eta-Einstein form is a hypothesis denominator C and numerators (A, B),
 with b1 = A/C and b2 = B/C; a vanishing C is degenerate.  The scalar
-curvature symbol r stays symbolic in the derived forms; the substitution
-r -> 2n(2n - 2 + kappa) is an explicit step requested through
-``substitute_r=True`` (the golden tables are transcribed with r substituted).
+curvature r stays a symbol in the derived forms unless ``substitute_r=True``
+binds it to 2n(2n - 2 + kappa) while A and B are built (the golden tables
+are transcribed with r substituted).
 
 The golden files are the tables: a table's rows come out in its file's
 order, and its row set must equal the derivable catalog rows (every preset
@@ -94,11 +94,6 @@ class EtaEinsteinForm(Record):
         return self.tag is FormTag.DEGENERATE
 
 
-def substitute_scalar_curvature(value: RationalExpr) -> RationalExpr:
-    """Replace the scalar-curvature symbol r by 2n(2n - 2 + kappa)."""
-    return substitute(value, "r", SCALAR_CURVATURE)
-
-
 def t_flat_constraint(coeffs: TCoeffs) -> RationalExpr:
     """The scalar constraint satisfied by every T-flat manifold:
 
@@ -124,13 +119,12 @@ def t_flat_kappa(coeffs: TCoeffs) -> LinearSolution:
 
 def _eta_einstein(c: RationalExpr, substitute_r: bool, numerators) -> EtaEinsteinForm:
     """S = (A/C) g + (B/C) eta (x) eta from the hypothesis denominator C and
-    a thunk building the numerators (A, B).  A vanishing C is degenerate and
-    the numerators are never built."""
+    a function building the numerators (A, B) from the scalar curvature r:
+    the symbol r, or 2n(2n - 2 + kappa) itself with ``substitute_r``.  A
+    vanishing C is degenerate and the numerators are never built."""
     if c.is_zero():
         return EtaEinsteinForm(None, None, FormTag.DEGENERATE, c)
-    big_a, big_b = numerators()
-    if substitute_r:
-        big_a, big_b = map(substitute_scalar_curvature, (big_a, big_b))
+    big_a, big_b = numerators(SCALAR_CURVATURE if substitute_r else R)
     b1, b2 = big_a / c, big_b / c
     tag = FormTag.EINSTEIN if b2.is_zero() else FormTag.ETA_EINSTEIN
     return EtaEinsteinForm(b1, b2, tag, c)
@@ -140,19 +134,19 @@ def _quasi_denominator(a: tuple) -> RationalExpr:
     return a[0] + 2 * N * a[1] + a[2] + a[3] + a[5] + a[6]
 
 
-def _quasi_g_numerator(a: tuple) -> RationalExpr:
-    return a[0] * KAPPA + a[4] * (2 * N * KAPPA - R) + a[7] * R * (1 - 2 * N)
+def _quasi_g_numerator(a: tuple, r: RationalExpr) -> RationalExpr:
+    return a[0] * KAPPA + a[4] * (2 * N * KAPPA - r) + a[7] * r * (1 - 2 * N)
 
 
-def _quasi_eta_numerator(a: tuple) -> RationalExpr:
-    return -a[0] * KAPPA + 2 * N * KAPPA * (a[2] + a[3] + a[5] + a[6]) - a[7] * R
+def _quasi_eta_numerator(a: tuple, r: RationalExpr) -> RationalExpr:
+    return -a[0] * KAPPA + 2 * N * KAPPA * (a[2] + a[3] + a[5] + a[6]) - a[7] * r
 
 
 def quasi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
     """eta-Einstein form forced by g(T(phi X1, X2) X3, phi X4) = 0."""
     a = coeffs.a
     return _eta_einstein(_quasi_denominator(a), substitute_r,
-                         lambda: (_quasi_g_numerator(a), _quasi_eta_numerator(a)))
+                         lambda r: (_quasi_g_numerator(a, r), _quasi_eta_numerator(a, r)))
 
 
 def phi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
@@ -164,8 +158,8 @@ def phi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinFor
     a = coeffs.a
     c = _quasi_denominator(a)
 
-    def numerators():
-        big_a = _quasi_g_numerator(a)
+    def numerators(r):
+        big_a = _quasi_g_numerator(a, r)
         return big_a, 2 * N * KAPPA * c - big_a
 
     return _eta_einstein(c, substitute_r, numerators)
@@ -174,15 +168,15 @@ def phi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinFor
 def xi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
     """eta-Einstein form forced by T(X1, xi, xi, X4) = 0; needs a4 != 0."""
     a = coeffs.a
-    return _eta_einstein(a[4], substitute_r, lambda: (
-        -(a[0] * KAPPA + 2 * N * KAPPA * a[1] + a[7] * R), -_quasi_eta_numerator(a)))
+    return _eta_einstein(a[4], substitute_r, lambda r: (
+        -(a[0] * KAPPA + 2 * N * KAPPA * a[1] + a[7] * r), -_quasi_eta_numerator(a, r)))
 
 
 def t_dot_riemann_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
     """eta-Einstein form forced by T(xi, X).R = 0; needs a1 + a5 != 0.  The
     form carries no scalar curvature, so ``substitute_r`` changes nothing."""
     a = coeffs.a
-    return _eta_einstein(a[1] + a[5], substitute_r, lambda: (
+    return _eta_einstein(a[1] + a[5], substitute_r, lambda r: (
         -2 * N * KAPPA * (a[2] + a[4]), 2 * N * KAPPA * (a[1] + a[2] + a[4] + a[5])))
 
 
@@ -191,8 +185,8 @@ def t_dot_ricci_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinstein
     (h = 0); needs a1 + a5 != 0."""
     a = coeffs.a
 
-    def numerators():
-        core = a[0] * KAPPA + a[7] * R
+    def numerators(r):
+        core = a[0] * KAPPA + a[7] * r
         big_a = (
             (2 * N * KAPPA - 2 * N + 2) * core
             + 4 * N * KAPPA * (N - 1) * a[2]

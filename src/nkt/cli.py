@@ -242,7 +242,9 @@ def _cmd_model_audit(args) -> int:
 
 
 def _resolve_coeffs(args) -> tuple:
-    """(coefficients, label) from --coeffs or else --preset."""
+    """(coefficients, label) from --coeffs or --preset, not both."""
+    if args.coeffs is not None and args.preset is not None:
+        raise InputError("--preset and --coeffs exclude each other")
     if args.coeffs:
         parts = [p.strip() for p in args.coeffs.split(",")]
         if len(parts) != 8:
@@ -353,9 +355,10 @@ def _cmd_residual(args) -> int:
         source = f"lambda = {args.lam}"
     condition = ConditionKind.parse(args.condition)
     coeffs, label = _resolve_coeffs(args)
-    # the free-parameter values bind preset rows only
-    free = {} if args.coeffs else {"a0": args.a0, "a1": args.a1}
-    numeric = coeffs.at(model.n, **free)
+    for name in ("a0", "a1"):
+        if getattr(args, name) is not None and name not in coeffs.free_parameters():
+            raise InputError(f"--{name}: the {label} coefficients have no free parameter {name}")
+    numeric = coeffs.at(model.n, a0=args.a0, a1=args.a1)
     value = flatness_residual(curvature(model), numeric, condition,
                               strict=args.strict_xi, variant=args.variant)
     payload = {

@@ -44,7 +44,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .scalar_algebra import (
-    InputError, RationalLike, Record, _frac_str, as_int, as_rational, numbered_lines)
+    InputError, RationalLike, Record, as_int, as_rational, numbered_lines)
 
 MAX_DIM = 15  # the largest frame a model file may declare
 
@@ -401,10 +401,10 @@ def render_model(model: FrameModel) -> str:
     lines = [f"dim {dim}", f"xi {model.xi_index + 1}"]
     for i in range(dim):
         row = (model.phi.get((i, j), _ZERO_Q) for j in range(dim))
-        lines.append("phi " + " ".join(map(_frac_str, row)))
+        lines.append("phi " + " ".join(map(str, row)))
     for (i, j, k), value in sorted(model.structure.items()):
         if i < j:
-            lines.append(f"c {i+1} {j+1} {k+1} : {_frac_str(value)}")
+            lines.append(f"c {i+1} {j+1} {k+1} : {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -416,11 +416,11 @@ class Poly:
                 if e
             )
             if not mono:
-                body = _frac_str(abs(coeff))
+                body = str(abs(coeff))
             elif abs(coeff) == 1:
                 body = mono
             else:
-                body = f"{_frac_str(abs(coeff))}*{mono}"
+                body = f"{abs(coeff)}*{mono}"
             pieces.append(("-" if coeff < 0 else "+", body))
         sign, body = pieces[0]
         text = ("-" if sign == "-" else "") + body
@@ -430,10 +430,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-def _frac_str(value) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def _content_parts(coeffs) -> tuple:
@@ -612,8 +608,8 @@ def _heu_gcd(a: Poly, b: Poly) -> Optional[Poly]:
     """GCDHEU (Char, Geddes & Gonnet 1989) on integer primitive inputs, or
     None.  A Kronecker substitution (radix deg + 1 per used variable, n most
     significant) maps a and b to integers at up to six growing xi from
-    2 min(|a|, |b|) + 29, each coprime to a's lowest coefficient; balanced
-    xi-adic digits of their gcd, or of a cofactor, read back a candidate.
+    2 min(|a|, |b|) + 29, each coprime to a's lowest coefficient; the
+    balanced xi-adic digits of their integer gcd read back one candidate.
     For such xi a candidate dividing both inputs is their gcd, and nothing
     else is accepted.  No image above MAX_HEU_BITS bits is built."""
     keys = list(chain(a.terms, b.terms))
@@ -621,46 +617,37 @@ def _heu_gcd(a: Poly, b: Poly) -> Optional[Poly]:
     radices = [max(k >> shift & MAX_EXPONENT for k in keys) + 1 for shift in shifts]
     weights = [prod(radices[i + 1:]) for i in range(len(radices))]
     xi = 2 * min(max(map(abs, p.terms.values())) for p in (a, b)) + 29
-    mono_a, mono_b = (reduce(_mono_min, p.terms) for p in (a, b))
-    common, low = _mono_min(mono_a, mono_b), a.terms[min(a.terms)]
+    common = _mono_min(reduce(_mono_min, a.terms), reduce(_mono_min, b.terms))
+    low = a.terms[min(a.terms)]
 
     def image(poly):
         return sum(c * xi ** sum((k >> sh & MAX_EXPONENT) * w for sh, w in zip(shifts, weights))
                    for k, c in poly.terms.items())
 
-    def read_back(value, mono):
-        # digits past the radix box have no monomial: the zero candidate
-        terms, p = {}, 0
-        while value:
-            value, digit = divmod(value, xi)
-            if 2 * digit > xi:
-                value, digit = value + 1, digit - xi
-            if p == weights[0] * radices[0]:
-                return Poly()
-            if digit:
-                terms[sum(p // w % r << s for w, r, s in zip(weights, radices, shifts))] = digit
-            p += 1
-        # a power of xi in the gcd of the images can be spurious: the
-        # candidate's monomial factor is the one the answer implies instead
-        lo = reduce(_mono_min, terms)
-        return _poly({k - lo + mono: c for k, c in terms.items()}).primitive()
-
     for _ in range(6):
         while gcd(xi, low) != 1:
             xi += 1
-        if weights[0] * radices[0] * xi.bit_length() > MAX_HEU_BITS:
+        if prod(radices) * xi.bit_length() > MAX_HEU_BITS:
             return None
-        va, vb = image(a), image(b)
-        g = gcd(va, vb)
-        # the gcd, or a cofactor of a or of b that gives it as a quotient
-        for i, (value, p, q, mono) in enumerate(((g, a, b, common), (va // g, a, b, mono_a - common),
-                                                 (vb // g, b, a, mono_b - common))):
-            try:  # a zero candidate raises ZeroDivisionError
-                candidate = read_back(value, mono)
-                quotient = _div_exact(p, candidate)
-                h = quotient if i else candidate
-                _div_exact(q, h)
-                return h.primitive()
+        value, terms = gcd(image(a), image(b)), {}
+        for p in range(prod(radices)):
+            value, digit = divmod(value, xi)
+            if 2 * digit > xi:
+                value, digit = value + 1, digit - xi
+            if digit:
+                terms[sum(p // w % r << s for w, r, s in zip(weights, radices, shifts))] = digit
+            if not value:
+                break
+        # digits past the radix box have no monomial, and a power of xi in
+        # the gcd of the images can be spurious: the candidate's monomial
+        # factor is the one the answer implies instead
+        if not value:
+            lo = reduce(_mono_min, terms)
+            candidate = _poly({k - lo + common: c for k, c in terms.items()}).primitive()
+            try:
+                _div_exact(a, candidate)
+                _div_exact(b, candidate)
+                return candidate
             except ArithmeticError:
                 pass
         xi = xi * isqrt(isqrt(xi)) * 3 // 2
@@ -919,7 +906,7 @@ class RationalExpr:
         if self.den.is_one():
             return str(self.num)
         if self.is_constant():
-            return _frac_str(self.as_rational())
+            return str(self.as_rational())
         return f"({self.num})/({self.den})"
 
     def __repr__(self) -> str:
@@ -951,7 +938,7 @@ def eval_at(value: RationalExpr, bindings: Mapping[str, RationalLike]) -> Fracti
     point = {name: as_rational(v) for name, v in bindings.items()}
     den = value.den.evaluate(point)
     if den == 0:
-        at = ", ".join(f"{name} = {_frac_str(v)}" for name, v in point.items())
+        at = ", ".join(f"{name} = {v}" for name, v in point.items())
         raise DivisionByZero(f"denominator of {value} vanishes at {at}")
     return value.num.evaluate(point) / den
 
@@ -1058,37 +1045,24 @@ def sqrt_expr(value: RationalExpr) -> Optional[RationalExpr]:
 
 
 def _poly_sqrt_with_s(poly: Poly) -> Optional[Poly]:
+    # u + v*s = (f + g*s)^2 needs f*g = v/2 and f^2 + n*g^2 = u; the norm
+    # (f^2 - n*g^2)^2 = u^2 - n*v^2 pins both squares down, and for v = 0
+    # its root is u itself: f = sqrt(u), or f = 0 and g = sqrt(u/n)
     u, v = poly.split_s()
-    s = Poly.variable("s")
-    if v.is_zero():
-        plain = poly_sqrt(u)
-        if plain is not None:
-            return plain
-        # try u = n * w with w a square, giving root sqrt(w)*s
-        try:
-            w = _div_exact(u, Poly.variable("n"))
-        except ArithmeticError:
-            return None
-        w_root = poly_sqrt(w)
-        return None if w_root is None else w_root * s
-    # u + v*s = (f + g*s)^2 needs f*g = v/2 and f^2 + n*g^2 = u;
-    # the norm (f^2 - n*g^2)^2 = u^2 - n*v^2 pins both squares down
-    norm = u * u - Poly.variable("n") * v * v
-    w = poly_sqrt(norm)
+    n, s = Poly.variable("n"), Poly.variable("s")
+    w = u if v.is_zero() else poly_sqrt(u * u - n * v * v)
     if w is None:
         return None
     for signed in (w, -w):
-        f_sq = (u + signed).scale(Fraction(1, 2))
-        f = poly_sqrt(f_sq)
-        if f is None or f.is_zero():
+        f = poly_sqrt((u + signed).scale(Fraction(1, 2)))
+        if f is None:
             continue
         try:
-            g = _div_exact(v.scale(Fraction(1, 2)), f)
+            g = _div_exact(v.scale(Fraction(1, 2)), f) if f else poly_sqrt(_div_exact(u, n))
         except ArithmeticError:
             continue
-        candidate = f + g * s
-        if candidate * candidate == poly:
-            return candidate
+        if g is not None and (f + g * s) * (f + g * s) == poly:
+            return f + g * s
     return None
 
 

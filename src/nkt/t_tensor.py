@@ -296,9 +296,14 @@ def flatness_residual(curv: CurvatureData, coeffs, kind: ConditionKind, *,
 
     Each condition is T with a matrix applied to some slots: the projector
     onto xi, or phi^T (inserting phi e_i into a slot contracts with the
-    transpose of its matrix).
+    transpose of its matrix).  ``strict`` applies to xi-flat only and a
+    ``variant`` other than standard to t-dot-r only: elsewhere InputError.
     """
     kind = ConditionKind.parse(kind)
+    if strict and kind is not ConditionKind.XI_T_FLAT:
+        raise InputError(f"strict (--strict-xi) applies to xi-flat only, not {kind.value}")
+    if variant != "standard" and kind is not ConditionKind.T_DOT_R:
+        raise InputError(f"variant {variant} applies to t-dot-r only, not {kind.value}")
     if kind is ConditionKind.T_DOT_R:
         return t_dot_riemann(curv, coeffs, variant=variant)
     if kind is ConditionKind.T_DOT_S:

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nkt.classification import (
+    FORM_BUILDERS,
+    SCALAR_CURVATURE,
     BoeckxRadical,
     FormTag,
     SasakianInput,
@@ -22,7 +24,7 @@ from nkt.classification import (
     t_flat_kappa,
     xi_flat_form,
 )
-from nkt.scalar_algebra import A0, A1, KAPPA, N, S, eval_at, expr
+from nkt.scalar_algebra import A0, A1, KAPPA, N, S, eval_at, expr, substitute
 from nkt.t_tensor import PresetName, coeffs_from, preset
 
 ZERO_COEFFS = coeffs_from([0] * 8)
@@ -142,6 +144,21 @@ def test_quasi_and_phi_share_numerator_and_hypothesis():
         assert quasi.denominator_condition == phi.denominator_condition
         if not quasi.is_degenerate:
             assert quasi.b1 == phi.b1
+
+
+def test_forms_built_with_r_bound_equal_the_substituted_symbolic_forms():
+    # the reference pipeline: build with the symbol r, then substitute it
+    for name in PresetName:
+        coeffs = preset(name)
+        for condition, build in FORM_BUILDERS.items():
+            bound, symbolic = build(coeffs, substitute_r=True), build(coeffs)
+            assert bound.denominator_condition == symbolic.denominator_condition
+            if symbolic.is_degenerate:
+                assert bound.is_degenerate, (name, condition)
+                continue
+            b1, b2 = (substitute(b, "r", SCALAR_CURVATURE) for b in (symbolic.b1, symbolic.b2))
+            tag = FormTag.EINSTEIN if b2.is_zero() else FormTag.ETA_EINSTEIN
+            assert (bound.b1, bound.b2, bound.tag) == (b1, b2, tag), (name, condition)
 
 
 def test_t_dot_riemann_anchors():

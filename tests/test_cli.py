@@ -258,6 +258,24 @@ def test_vanishing_denominator_names_the_binding(capsys):
     assert line == "error: denominator of (1)/(n - 1) vanishes at n = 1"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["classify", "--preset", "W7", "--coeffs", "1,0,0,0,0,0,0,0", "--condition", "t-flat"],
+     "--preset and --coeffs exclude each other"),
+    (["residual", "--lambda", "1/2", "--preset", "W7", "--condition", "xi-flat", "--a0", "5"],
+     "--a0: the W7 coefficients have no free parameter a0"),
+    (["residual", "--lambda", "1/2", "--coeffs", "1,0,0,0,0,0,0,0", "--condition", "xi-flat",
+      "--a1", "5"], "--a1: the custom coefficients have no free parameter a1"),
+    (["residual", "--lambda", "1/2", "--preset", "W7", "--condition", "t-flat", "--strict-xi"],
+     "strict (--strict-xi) applies to xi-flat only, not t-flat"),
+    (["residual", "--lambda", "1/2", "--preset", "W7", "--condition", "xi-flat",
+      "--variant", "printed"], "variant printed applies to t-dot-r only, not xi-flat"),
+], ids=["preset-and-coeffs", "a0-without-parameter", "a1-with-coeffs", "strict-xi-elsewhere",
+        "variant-elsewhere"])
+def test_options_that_would_change_nothing_are_rejected(capsys, argv, want):
+    # each was dropped without a word: the output was that of the command without it
+    assert _assert_one_error_line(*invoke(capsys, *argv)) == f"error: {want}"
+
+
 def test_non_utf8_files_are_one_error_line_naming_the_file(tmp_path, monkeypatch, capsys):
     model = tmp_path / "model.txt"
     model.write_bytes(b"dim 3\nxi 3\n# caf\xe9\n")

@@ -259,9 +259,13 @@ def test_sqrt_expr_patterns():
         " + 45*n*c + 216*n + 12*kappa*a*c*s - 36*kappa*c + 24*a*s - 72)"
         "/(162*n^2 - 2*n*a^2 - 108*n + 18)"
     )
-    assert sqrt_expr(heavy * heavy) in (heavy, -heavy)
-    root = sqrt_expr((1 - (S - 1) ** 2 / (N - 1)) ** 2)
-    assert root is not None and root ** 2 == (1 - (S - 1) ** 2 / (N - 1)) ** 2
+    assert sqrt_expr(heavy * heavy) == heavy
+    # boeckx prints (1 - mu/2)/root, so the branch is part of the output
+    for square, root in [("n*(kappa+1)^2", "kappa*s + s"), ("(kappa+1)^2", "kappa + 1"),
+                         ("(1+s)^2", "s + 1"), ("(kappa - s)^2", "kappa - s"),
+                         ("n*(kappa-1)^2/(a+1)^2", "(kappa*s - s)/(a + 1)"),
+                         ("(1-(s-1)^2/(n-1))^2", "(-2*s + 2)/(n - 1)")]:
+        assert str(sqrt_expr(parse_expr(square))) == root, square
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +545,24 @@ def test_canonical_form_matches_sympy_cancel(a, b, c, d):
 
 # ---------------------------------------------------------------------------
 # the heuristic gcd ahead of the fallback, and the lowest-terms fast paths
+
+
+@pytest.mark.parametrize("first, second, common, heuristic", [
+    # both images hold a power of xi (from kappa^2 and a^3) that no common
+    # monomial accounts for: the candidate takes the monomial factor implied
+    ("n^3 + 14*kappa^2", "3*n^3*a^3 - 2*a^3", "3*n^2*a - n + 1", "3*n^2*a - n + 1"),
+    # the candidate (12*n^2*a - 1)*(kappa + 1) divides the first input only
+    ("kappa^3 + 1", "2*n^2 - n*kappa - 3", "12*n^2*a - 1", None),
+    # below the size cap, the images share a factor xi^d - 1 at each of the six xi
+    ("n - 1", "n*kappa - 1", "1", None),
+], ids=["power-of-xi", "divides-one-input", "declined"])
+def test_heuristic_gcd_reads_back_one_candidate(first, second, common, heuristic):
+    from nkt.scalar_algebra import _heu_gcd
+
+    common = parse_expr(common).num
+    first, second = parse_expr(first).num * common, parse_expr(second).num * common
+    assert _heu_gcd(first, second) == (None if heuristic is None else parse_expr(heuristic).num)
+    assert poly_gcd(first, second) == common  # Brown's interpolation answers a decline
 
 
 def _fallback_gcd(first, second):

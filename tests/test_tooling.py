@@ -1,15 +1,20 @@
-"""The README's library tour and the benchmark's span tracer, each run the
-way a reader runs it."""
+"""The README's library tour and command examples, and the benchmark's span
+tracer, each run the way a reader runs it."""
 
+import contextlib
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from nkt.cli import run
 
 ROOT = Path(__file__).parent.parent
 
@@ -19,6 +24,26 @@ def test_readme_library_quick_tour_runs():
     tour = text.split("## Library quick tour", 1)[1]
     block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_command_examples_print_what_they_show():
+    # each "$ nkt ..." line of the command-line section runs through the CLI;
+    # the lines shown under it appear in order, a "..." line skipping any number
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = [chunk.splitlines() for block in re.findall(r"```\n(.*?)```", section, re.S)
+                for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]]
+    assert len(examples) >= 4
+    for command, *shown in examples:
+        argv = shlex.split(command, comments=True)
+        assert argv[0] == "nkt", command
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv[1:])
+        printed = out.getvalue() + err.getvalue()
+        pattern = "".join("(?:.*\n)*?" if line == "..." else re.escape(line) + "\n"
+                          for line in shown)
+        assert re.fullmatch(pattern, printed), (command, printed)
+        assert code == (1 if any(line.startswith("error: ") for line in shown) else 0), command
 
 
 @pytest.mark.parametrize("argv, spans", [
