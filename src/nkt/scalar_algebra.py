@@ -20,7 +20,8 @@ identical, so ``==`` is decidable equality.
 Because the canonical form is unique, it can be taken once per result:
 ``parse_expr`` and ``substitute`` work on (numerator, denominator) polynomial
 pairs with plain ring arithmetic and canonicalise at the end, and field
-operations on s-free numerators skip the gcd where coprimality is known.
+operations skip the gcd where the operands' canonical forms fix its answer
+(see ``_lowest_terms``).
 ``poly_gcd`` has one path: closed forms for monomial and constant inputs;
 else integer primitive parts and the heuristic GCD (GCDHEU on a Kronecker
 image, skipped above ``MAX_HEU_BITS``); where it declines, Brown's
@@ -743,10 +744,14 @@ def _s_free(*polys) -> bool:
 
 def _lowest_terms(num: Poly, den: Poly) -> "RationalExpr":
     """num/den already in lowest terms over an s-free den: only the joint
-    content and the sign of den's leading coefficient are normalised.  A
-    product or Henrici sum is coprime only for s-free numerators: the ring is
-    Q[s, vars] (n = s^2), but canonical dens are s-free, so 1+s, a factor of
-    n-1, stays a numerator: (1+s)*((1-s)/(n-1)) = (1-n)/(n-1).  Negation keeps either."""
+    content and the sign of den's leading coefficient are normalised.  The
+    ring is Q[s, vars] (n = s^2), but canonical dens are s-free, so 1+s, a
+    factor of n-1, stays a numerator, and a product of two s-carrying
+    numerators need not be coprime: (1+s)*((1-s)/(n-1)) = (1-n)/(n-1).
+    A Henrici sum is coprime with s too: an s-free prime divides A + B*s
+    exactly when it divides A and B.  A power N^k/D^k can share only a power
+    of n: a prime p of Q[n, vars] divides N^k but not N only if p(s^2, ...)
+    has a repeated factor in Q[s, vars], and n = s*s is the one such prime."""
     if not num.terms:
         return RationalExpr(num)
     out = RationalExpr.__new__(RationalExpr)
@@ -844,16 +849,16 @@ class RationalExpr:
         self_co = _div_exact(self.den, shared)
         other_co = _div_exact(other.den, shared)
         num = self.num * other_co + other.num * self_co
-        if not _s_free(self.num, other.num):
-            return RationalExpr(num, self.den * other_co)
         # Henrici: num can share a factor of the lcm only within shared
-        common = poly_gcd(num, shared)
+        common = _gcd_against_sfree(num, shared)
         return _lowest_terms(_div_exact(num, common), self_co * _div_exact(other.den, common))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _lowest_terms(-self.num, self.den)
+        out = RationalExpr.__new__(RationalExpr)
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -865,6 +870,8 @@ class RationalExpr:
         return (-self) + other
 
     def __mul__(self, other):
+        if other is self:
+            return self ** 2
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -898,7 +905,13 @@ class RationalExpr:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return RationalExpr.constant(1) / self ** (-exponent)
-        return RationalExpr(self.num ** exponent, self.den ** exponent)
+        num, den = self.num ** exponent, self.den ** exponent
+        # the one factor N^k and D^k can share is n^t (see _lowest_terms)
+        drop = min(key >> _SHIFTS[_N] for key in chain(num.terms, den.terms)) * _N_UNIT
+        if drop:
+            num = _poly({key - drop: c for key, c in num.terms.items()})
+            den = _poly({key - drop: c for key, c in den.terms.items()})
+        return _lowest_terms(num, den)
 
     # -- rendering ------------------------------------------------------
 

@@ -57,6 +57,7 @@ from .scalar_algebra import (
     RationalExpr,
     RationalLike,
     Record,
+    VARIABLES,
     as_rational,
     eval_at,
     expr,
@@ -123,7 +124,8 @@ class ConditionKind(str, Enum):
 
 class TCoeffs(Record):
     """Coefficient vector (a0..a7) of rational functions of n (and the free
-    parameters a0, a1 for the starred presets)."""
+    parameters a0, a1 for the starred presets); an entry holding any other
+    indeterminate is an InputError."""
 
     a: tuple
     annotations: tuple = ()
@@ -131,6 +133,12 @@ class TCoeffs(Record):
     def __post_init__(self):
         if len(self.a) != 8:
             raise InputError("a coefficient vector has exactly 8 entries")
+        for place, entry in enumerate(self.a, 1):
+            other = entry.variables() - {"n", "a0", "a1"}
+            if other:
+                names = ", ".join(v for v in VARIABLES if v in other)
+                raise InputError(f"coefficient entry {place} ({entry}) holds {names}; "
+                                 "entries are functions of n, a0 and a1 only")
 
     def __getitem__(self, index: int) -> RationalExpr:
         return self.a[index]

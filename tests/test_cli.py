@@ -276,6 +276,21 @@ def test_options_that_would_change_nothing_are_rejected(capsys, argv, want):
     assert _assert_one_error_line(*invoke(capsys, *argv)) == f"error: {want}"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["classify", "--coeffs", "1,0,0,0,0,0,0,r", "--condition", "quasi-flat", "--substitute-r"],
+     "coefficient entry 8 (r) holds r"),
+    (["classify", "--coeffs", "1,0,0,0,0,0,0,kappa", "--condition", "quasi-flat"],
+     "coefficient entry 8 (kappa) holds kappa"),
+    (["residual", "--lambda", "1/2", "--coeffs", "1,0,0,0,0,0,0,s", "--condition", "xi-flat"],
+     "coefficient entry 8 (s) holds s"),
+], ids=["r", "kappa", "s"])
+def test_coefficient_symbols_other_than_n_a0_a1_are_rejected(capsys, argv, want):
+    # r stayed in a --substitute-r form, kappa made a form in kappa*r, and s
+    # failed only when the residual evaluated it
+    line = _assert_one_error_line(*invoke(capsys, *argv))
+    assert line == f"error: {want}; entries are functions of n, a0 and a1 only"
+
+
 def test_non_utf8_files_are_one_error_line_naming_the_file(tmp_path, monkeypatch, capsys):
     model = tmp_path / "model.txt"
     model.write_bytes(b"dim 3\nxi 3\n# caf\xe9\n")

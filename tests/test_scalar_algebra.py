@@ -711,14 +711,60 @@ def test_products_with_s_in_both_numerators_take_the_gcd():
     assert raw != -1
 
 
+@pytest.mark.parametrize("value, want", [
+    ((N + S) / N, "(n + 2*s + 1)/(n)"),
+    ((N * KAPPA + S) / (N ** 2 * (KAPPA - 1)),
+     "(n*kappa^2 + 2*kappa*s + 1)/(n^3*kappa^2 - 2*n^3*kappa + n^3)"),
+], ids=["n-cancels", "n-stays"])
+def test_squares_cancel_only_powers_of_n(value, want):
+    # s*s = n is the one prime of Q[n, ...] that squares in Q[s, ...], so a
+    # power of a canonical form can share with its denominator only n^t
+    assert str(value * value) == str(value ** 2) == want
+
+
+def test_henrici_sums_with_s_cancel_within_the_shared_factor():
+    value = (1 + S) / (N * (N + 1)) + (1 - S) / (N * (N - 1))
+    assert str(value) == "(2*n - 2*s)/(n^3 - n)"
+
+
+def test_shortcuts_take_no_gcd_whose_answer_the_canonical_form_fixes(monkeypatch):
+    from nkt import scalar_algebra
+    from nkt.scalar_algebra import _divide
+
+    real, calls = scalar_algebra.poly_gcd, []
+
+    def counted(first, second):
+        calls.append((first, second))
+        return real(first, second)
+
+    values = [parse_expr("(kappa + 1)/(n*(kappa - 1))"),
+              parse_expr("(n*kappa + s)/(n^2*(kappa - 1))")]
+    sums = [((1 + S) / (N * (N + 1)), (1 - S) / (N * (N - 1))),
+            ((1 + S) / ((N + KAPPA) * (N + 1)), (1 - S) / ((N + KAPPA) * (N - 1)))]
+    monkeypatch.setattr(scalar_algebra, "poly_gcd", counted)
+    for value in values:
+        -value, value * value, value ** 2, value ** 3
+        assert calls == []
+    for first, second in sums:
+        calls.clear()
+        first + second
+        # past the gcd of the denominators, only its divisors meet the numerator
+        assert calls[0] == (first.den, second.den)
+        shared = real(first.den, second.den)
+        assert all(_divide(shared, divisor)[1].is_zero() for divisor, _ in calls[1:])
+
+
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-               "neg": lambda x, y: -x, "int+": lambda x, y: 3 + x, "int/": lambda x, y: 2 / x}
+               "neg": lambda x, y: -x, "int+": lambda x, y: 3 + x, "int/": lambda x, y: 2 / x,
+               "x*x": lambda x, y: x * x, "x**3": lambda x, y: x ** 3}
 
 
 @settings(max_examples=120, deadline=None)
 @given(exprs(), exprs(), st.sampled_from(sorted(_ARITHMETIC)))
 # the sum's numerator 2n shares the factor n of both denominators
 @example(1 / (N * (N + 1)), 1 / (N * (N - 1)), "+")
+# the same with s in both numerators: the shared n meets A and B apart
+@example((1 + S) / (N * (N + 1)), (1 - S) / (N * (N - 1)), "+")
 def test_field_operations_give_canonical_forms(first, second, op):
     # + - * / skip the gcd where the operands' coprimality carries over;
     # the result must still be the canonical form normalize() computes,
