@@ -722,11 +722,6 @@ def test_squares_cancel_only_powers_of_n(value, want):
     assert str(value * value) == str(value ** 2) == want
 
 
-def test_henrici_sums_with_s_cancel_within_the_shared_factor():
-    value = (1 + S) / (N * (N + 1)) + (1 - S) / (N * (N - 1))
-    assert str(value) == "(2*n - 2*s)/(n^3 - n)"
-
-
 def test_shortcuts_take_no_gcd_whose_answer_the_canonical_form_fixes(monkeypatch):
     from nkt import scalar_algebra
     from nkt.scalar_algebra import _divide
@@ -739,15 +734,16 @@ def test_shortcuts_take_no_gcd_whose_answer_the_canonical_form_fixes(monkeypatch
 
     values = [parse_expr("(kappa + 1)/(n*(kappa - 1))"),
               parse_expr("(n*kappa + s)/(n^2*(kappa - 1))")]
-    sums = [((1 + S) / (N * (N + 1)), (1 - S) / (N * (N - 1))),
-            ((1 + S) / ((N + KAPPA) * (N + 1)), (1 - S) / ((N + KAPPA) * (N - 1)))]
+    sums = [((1 + S) / (N * (N + 1)), (1 - S) / (N * (N - 1)), "(2*n - 2*s)/(n^3 - n)"),
+            ((1 + S) / ((N + KAPPA) * (N + 1)), (1 - S) / ((N + KAPPA) * (N - 1)),
+             "(2*n - 2*s)/(n^3 + n^2*kappa - n - kappa)")]
     monkeypatch.setattr(scalar_algebra, "poly_gcd", counted)
     for value in values:
         -value, value * value, value ** 2, value ** 3
         assert calls == []
-    for first, second in sums:
+    for first, second, want in sums:
         calls.clear()
-        first + second
+        assert str(first + second) == want
         # past the gcd of the denominators, only its divisors meet the numerator
         assert calls[0] == (first.den, second.den)
         shared = real(first.den, second.den)
