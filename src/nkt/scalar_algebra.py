@@ -27,7 +27,8 @@ else integer primitive parts and the heuristic GCD (GCDHEU on a Kronecker
 image, skipped above ``MAX_HEU_BITS``); where it declines, Brown's
 interpolation in the variable of least degree, or in one variable a coprime
 image mod 2^61 - 1 or else the primitive PRS.  ``_div_exact`` is the one
-exact division, also of an ``A + B*s`` numerator by an s-free divisor.
+exact division, also of an ``A + B*s`` numerator by an s-free divisor; its
+long division ``_divide`` reduces one remainder dict in place.
 
 Representation.  A monomial is one packed ``int``: a 16-bit field per
 indeterminate in ``VARIABLES`` order, ``n`` in the high bits and ``s`` in the
@@ -342,16 +343,20 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise InputError("negative power of a polynomial")
-        out = Poly.constant(1)
+        if not exponent:
+            return Poly.constant(1)
+        # start from the lowest set bit, and square only while a bit is
+        # left: a square past the last bit could overflow a field that the
+        # result itself fits in
         base = self
+        while not exponent & 1:
+            base, exponent = base * base, exponent >> 1
+        out, exponent = base, exponent >> 1
         while exponent:
+            base = base * base
             if exponent & 1:
                 out = out * base
             exponent >>= 1
-            if exponent:
-                # no square past the last bit: it could overflow a field
-                # that the result itself fits in
-                base = base * base
         return out
 
     # -- structure ---------------------------------------------------------
@@ -461,18 +466,31 @@ def _primitive(polys: tuple, negate: bool) -> tuple:
 def _divide(num: Poly, den: Poly) -> tuple:
     """(quotient, rest): num divided by den's leading term until the leading
     monomial of rest is no multiple of den's.  rest is zero exactly when den
-    divides num, and in one variable it is the remainder."""
+    divides num, and in one variable it is the remainder.  One rest dict is
+    reduced in place: a quotient term cancels rest's lead and subtracts its
+    multiple of den's other terms, folding s*s -> n as ``Poly.__mul__`` does."""
     den_lm, den_lc = den.leading()
-    quotient, rest = {}, num
-    while rest.terms:
-        lm, lc = rest.leading()
+    tail = [(key, coeff) for key, coeff in den.terms.items() if key != den_lm]
+    quotient, rest = {}, dict(num.terms)
+    get = rest.get
+    while rest:
+        lm = max(rest)
         diff = lm - den_lm
         if diff & _GUARDS:
             break
-        coeff = _qdiv(lc, den_lc)
-        quotient[diff] = coeff
-        rest = rest - _poly({diff: coeff}) * den
-    return _poly(quotient), rest
+        coeff = quotient[diff] = _qdiv(rest.pop(lm), den_lc)
+        for key, c in tail:
+            key += diff
+            if key & _S_SQUARE:
+                key += _N_UNIT - _S_SQUARE
+            if key & _GUARDS:
+                raise ExponentOverflow(f"a product has an exponent above {MAX_EXPONENT}")
+            acc = get(key, 0) - coeff * c
+            if acc:
+                rest[key] = acc
+            elif key in rest:
+                del rest[key]
+    return _poly(quotient), _poly(rest)
 
 
 def _div_exact(num: Poly, den: Poly) -> Poly:
@@ -748,6 +766,9 @@ def _lowest_terms(num: Poly, den: Poly) -> "RationalExpr":
     ring is Q[s, vars] (n = s^2), but canonical dens are s-free, so 1+s, a
     factor of n-1, stays a numerator, and a product of two s-carrying
     numerators need not be coprime: (1+s)*((1-s)/(n-1)) = (1-n)/(n-1).
+    With one s-free factor B it is, once cross-cancelled: an s-free prime
+    dividing both halves of A*B divides B or both halves of A, and so
+    shares a factor with a canonical operand or a cross-cancelled pair.
     A Henrici sum is coprime with s too: an s-free prime divides A + B*s
     exactly when it divides A and B.  A power N^k/D^k can share only a power
     of n: a prime p of Q[n, vars] divides N^k but not N only if p(s^2, ...)
@@ -884,7 +905,7 @@ class RationalExpr:
         g = _gcd_against_sfree(b_num, a_den)
         b_num = _div_exact(b_num, g)
         a_den = _div_exact(a_den, g)
-        build = _lowest_terms if _s_free(a_num, b_num) else RationalExpr
+        build = _lowest_terms if _s_free(a_num) or _s_free(b_num) else RationalExpr
         return build(a_num * b_num, a_den * b_den)
 
     __rmul__ = __mul__
@@ -1137,18 +1158,20 @@ def _tokenize(text: str) -> list:
 _MAX_NESTING = 100
 MAX_POWER_BITS = 1 << 20  # bound on terms x coefficient bits of a parsed product or power
 MAX_PARSE_BITS = 2 * MAX_POWER_BITS  # bound on their sum over one parse
+_UNIT = Poly.constant(1)  # every atom's denominator
 
 
 class _Parser:
     def __init__(self, tokens, text):
         self.tokens = tokens
+        self.kinds = [kind for kind, _ in tokens] + [None]
         self.pos = 0
         self.text = text
         self.depth = 0
         self.spent = 0  # terms x bits of the products and powers formed so far
 
     def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.kinds[self.pos]
 
     def take(self):
         token = self.tokens[self.pos]
@@ -1171,6 +1194,9 @@ class _Parser:
         return a * b
 
     def power(self, p: Poly, k: int) -> Poly:
+        if p.is_one():  # charged as the power of a one-term, one-bit poly
+            self.bound("power", 1, k)
+            return p
         t, bits = _size(p)
         if t:
             self.bound("power", comb(t + k - 1, k), k * (bits + (t - 1).bit_length()))
@@ -1264,9 +1290,9 @@ class _Parser:
             except ValueError:  # past the interpreter's limit on digits
                 raise ExprSyntaxError(
                     f"integer literal of {len(text)} digits in {self.text!r}") from None
-            return Poly.constant(value), Poly.constant(1)
+            return Poly.constant(value), _UNIT
         if self.peek() == "name":
-            return Poly.variable(self.take()[1]), Poly.constant(1)
+            return Poly.variable(self.take()[1]), _UNIT
         raise ExprSyntaxError(f"could not parse {self.text!r}")
 
 

@@ -294,6 +294,24 @@ def tuple_mul(first, second):
     return out
 
 
+def tuple_divide(num, den):
+    """(quotient, rest) of dividing by den's lex-largest term until the
+    largest monomial of rest is no multiple of it, one term at a time with
+    tuple_mul."""
+    lead = max(den)
+    quotient, rest = {}, dict(num)
+    while rest:
+        top = max(rest)
+        exps = tuple(a - b for a, b in zip(top, lead))
+        if min(exps) < 0:
+            break
+        quotient[exps] = Fraction(rest[top]) / den[lead]
+        product = tuple_mul({exps: quotient[exps]}, den)
+        rest = tuple_poly({key: rest.get(key, 0) - product.get(key, 0)
+                           for key in {**rest, **product}})
+    return quotient, rest
+
+
 def tuple_str(terms):
     """The rendering of Poly.__str__: terms in descending lex order."""
     if not terms:

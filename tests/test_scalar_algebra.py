@@ -10,7 +10,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reduce_exps, tuple_mul, tuple_poly, tuple_str
+from oracles import reduce_exps, tuple_divide, tuple_mul, tuple_poly, tuple_str
 
 from nkt.scalar_algebra import (
     A,
@@ -741,6 +741,15 @@ def test_shortcuts_take_no_gcd_whose_answer_the_canonical_form_fixes(monkeypatch
     for value in values:
         -value, value * value, value ** 2, value ** 3
         assert calls == []
+    # s in one numerator only: the gcds are the two cross-cancellations,
+    # values[1]'s numerator half by half against values[0]'s denominator
+    # and values[0]'s numerator against values[1]'s
+    with_s, without_s = values[1], values[0]
+    halves = with_s.num.split_s()
+    calls.clear()
+    with_s * without_s
+    assert calls == [(without_s.den, halves[0]), (real(without_s.den, halves[0]), halves[1]),
+                     (with_s.den, without_s.num)]
     for first, second, want in sums:
         calls.clear()
         assert str(first + second) == want
@@ -761,6 +770,8 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 @example(1 / (N * (N + 1)), 1 / (N * (N - 1)), "+")
 # the same with s in both numerators: the shared n meets A and B apart
 @example((1 + S) / (N * (N + 1)), (1 - S) / (N * (N - 1)), "+")
+# s in one numerator; kappa cancels across the fractions
+@example((N + S) / (KAPPA * (N - 1)), KAPPA * (N + KAPPA) / (N + 1), "*")
 def test_field_operations_give_canonical_forms(first, second, op):
     # + - * / skip the gcd where the operands' coprimality carries over;
     # the result must still be the canonical form normalize() computes,
@@ -820,13 +831,13 @@ _COEFFS = st.one_of(st.integers(min_value=-9, max_value=9).filter(bool),
 
 
 @st.composite
-def tuple_terms(draw, max_terms=5, names=VARIABLES):
+def tuple_terms(draw, max_terms=5, names=VARIABLES, exponents=_EXPONENTS):
     terms = {}
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
         exps = [0] * len(VARIABLES)
         for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
             limit = 3 if name == "s" else None
-            exps[VARIABLES.index(name)] = draw(_EXPONENTS if limit is None
+            exps[VARIABLES.index(name)] = draw(exponents if limit is None
                                                else st.integers(0, limit))
         terms[tuple(exps)] = terms.get(tuple(exps), 0) + draw(_COEFFS)
     # s^2 -> n can lift an n exponent past the cap; such a term is no input
@@ -866,6 +877,56 @@ def test_power_matches_tuple_oracle(terms, k):
     for _ in range(k):
         want = tuple_mul(want, terms)
     _oracle_or_overflow(lambda: Poly(terms) ** k, want)
+
+
+def test_powers_start_from_the_lowest_set_bit(monkeypatch):
+    # p ** k multiplies only where a bit of k asks for it, never 1 * p
+    real, calls = Poly.__mul__, []
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(b) or real(a, b))
+    base = (N + KAPPA + 1).num
+    counts = []
+    for k in (1, 2, 3, 4):
+        calls.clear()
+        base ** k
+        counts.append(len(calls))
+    assert counts == [0, 1, 2, 2]
+
+
+# small exponents: a divisor's lead of degree 1 against a numerator of
+# degree MAX_EXPONENT would take MAX_EXPONENT quotient terms
+_DIVIDE_TERMS = [tuple_terms(k, ("n", "kappa", "a", "s"), st.integers(0, 3)) for k in (4, 3, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(*_DIVIDE_TERMS)
+# s in the numerator over an s-free divisor; and kappa*s + 7 over
+# kappa - 2*s, whose quotient term s meets -2*s and s*s folds into n
+@example(*(parse_expr(text).num.monomials() for text in ("3*n*kappa*s + 1", "2*kappa*a - n", "5*s")))
+@example(*(parse_expr(text).num.monomials() for text in ("s", "kappa - 2*s", "2*n + 7")))
+def test_division_matches_tuple_oracle(quotient, divisor, rest):
+    from nkt.scalar_algebra import _divide
+
+    if not divisor:
+        return
+    # num = quotient * divisor + rest, so the oracle runs through several
+    # quotient terms before rest ends it
+    num = tuple_mul(quotient, divisor)
+    num = tuple_poly({e: num.get(e, 0) + rest.get(e, 0) for e in {**num, **rest}})
+    want = tuple_divide(num, divisor)
+    assert [part.monomials() for part in _divide(Poly(num), Poly(divisor))] == \
+        [dict(sorted(part.items(), reverse=True)) for part in want]
+
+
+def test_division_raises_where_a_quotient_term_overflows_a_field():
+    from nkt.scalar_algebra import _divide
+
+    # the quotient term a times the divisor's a^MAX needs a^(MAX + 1), and
+    # the quotient term s times n^MAX*s folds s*s into n^(MAX + 1)
+    top = MAX_EXPONENT
+    for num, den in (("kappa*a", f"kappa + a^{top}"),
+                     (f"n^{top}*kappa*s", f"n^{top}*kappa + n^{top}*s")):
+        with pytest.raises(ExponentOverflow):
+            _divide(parse_expr(num).num, parse_expr(den).num)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1009,6 +1070,25 @@ def test_one_parse_has_one_budget():
     with pytest.raises(ExprSyntaxError, match=f"products and powers above {MAX_PARSE_BITS} bits"):
         parse_expr(" + ".join(["(n+kappa+a+c+1)^20"] * 50))
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("text, spent, want", [
+    ("n^5", 10, N ** 5),
+    ("2^7", 21, RationalExpr.constant(128)),
+    ("(n+1)^-3", 27, 1 / (N + 1) ** 3),
+    ("(n^2*kappa)^-4*(kappa - 1)^2", 37, (KAPPA - 1) ** 2 / (N ** 8 * KAPPA ** 4)),
+    ("1*n*kappa", 4, N * KAPPA),
+    ("n*1/1", 0, N),
+    ("(n+1)^200*(n-1)^200", 321600, (N * N - 1) ** 200),
+])
+def test_parse_budget_charges_each_product_and_power(text, spent, want):
+    # a denominator of 1 is charged as a one-term, one-bit poly, k bits for
+    # its k-th power, whether or not the power is formed
+    from nkt.scalar_algebra import _Parser, _tokenize
+
+    parser = _Parser(_tokenize(text), text)
+    value = RationalExpr(*parser.parse_sum())
+    assert (parser.spent, value) == (spent, want)
 
 
 def test_product_bound_counts_the_degree_box():

@@ -64,3 +64,26 @@ def test_tracer_script_names_the_spans_the_benchmark_keys_on(tmp_path, argv, spa
     names = Counter(span[0] for span in json.loads(out.read_text())["spans"])
     assert all(names[name] for name in spans), names
     assert names["frame_geometry.curvature.d3"] == 1
+
+
+def test_library_worker_traces_the_algebra_layer(tmp_path, monkeypatch):
+    # the algebra-corpus per-layer metrics come from spans named after
+    # scalar_algebra's functions; a renamed or inlined traced name must fail
+    # here, not read 0 in a benchmark report
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import inputs
+    from tracer import layer_metrics
+
+    entries = inputs.corpus(1)[-2:]  # the two pinned entries
+    job, out, spans = tmp_path / "job.json", tmp_path / "out.json", tmp_path / "spans.json"
+    job.write_text(json.dumps({"entries": entries, "points": [[], []], "seconds": 60,
+                               "max_rounds": 1, "describe": False}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "libworker.py"), str(job),
+                           str(out), str(spans)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["errors"] == []
+    metrics = layer_metrics([json.loads(spans.read_text())])
+    for name in ("poly_gcd", "parse_expr", "poly_mul", "canonicalise"):
+        assert metrics[f"scalar_algebra.{name}.calls"] > 0, name
+        assert metrics[f"scalar_algebra.{name}.s"] > 0, name
