@@ -304,7 +304,7 @@ def boeckx_example(n: int, sign: Union[int, str]) -> BoeckxExampleReport:
     """
     if n < 2:
         raise InputError("the family needs n >= 2")
-    eps = {"+": 1, 1: 1, "+1": 1, "plus": 1, "-": -1, -1: -1, "-1": -1, "minus": -1}.get(sign)
+    eps = {"+": 1, 1: 1, "-": -1, -1: -1}.get(sign)
     if eps is None:
         raise InputError(f"sign must be + or -, got {sign!r}")
     c = (S + eps) ** 2 / (N - 1)

@@ -22,6 +22,10 @@ Because the canonical form is unique, it can be taken once per result:
 pairs with plain ring arithmetic and canonicalise at the end, and field
 operations skip the gcd where the operands' canonical forms fix its answer
 (see ``_lowest_terms``).
+``parse_expr`` scans with one compiled pattern in ``str``'s Unicode classes:
+after any whitespace, decimal digits, else word characters, else one
+character; a word not starting with a letter or ``_`` (say ``²``), and a
+character other than ``+ - * / ^ ( )``, are syntax errors.
 ``poly_gcd`` has one path: closed forms for monomial and constant inputs;
 else integer primitive parts and the heuristic GCD (GCDHEU on a Kronecker
 image, skipped above ``MAX_HEU_BITS``); where it declines, Brown's
@@ -45,6 +49,7 @@ return ``Fraction``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, count
@@ -1130,28 +1135,16 @@ def parse_expr(text: str) -> RationalExpr:
 
 def _tokenize(text: str) -> list:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r} in {text!r}")
+    for token in _TOKEN.findall(text):
+        head = token[0]
+        if head.isdecimal():
+            tokens.append(("int", token))
+        elif head in "+-*/^()":
+            tokens.append((head, token))
+        elif head.isalpha() or head == "_":
+            tokens.append(("name", token))
+        else:  # a stray character, or a numeral such as '²' that \w holds
+            raise ExprSyntaxError(f"unexpected character {head!r} in {text!r}")
     return tokens
 
 
@@ -1159,6 +1152,7 @@ _MAX_NESTING = 100
 MAX_POWER_BITS = 1 << 20  # bound on terms x coefficient bits of a parsed product or power
 MAX_PARSE_BITS = 2 * MAX_POWER_BITS  # bound on their sum over one parse
 _UNIT = Poly.constant(1)  # every atom's denominator
+_TOKEN = re.compile(r"\s*(\d+|[^\W\d]\w*|[-+*/^()]|\S)")  # one token after any space
 
 
 class _Parser:
@@ -1243,13 +1237,10 @@ class _Parser:
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels")
-        if self.peek() == "-":
-            self.take()
+        if self.peek() in ("-", "+"):
+            sign = self.take()[0]
             num, den = self.parse_unary()
-            value = -num, den
-        elif self.peek() == "+":
-            self.take()
-            value = self.parse_unary()
+            value = (-num if sign == "-" else num), den
         else:
             value = self.parse_power()
         self.depth -= 1
@@ -1263,10 +1254,9 @@ class _Parser:
             while self.peek() == "-":
                 self.take()
                 negative = not negative
-            kind, text = self.take() if self.peek() == "int" else (None, None)
-            if kind != "int":
+            if self.peek() != "int":
                 raise ExprSyntaxError(f"exponent must be an integer in {self.text!r}")
-            text = text.lstrip("0") or "0"
+            text = self.take()[1].lstrip("0") or "0"
             if len(text) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent above {MAX_EXPONENT} in {self.text!r}")
             exponent = int(text)

@@ -144,10 +144,7 @@ class TCoeffs(Record):
         return self.a[index]
 
     def free_parameters(self) -> frozenset:
-        out = frozenset()
-        for entry in self.a:
-            out |= entry.variables()
-        return out - {"n"}
+        return frozenset().union(*(entry.variables() for entry in self.a)) - {"n"}
 
     def at(
         self,
@@ -158,15 +155,11 @@ class TCoeffs(Record):
         """Numeric coefficients at a concrete n (and free-parameter values)."""
         given = {"n": n, "a0": a0, "a1": a1}
         bindings = {name: as_rational(v) for name, v in given.items() if v is not None}
-        values = []
-        for entry in self.a:
-            missing = entry.variables() - set(bindings)
-            if missing:
-                raise UnevaluatedCoefficient(
-                    f"coefficient {entry} needs values for {sorted(missing)}"
-                )
-            values.append(eval_at(entry, bindings))
-        return tuple(values)
+        missing = frozenset().union(*(entry.variables() for entry in self.a)) - set(bindings)
+        if missing:
+            names = ", ".join(v for v in VARIABLES if v in missing)
+            raise UnevaluatedCoefficient(f"coefficients need values for {names}")
+        return tuple(eval_at(entry, bindings) for entry in self.a)
 
     def annotate(self, *notes: str) -> "TCoeffs":
         return self.replace(annotations=self.annotations + notes)

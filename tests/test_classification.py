@@ -24,7 +24,7 @@ from nkt.classification import (
     t_flat_kappa,
     xi_flat_form,
 )
-from nkt.scalar_algebra import A0, A1, KAPPA, N, S, eval_at, expr, substitute
+from nkt.scalar_algebra import A0, A1, KAPPA, N, S, InputError, eval_at, expr, substitute
 from nkt.t_tensor import PresetName, coeffs_from, preset
 
 ZERO_COEFFS = coeffs_from([0] * 8)
@@ -279,3 +279,11 @@ def test_boeckx_example_specializations():
 def test_boeckx_example_rejects_small_n():
     with pytest.raises(ValueError):
         boeckx_example(1, "+")
+
+
+def test_boeckx_example_sign_is_plus_or_minus():
+    assert boeckx_example(4, 1).sign == 1 and boeckx_example(4, -1).sign == -1
+    for sign in ("plus", "minus", "+1", 0):
+        with pytest.raises(InputError) as info:
+            boeckx_example(4, sign)
+        assert str(info.value) == f"sign must be + or -, got {sign!r}"

@@ -258,6 +258,18 @@ def test_vanishing_denominator_names_the_binding(capsys):
     assert line == "error: denominator of (1)/(n - 1) vanishes at n = 1"
 
 
+@pytest.mark.parametrize("given, want", [
+    ([], "a0, a1"),
+    (["--a0", "2"], "a1"),
+], ids=["none", "a0-only"])
+def test_missing_free_parameters_are_named_at_once(capsys, given, want):
+    # all of them in one line, in VARIABLES order
+    line = _assert_one_error_line(*invoke(
+        capsys, "residual", "--lambda", "1/2", "--preset", "C_star", "--condition", "xi-flat",
+        *given))
+    assert line == f"error: coefficients need values for {want}"
+
+
 @pytest.mark.parametrize("argv, want", [
     (["classify", "--preset", "W7", "--coeffs", "1,0,0,0,0,0,0,0", "--condition", "t-flat"],
      "--preset and --coeffs exclude each other"),

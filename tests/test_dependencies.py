@@ -43,6 +43,11 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_json():
     assert added & {"dataclasses", "inspect", "json"} == set()
 
 
+def test_fractions_already_loads_re():
+    # so the expression scanner's `import re` adds no module to `import nkt`
+    assert "re" in _fresh_import("import fractions")
+
+
 def test_package_import_loads_every_layer():
     # bench/tracer.py wraps functions of all four layers right after `import nkt`
     layers = {"nkt.scalar_algebra", "nkt.frame_geometry", "nkt.t_tensor", "nkt.classification"}

@@ -1080,6 +1080,12 @@ def test_one_parse_has_one_budget():
     ("1*n*kappa", 4, N * KAPPA),
     ("n*1/1", 0, N),
     ("(n+1)^200*(n-1)^200", 321600, (N * N - 1) ** 200),
+    # unary signs and signed or zero-padded exponents
+    ("--n", 0, N),
+    ("+-+n", 0, -N),
+    ("n^--3", 6, N ** 3),
+    ("-(n+1)^2*+n", 23, -(N + 1) ** 2 * N),
+    ("n^007", 14, N ** 7),
 ])
 def test_parse_budget_charges_each_product_and_power(text, spent, want):
     # a denominator of 1 is charged as a one-term, one-bit poly, k bits for
@@ -1089,6 +1095,34 @@ def test_parse_budget_charges_each_product_and_power(text, spent, want):
     parser = _Parser(_tokenize(text), text)
     value = RationalExpr(*parser.parse_sum())
     assert (parser.spent, value) == (spent, want)
+
+
+@pytest.mark.parametrize("text", ["n^-+3", "n^(3)"])
+def test_exponent_is_minus_signs_then_an_integer_literal(text):
+    with pytest.raises(ExprSyntaxError, match=r"^exponent must be an integer in "):
+        parse_expr(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\u00b2", "unexpected character '\u00b2' in '2\u00b2'"),
+    ("\u2167+1", "unexpected character '\u2167' in '\u2167+1'"),
+    ("x.", "unexpected character '.' in 'x.'"),  # before the name x is looked up
+    ("n\u00b2", f"unknown indeterminate 'n\u00b2'; expected one of {VARIABLES}"),
+    ("_b", f"unknown indeterminate '_b'; expected one of {VARIABLES}"),
+    ("\u00e9", f"unknown indeterminate '\u00e9'; expected one of {VARIABLES}"),
+], ids=["superscript-two", "roman-eight", "dot", "n-superscript", "underscore", "e-acute"])
+def test_scanner_character_rules(text, message):
+    # str's Unicode classes, not ASCII: a name starts with a letter or _ and
+    # goes on with letters, digits and numerals; a numeral that is not a
+    # decimal digit cannot start a token
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr(text)
+    assert str(info.value) == message
+
+
+def test_scanner_reads_unicode_digits_and_spaces():
+    assert parse_expr("\u0663+1") == 4  # ARABIC-INDIC DIGIT THREE
+    assert parse_expr("n\u00a0+ 1") == N + 1  # NO-BREAK SPACE
 
 
 def test_product_bound_counts_the_degree_box():
