@@ -32,7 +32,6 @@ from .scalar_algebra import (
     normalize,
     parse_expr,
     solve_linear,
-    sqrt_expr,
     substitute,
 )
 from .frame_geometry import (
@@ -66,7 +65,6 @@ from .t_tensor import (
     t_dot_riemann,
 )
 from .classification import (
-    BoeckxRadical,
     ClassificationRow,
     EtaEinsteinForm,
     FormTag,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 from enum import Enum
+from math import isqrt
 from pathlib import Path
 from typing import Optional, Union
 
@@ -45,13 +46,11 @@ from .scalar_algebra import (
     RationalExpr,
     Record,
     S,
-    _frac_sqrt,
     as_int,
     expr,
     numbered_lines,
     parse_expr,
     solve_linear,
-    sqrt_expr,
     substitute,
 )
 from .t_tensor import ConditionKind, PresetName, TCoeffs, preset
@@ -68,10 +67,6 @@ class SasakianInput(InputError):
 
 class ZeroDeformation(InputError):
     """A D-homothetic deformation needs a nonzero scale parameter."""
-
-
-class BoeckxRadical(InputError):
-    """sqrt(1 - kappa) is not expressible over the sqrt(n) extension."""
 
 
 class FormTag(str, Enum):
@@ -228,31 +223,19 @@ def consistency_kappa(form: EtaEinsteinForm) -> LinearSolution:
 # Boeckx invariant and D-homothetic deformations
 
 
-def boeckx(
-    kappa: ExprLike, mu: ExprLike, *, root_hint: Optional[ExprLike] = None
-) -> RationalExpr:
+def boeckx(kappa: ExprLike, mu: ExprLike, root: ExprLike) -> RationalExpr:
     """The invariant (1 - mu/2)/sqrt(1 - kappa) of a non-Sasakian structure.
 
-    Exact when 1 - kappa has a square root in Q(vars)[s]/(s^2 - n) (rational
-    squares, odd powers of n, and squares of A + B*s elements); otherwise
-    BoeckxRadical is raised.  ``root_hint`` selects a branch explicitly; it
-    must square to 1 - kappa.
+    ``root`` is the branch of sqrt(1 - kappa) to divide by, e.g. |1 - c| in
+    the sqrt(n) family; a root that does not square to 1 - kappa exactly is
+    an InputError, and kappa = 1 is a SasakianInput.
     """
-    kappa = expr(kappa)
-    mu = expr(mu)
+    kappa, mu, root = expr(kappa), expr(mu), expr(root)
     if (kappa - 1).is_zero():
         raise SasakianInput("the invariant is undefined at kappa = 1")
     radicand = 1 - kappa
-    if root_hint is not None:
-        root = expr(root_hint)
-        if root * root != radicand:
-            raise InputError(f"{root} does not square to 1 - kappa = {radicand}")
-    else:
-        root = sqrt_expr(radicand)
-        if root is None or root.is_zero():
-            raise BoeckxRadical(
-                f"sqrt(1 - kappa) with kappa = {kappa} is not expressible over sqrt(n)"
-            )
+    if root * root != radicand:
+        raise InputError(f"{root} does not square to 1 - kappa = {radicand}")
     return (1 - mu / 2) / root
 
 
@@ -285,10 +268,10 @@ class BoeckxExampleReport(Record):
     def specialized(self) -> dict:
         """Values with n substituted (and s = sqrt(n) when n is a square)."""
         out = {}
-        root = _frac_sqrt(self.n)
+        root = isqrt(self.n)
         for name in ("c", "a", "kappa", "mu", "invariant", "target"):
             value = substitute(getattr(self, name), "n", self.n)
-            if root is not None:
+            if root * root == self.n:
                 value = substitute(value, "s", root)
             out[name] = value
         return out
@@ -312,7 +295,7 @@ def boeckx_example(n: int, sign: Union[int, str]) -> BoeckxExampleReport:
     kappa = c * (2 - c)
     mu = -2 * c
     root = c - 1 if eps > 0 else 1 - c  # |1 - c| per branch
-    invariant = boeckx(kappa, mu, root_hint=root)
+    invariant = boeckx(kappa, mu, root)
     return BoeckxExampleReport(n, eps, c, a, kappa, mu, invariant, S, invariant == S)
 
 

@@ -71,7 +71,6 @@ MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 MAX_DECIMAL_EXPONENT = 4300  # in a rational literal: str prints no int of over 4300 digits
 _SHIFTS = tuple(_WIDTH * (_NVARS - 1 - i) for i in range(_NVARS))
 _GUARDS = sum(1 << (shift + _WIDTH - 1) for shift in _SHIFTS)
-_LOW_BITS = sum(1 << shift for shift in _SHIFTS)
 _N_UNIT = 1 << _SHIFTS[_N]
 # s has the lowest field, and reduced factors carry s^0 or s^1, so a product
 # holds s^2 exactly when bit 1 is set: s*s -> n is one mask test and one add
@@ -705,49 +704,6 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
     return fallback(first, second, _shift(name))
 
 
-def poly_sqrt(poly: Poly) -> Optional[Poly]:
-    """Square root of an s-free polynomial, or None if it is not a square.
-
-    The returned root has a positive leading coefficient.  A root's degree
-    in each variable is half the square's, so it has at most
-    prod_v (deg_v/2 + 1) terms; the term-by-term search stops there.
-    """
-    if poly.is_zero():
-        return Poly()
-    lm, lc = poly.leading()
-    if lm & _LOW_BITS:
-        return None
-    lead_root = _frac_sqrt(lc)
-    if lead_root is None:
-        return None
-    root = _poly({lm >> 1: lead_root})
-    rest = poly - root * root
-    top_lm, top_lc = root.leading()
-    max_terms = prod(poly.degree(v) // 2 + 1 for v in _used(poly.terms))
-    for _ in range(max_terms):
-        if rest.is_zero():
-            return root
-        lm_r, lc_r = rest.leading()
-        diff = lm_r - top_lm
-        if diff & _GUARDS:
-            return None
-        # (root + t)^2 = root^2 + t (2 root + t): update the remainder
-        term = _poly({diff: _qdiv(lc_r, 2 * top_lc)})
-        rest = rest - term * (root + root + term)
-        root = root + term
-    return None
-
-
-def _frac_sqrt(value):
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return _qdiv(rn, rd)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # rational expressions
 
@@ -1062,47 +1018,6 @@ def solve_linear(value: RationalExpr, name: str) -> LinearSolution:
         return LinearSolution("identity" if constant.is_zero() else "no_solution")
     root = RationalExpr(constant).__neg__() / RationalExpr(linear)
     return LinearSolution("unique", root, RationalExpr(linear))
-
-
-# ---------------------------------------------------------------------------
-# square roots in the s-extension
-
-
-def sqrt_expr(value: RationalExpr) -> Optional[RationalExpr]:
-    """A square root of ``value`` inside Q(vars)[s]/(s^2 - n), or None.
-
-    Handles rational squares, perfect squares of polynomials, odd powers of
-    ``n`` absorbed into ``s``, and squares of ``A + B*s`` elements.  The
-    returned root is one of the two; callers pick the branch they need.
-    """
-    # sqrt(num/den) = sqrt(num*den)/den
-    target = value.num * value.den
-    root = _poly_sqrt_with_s(target)
-    if root is None:
-        return None
-    return RationalExpr(root, value.den)
-
-
-def _poly_sqrt_with_s(poly: Poly) -> Optional[Poly]:
-    # u + v*s = (f + g*s)^2 needs f*g = v/2 and f^2 + n*g^2 = u; the norm
-    # (f^2 - n*g^2)^2 = u^2 - n*v^2 pins both squares down, and for v = 0
-    # its root is u itself: f = sqrt(u), or f = 0 and g = sqrt(u/n)
-    u, v = poly.split_s()
-    n, s = Poly.variable("n"), Poly.variable("s")
-    w = u if v.is_zero() else poly_sqrt(u * u - n * v * v)
-    if w is None:
-        return None
-    for signed in (w, -w):
-        f = poly_sqrt((u + signed).scale(Fraction(1, 2)))
-        if f is None:
-            continue
-        try:
-            g = _div_exact(v.scale(Fraction(1, 2)), f) if f else poly_sqrt(_div_exact(u, n))
-        except ArithmeticError:
-            continue
-        if g is not None and (f + g * s) * (f + g * s) == poly:
-            return f + g * s
-    return None
 
 
 # ---------------------------------------------------------------------------

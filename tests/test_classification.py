@@ -8,7 +8,6 @@ import pytest
 from nkt.classification import (
     FORM_BUILDERS,
     SCALAR_CURVATURE,
-    BoeckxRadical,
     FormTag,
     SasakianInput,
     ZeroDeformation,
@@ -204,22 +203,20 @@ def test_consistency_kappa_requires_substituted_r():
 
 
 def test_boeckx_rational_points():
-    assert boeckx(Fraction(3, 4), 0) == expr(2)
-    assert boeckx(0, 2).is_zero()
-    assert boeckx(Fraction(-3), Fraction(1, 2)) == expr(Fraction(3, 8))
+    assert boeckx(Fraction(3, 4), 0, Fraction(1, 2)) == expr(2)
+    assert boeckx(0, 2, 1).is_zero()
+    assert boeckx(Fraction(-3), Fraction(1, 2), 2) == expr(Fraction(3, 8))
 
 
 def test_boeckx_symbolic_family_value():
-    assert boeckx(1 - 1 / N, 0) == S
+    assert boeckx(1 - 1 / N, 0, S / N) == S
 
 
 def test_boeckx_errors():
     with pytest.raises(SasakianInput):
-        boeckx(1, 0)
-    with pytest.raises(BoeckxRadical):
-        boeckx(Fraction(1, 2), 0)  # sqrt(1/2) is outside the extension
+        boeckx(1, 0, 0)
     with pytest.raises(ValueError):
-        boeckx(0, 0, root_hint=expr(2))
+        boeckx(0, 0, 2)  # 2 does not square to 1 - kappa = 1
 
 
 def test_d_homothetic_identity_and_examples():
@@ -247,10 +244,10 @@ def test_boeckx_invariance_along_matched_family():
             continue
         mu = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         kappa = 1 - a * a
-        before = boeckx(kappa, mu, root_hint=expr(abs(a)))
+        before = boeckx(kappa, mu, abs(a))
         kappa_bar, mu_bar = d_homothetic(kappa, mu, a, a)
         assert kappa_bar.is_zero()
-        after = boeckx(kappa_bar, mu_bar)
+        after = boeckx(kappa_bar, mu_bar, 1)  # kappa_bar = 0
         assert eval_at(after, {}) == eval_at(before, {})
 
 

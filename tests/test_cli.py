@@ -303,6 +303,36 @@ def test_coefficient_symbols_other_than_n_a0_a1_are_rejected(capsys, argv, want)
     assert line == f"error: {want}; entries are functions of n, a0 and a1 only"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["residual", "--lambda", "-3/2", "--preset", "W7", "--condition", "xi-flat"], "residual = 0"),
+    (["residual", "--lambda", "1/2", "--preset", "C_star", "--a0", "2", "--a1", "-1/3",
+      "--condition", "xi-flat"], "residual = 5/6"),
+    (["deform", "--kappa", "-3/4", "--mu", "0", "--a", "2", "--c", "1"], "kappa_bar = 9/8"),
+], ids=["lambda", "a1", "kappa"])
+def test_negative_fractions_may_be_separate_words(capsys, argv, want):
+    # argparse counts only -1 and -.5 style words as negative numbers, so
+    # "--lambda -3/2" printed "expected one argument"; the parser's matcher is
+    # a private argparse attribute, and this test is what notices its loss
+    joined = []
+    for word in argv:
+        if word.startswith("-") and word[1:2].isdigit():
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    assert len(joined) < len(argv)
+    for fmt in ("md", "json"):
+        separate = invoke(capsys, *argv, "--format", fmt)
+        assert separate == invoke(capsys, *joined, "--format", fmt)
+        assert separate[0] == 0 and separate[2] == ""
+    assert want in invoke(capsys, *argv)[1].splitlines()
+
+
+def test_a_dash_word_that_is_no_number_is_still_an_option(capsys):
+    line = _assert_one_error_line(*invoke(
+        capsys, "residual", "--lambda", "-x", "--preset", "W7", "--condition", "xi-flat"))
+    assert line == "error: argument --lambda: expected one argument"
+
+
 def test_non_utf8_files_are_one_error_line_naming_the_file(tmp_path, monkeypatch, capsys):
     model = tmp_path / "model.txt"
     model.write_bytes(b"dim 3\nxi 3\n# caf\xe9\n")

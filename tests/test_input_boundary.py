@@ -18,7 +18,7 @@ def test_every_nkt_exception_is_an_input_error():
     classes = {obj for module in modules for obj in vars(module).values()
                if isinstance(obj, type) and issubclass(obj, BaseException)
                and obj.__module__.startswith("nkt")}
-    assert len(classes) >= 17, sorted(c.__name__ for c in classes)
+    assert len(classes) >= 16, sorted(c.__name__ for c in classes)
     assert sorted(c.__name__ for c in classes if not issubclass(c, InputError)) == []
 
 

@@ -38,9 +38,7 @@ from nkt.scalar_algebra import (
     normalize,
     parse_expr,
     poly_gcd,
-    poly_sqrt,
     solve_linear,
-    sqrt_expr,
     substitute,
 )
 
@@ -246,26 +244,6 @@ def test_division_in_s_extension():
     c = (S - 1) ** 2 / (N - 1)
     assert (1 + c) / ((2 * S - 2) / (N - 1)) == S
     assert 1 / (S / N) == S
-
-
-def test_sqrt_expr_patterns():
-    assert sqrt_expr(expr(Fraction(1, 4))) == expr(Fraction(1, 2))
-    assert sqrt_expr(1 / N) == S / N
-    assert sqrt_expr(expr(2)) is None
-    # the heavy corpus entry's square: a 12-term root over s, found term by
-    # term while the remainder is updated rather than recomputed
-    heavy = parse_expr(
-        "(90*n^2*a - 135*n^2*c + 108*n*kappa*c + 10*n*a^2*s - 15*n*a*c*s - 30*n*a"
-        " + 45*n*c + 216*n + 12*kappa*a*c*s - 36*kappa*c + 24*a*s - 72)"
-        "/(162*n^2 - 2*n*a^2 - 108*n + 18)"
-    )
-    assert sqrt_expr(heavy * heavy) == heavy
-    # boeckx prints (1 - mu/2)/root, so the branch is part of the output
-    for square, root in [("n*(kappa+1)^2", "kappa*s + s"), ("(kappa+1)^2", "kappa + 1"),
-                         ("(1+s)^2", "s + 1"), ("(kappa - s)^2", "kappa - s"),
-                         ("n*(kappa-1)^2/(a+1)^2", "(kappa*s - s)/(a + 1)"),
-                         ("(1-(s-1)^2/(n-1))^2", "(-2*s + 2)/(n - 1)")]:
-        assert str(sqrt_expr(parse_expr(square))) == root, square
 
 
 # ---------------------------------------------------------------------------
@@ -1184,44 +1162,3 @@ def test_products_and_powers_beyond_a_field_raise():
     # a denominator overflows the same way; no exponent ever carries over
     with pytest.raises(ExponentOverflow):
         (1 / (KAPPA ** 20000)) * (1 / (KAPPA ** 20000))
-
-
-# ---------------------------------------------------------------------------
-# poly_sqrt: the term bound, perfect squares and near-squares
-
-
-def test_sqrt_bound_admits_a_dense_root():
-    # (1 + n + n^2)(1 + kappa) has prod(deg/2 + 1) = 3 * 2 terms, the most
-    # a root of its square can have
-    root = (Poly.constant(1) + N.num + N.num * N.num) * (Poly.constant(1) + KAPPA.num)
-    assert len(root.terms) == 6
-    assert poly_sqrt(root * root) == root
-    assert poly_sqrt(root * root + Poly.constant(1)) is None
-
-
-def _is_square(sympy, poly):
-    # a polynomial over Q is a square iff its content is a rational square
-    # and every irreducible factor has even multiplicity
-    content, factors = sympy.factor_list(_to_sympy(sympy, poly))
-    return content >= 0 and sympy.sqrt(content).is_rational and all(
-        m % 2 == 0 for _, m in factors)
-
-
-@settings(max_examples=60, deadline=None)
-@given(raw_polys(4), st.integers(min_value=-3, max_value=3),
-       st.sampled_from(_SYMPY_VARS))
-def test_poly_sqrt_on_squares_and_near_squares(root, shift, name):
-    sympy = pytest.importorskip("sympy")
-    square = root * root
-    got = poly_sqrt(square)
-    assert got is not None and got * got == square
-    assert got.leading()[1] > 0 and got in (root, -root)
-    root_expr = sqrt_expr(RationalExpr(square))
-    assert root_expr ** 2 == RationalExpr(square)
-    assert all(type(c) is int for c in _coefficients(root_expr))
-    near = square + Poly.constant(shift) * Poly.variable(name) ** 2 if shift else square + root
-    got = poly_sqrt(near)
-    if got is None:
-        assert not _is_square(sympy, near)
-    else:
-        assert got * got == near
