@@ -67,6 +67,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):  # argparse defaults to exit code 2
+        option = re.fullmatch(r"argument (\S+): expected one argument", message)
+        if option:  # a value such as "-n" was read as an option
+            message += f" (a value starting with '-' is written {option[1]}=VALUE)"
         raise InputError(message)
 
 
@@ -262,8 +265,18 @@ def _resolve_coeffs(args) -> tuple:
     return preset(name), name.value
 
 
+# conditions whose result --substitute-r cannot change, and why
+_R_FREE = {
+    ConditionKind.T_FLAT: "its constraint always binds r = 2n(2n-2+kappa)",
+    ConditionKind.T_DOT_R: "its form holds no r",
+}
+
+
 def _cmd_classify(args) -> int:
     condition = ConditionKind.parse(args.condition)
+    if args.substitute_r and condition in _R_FREE:
+        raise InputError(f"--substitute-r changes nothing under {condition.value}: "
+                         + _R_FREE[condition])
     coeffs, label = _resolve_coeffs(args)
     payload = {
         "command": "classify",

@@ -18,10 +18,9 @@ Two expressions are equal as field elements iff their canonical forms are
 identical, so ``==`` is decidable equality.
 
 Because the canonical form is unique, it can be taken once per result:
-``parse_expr`` and ``substitute`` work on (numerator, denominator) polynomial
-pairs with plain ring arithmetic and canonicalise at the end, and field
-operations skip the gcd where the operands' canonical forms fix its answer
-(see ``_lowest_terms``).
+``parse_expr`` works on (numerator, denominator) polynomial pairs with plain
+ring arithmetic and canonicalises at the end, and field operations skip the
+gcd where the operands' canonical forms fix its answer (see ``_lowest_terms``).
 ``parse_expr`` scans with one compiled pattern in ``str``'s Unicode classes:
 after any whitespace, decimal digits, else word characters, else one
 character; a word not starting with a letter or ``_`` (say ``²``), and a
@@ -939,36 +938,23 @@ def eval_at(value: RationalExpr, bindings: Mapping[str, RationalLike]) -> Fracti
 
 
 def substitute(value: RationalExpr, name: str, replacement: ExprLike) -> RationalExpr:
-    """Substitute an expression P/Q for one indeterminate.
-
-    Each side p of the fraction is homogenised, p(P/Q) = p~(P, Q) / Q^deg p
-    with p~ = sum c_k P^k Q^(deg p - k), so the result is canonicalised once.
-    """
+    """Substitute an expression for one indeterminate: each side of the
+    fraction is evaluated at it by Horner's rule in the field."""
     replacement = expr(replacement)
-    num_coeffs = value.num.coefficients_in(name)
-    den_coeffs = value.den.coefficients_in(name)
-    num_deg, den_deg = max(num_coeffs, default=0), max(den_coeffs)
-    p_powers, q_powers = [Poly.constant(1)], [Poly.constant(1)]
-    for _ in range(max(num_deg, den_deg)):
-        p_powers.append(p_powers[-1] * replacement.num)
-        q_powers.append(q_powers[-1] * replacement.den)
 
-    def homogenised(coeffs, deg):
-        out = Poly()
-        for k, coeff in coeffs.items():
-            out = out + coeff * p_powers[k] * q_powers[deg - k]
+    def horner(poly):
+        coeffs = poly.coefficients_in(name)
+        out = RationalExpr.constant(0)
+        for k in range(max(coeffs, default=0), -1, -1):
+            out = out * replacement + RationalExpr(coeffs.get(k, Poly()))
         return out
 
-    den = homogenised(den_coeffs, den_deg)
+    den = horner(value.den)
     if den.is_zero():
         raise DivisionByZero(
             f"denominator of {value} vanishes identically after {name} substitution"
         )
-    # num~ Q^deg den / (den~ Q^deg num); the shared power of Q comes out
-    # here, so the canonicaliser need not find it again with a gcd
-    shift = den_deg - num_deg
-    num = homogenised(num_coeffs, num_deg) * q_powers[max(shift, 0)]
-    return RationalExpr(num, den * q_powers[max(-shift, 0)])
+    return horner(value.num) / den
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,6 @@ class TCoeffs(Record):
                 raise InputError(f"coefficient entry {place} ({entry}) holds {names}; "
                                  "entries are functions of n, a0 and a1 only")
 
-    def __getitem__(self, index: int) -> RationalExpr:
-        return self.a[index]
-
     def free_parameters(self) -> frozenset:
         return frozenset().union(*(entry.variables() for entry in self.a)) - {"n"}
 
@@ -255,6 +252,9 @@ def catalog() -> dict:
 
 
 def _numeric(coeffs) -> tuple:
+    if isinstance(coeffs, TCoeffs):
+        raise UnevaluatedCoefficient(
+            "TCoeffs entries are functions of n; evaluate them with .at(n, a0, a1)")
     values = tuple(as_rational(v) for v in coeffs)
     if len(values) != 8:
         raise InputError("a numeric coefficient vector has exactly 8 entries")

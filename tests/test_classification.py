@@ -15,6 +15,7 @@ from nkt.classification import (
     boeckx_example,
     consistency_kappa,
     d_homothetic,
+    load_golden_table,
     phi_flat_form,
     quasi_flat_form,
     t_dot_ricci_form,
@@ -179,6 +180,20 @@ def test_t_dot_ricci_anchors():
     assert form.b2 == 8 * N * KAPPA * (-N + 1 + N * KAPPA)
 
     assert t_dot_ricci_form(preset("V")).is_degenerate
+
+
+def test_table_7_rows_miss_the_sasakian_trace():
+    # table 7 assumes a Killing Reeb field, which makes an N(kappa) manifold
+    # Sasakian: kappa = 1, where S(xi, xi) = b1 + b2 = 2n.  No row gives 2n
+    # there, for any r; a finding about the printed table, pinned as found
+    off = {}
+    for name in load_golden_table(7):
+        form = t_dot_ricci_form(preset(name), substitute_r=False)
+        off[name.value] = substitute(form.b1 + form.b2, "kappa", 1) - 2 * N
+    assert off == {
+        **dict.fromkeys(("P", "P_star", "W1", "W1_star", "W6", "W7", "W8"), 4 * N ** 2 - 2 * N),
+        **dict.fromkeys(("W2", "W4", "W5"), 4 * N ** 2 - 6 * N),
+    }
 
 
 def test_consistency_kappa_against_flat_classification():

@@ -281,8 +281,13 @@ def test_missing_free_parameters_are_named_at_once(capsys, given, want):
      "strict (--strict-xi) applies to xi-flat only, not t-flat"),
     (["residual", "--lambda", "1/2", "--preset", "W7", "--condition", "xi-flat",
       "--variant", "printed"], "variant printed applies to t-dot-r only, not xi-flat"),
+    (["classify", "--preset", "V", "--condition", "t-flat", "--substitute-r"],
+     "--substitute-r changes nothing under t-flat: "
+     "its constraint always binds r = 2n(2n-2+kappa)"),
+    (["classify", "--preset", "W1", "--condition", "t-dot-r", "--substitute-r"],
+     "--substitute-r changes nothing under t-dot-r: its form holds no r"),
 ], ids=["preset-and-coeffs", "a0-without-parameter", "a1-with-coeffs", "strict-xi-elsewhere",
-        "variant-elsewhere"])
+        "variant-elsewhere", "substitute-r-t-flat", "substitute-r-t-dot-r"])
 def test_options_that_would_change_nothing_are_rejected(capsys, argv, want):
     # each was dropped without a word: the output was that of the command without it
     assert _assert_one_error_line(*invoke(capsys, *argv)) == f"error: {want}"
@@ -328,9 +333,14 @@ def test_negative_fractions_may_be_separate_words(capsys, argv, want):
 
 
 def test_a_dash_word_that_is_no_number_is_still_an_option(capsys):
-    line = _assert_one_error_line(*invoke(
-        capsys, "residual", "--lambda", "-x", "--preset", "W7", "--condition", "xi-flat"))
-    assert line == "error: argument --lambda: expected one argument"
+    # the error names the form that takes such a value: --kappa=-n
+    for option, argv in [
+        ("--lambda", ["residual", "--lambda", "-x", "--preset", "W7", "--condition", "xi-flat"]),
+        ("--kappa", ["deform", "--kappa", "-n", "--mu", "0", "--a", "2", "--c", "1"]),
+    ]:
+        line = _assert_one_error_line(*invoke(capsys, *argv))
+        assert line == (f"error: argument {option}: expected one argument "
+                        f"(a value starting with '-' is written {option}=VALUE)")
 
 
 def test_non_utf8_files_are_one_error_line_naming_the_file(tmp_path, monkeypatch, capsys):

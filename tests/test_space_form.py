@@ -55,12 +55,12 @@ def test_space_form_at_c_1_has_constant_curvature_1(n):
     assert space_form_curvature(heisenberg_model(n), 1).riemann == want
 
 
-def _sphere_row(curv, n, name, kind):
+def _sphere_row(curv, n, name, kind, a0=Fraction(3, 2), a1=Fraction(-1, 2)):
     """How a preset x condition row fares on the round sphere S^(2n+1):
-    the residual, then the eta-Einstein form at kappa = 1 and its r."""
-    point = {"n": n, "kappa": 1, "r": 2 * n * (2 * n + 1),
-             "a0": Fraction(3, 2), "a1": Fraction(-1, 2)}
-    numeric = preset(name).at(n, a0=point["a0"], a1=point["a1"])
+    the residual, then the eta-Einstein form at kappa = 1 and its r; the
+    starred presets at the free parameters (a0, a1)."""
+    point = {"n": n, "kappa": 1, "r": 2 * n * (2 * n + 1), "a0": a0, "a1": a1}
+    numeric = preset(name).at(n, a0=a0, a1=a1)
     if flatness_residual(curv, numeric, kind) != 0:
         return "does not hold", None
     if kind is ConditionKind.T_FLAT:
@@ -99,3 +99,19 @@ def test_sphere_rows_agree_or_are_pinned_contradictions():
         (2, "P_star", "quasi-flat"), (2, "P_star", "phi-flat")}
     assert found[1, "P", "t-dot-s"][1] == (4, 0)
 
+
+def test_sphere_rows_of_the_starred_presets_at_a_second_point():
+    # at (a0, a1) = (2, 1/3) no denominator vanishes: P_star's quasi/phi
+    # zeros at n = 2 belong to the point (3/2, -1/2), and its t-dot-s
+    # contradiction, S = 4n^2 g against the sphere's 2n g, does not
+    counts, found = Counter(), {}
+    for n in range(1, 5):
+        curv = space_form_curvature(heisenberg_model(n), 1)
+        for name in (PresetName.C_STAR, PresetName.P_STAR):
+            for kind in ConditionKind:
+                verdict, b = _sphere_row(curv, n, name, kind, Fraction(2), Fraction(1, 3))
+                counts[verdict] += 1
+                if verdict == "contradicts":
+                    found[n, name.value, kind.value] = b
+    assert counts == {"t-flat": 8, "agrees": 24, "degenerate": 12, "contradicts": 4}
+    assert found == {(n, "P_star", "t-dot-s"): (4 * n * n, 0) for n in range(1, 5)}

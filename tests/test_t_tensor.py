@@ -36,14 +36,14 @@ def model_and_curvature(lam=HALF):
 
 
 def test_concircular_preset_row():
-    row = preset("V")
+    row = preset("V").a
     assert row[0] == 1
     assert row[7] == -1 / (2 * N * (2 * N + 1))
     assert all(row[i].is_zero() for i in range(1, 7))
 
 
 def test_projective_preset_row():
-    row = preset("P")
+    row = preset("P").a
     assert row[0] == 1
     assert row[1] == -1 / (2 * N)
     assert row[2] == 1 / (2 * N)
@@ -51,7 +51,7 @@ def test_projective_preset_row():
 
 
 def test_riemann_preset_row():
-    row = preset(PresetName.RIEMANN)
+    row = preset(PresetName.RIEMANN).a
     assert row[0] == 1 and all(row[i].is_zero() for i in range(1, 8))
 
 
@@ -274,6 +274,16 @@ def test_flatness_requires_numeric_coefficients():
     _, curv = model_and_curvature()
     with pytest.raises(UnevaluatedCoefficient):
         flatness_residual(curv, preset("C_star").at(1), ConditionKind.T_FLAT)
+
+
+def test_an_unevaluated_coefficient_record_is_rejected_by_name():
+    # the record of symbolic entries, not its evaluation: a TypeError from
+    # as_rational would not say what to call
+    _, curv = model_and_curvature()
+    for call in (lambda: flatness_residual(curv, preset("W7"), ConditionKind.XI_T_FLAT),
+                 lambda: t_dot_riemann(curv, preset("W1"))):
+        with pytest.raises(UnevaluatedCoefficient, match=r"\.at\(n, a0, a1\)"):
+            call()
 
 
 def test_quasi_and_phi_sweeps_on_abelian_model():
