@@ -36,8 +36,9 @@ the Ricci and metric terms, each an outer product with the identity moved
 into place.  Every condition is T with a matrix (phi, the projector onto
 xi, or the matrices T(xi, e_i) taken together) contracted into some of its
 slots by the kernel the curvature build uses, so the cost follows the
-nonzero entries of R and T rather than d^4.  The component functions return
-such dicts: ``t_components(curv, a).get((i, j, k, l), 0)`` is the e_l
+nonzero entries of R and T rather than d^4.  ``condition_components`` is
+the one component function of the six conditions.  It and ``t_components``
+return such dicts: ``t_components(curv, a).get((i, j, k, l), 0)`` is the e_l
 coefficient of T(e_i,e_j)e_k.
 """
 
@@ -174,7 +175,7 @@ def _rows() -> dict:
     inv_2n = 1 / _TWO_N
     inv_2n_minus = 1 / (_TWO_N - 1)
     inv_4n = 1 / (4 * N)
-    rows = {
+    return {
         PresetName.C_STAR: coeffs_from(
             [A0, A1, -A1, 0, A1, -A1, 0, -(A0 / _TWO_N + 2 * A1) / (_TWO_N + 1)]
         ).annotate("free parameters a0, a1"),
@@ -214,7 +215,6 @@ def _rows() -> dict:
         ),
         PresetName.RIEMANN: coeffs_from([1, 0, 0, 0, 0, 0, 0, 0]),
     }
-    return rows
 
 
 @cache
@@ -255,7 +255,13 @@ def _numeric(coeffs) -> tuple:
     if isinstance(coeffs, TCoeffs):
         raise UnevaluatedCoefficient(
             "TCoeffs entries are functions of n; evaluate them with .at(n, a0, a1)")
-    values = tuple(as_rational(v) for v in coeffs)
+    values = tuple(coeffs)
+    free = frozenset().union(*(v.variables() for v in values if isinstance(v, RationalExpr)))
+    if free:
+        names = ", ".join(v for v in VARIABLES if v in free)
+        raise UnevaluatedCoefficient(f"coefficients need values for {names}")
+    values = tuple(eval_at(v, {}) if isinstance(v, RationalExpr) else as_rational(v)
+                   for v in values)
     if len(values) != 8:
         raise InputError("a numeric coefficient vector has exactly 8 entries")
     return values
@@ -270,8 +276,8 @@ def t_components(curv: CurvatureData, coeffs) -> dict:
     """The (1,3) components T[i, j, k, l] = coefficient of e_l in
     T(e_i,e_j)e_k.
 
-    Coefficients are 8 numeric rationals; ``TCoeffs.at`` gives them for a
-    preset row.
+    Coefficients are 8 numeric rationals (constant RationalExprs count);
+    ``TCoeffs.at`` gives them for a preset row.
     """
     a = _numeric(coeffs)
     dim, r_term = curv.dim, a[7] * curv.scalar
@@ -283,33 +289,56 @@ def t_components(curv: CurvatureData, coeffs) -> dict:
     return _lincomb((*a[:7], r_term, -r_term), parts)
 
 
-def flatness_residual(curv: CurvatureData, coeffs, kind: ConditionKind, *,
-                      strict: bool = False, variant: str = "standard") -> Fraction:
-    """Max-abs residual of a flatness or derivation condition over all frame
-    tuples; t-dot-r and t-dot-s go to t_dot_riemann (with ``variant``) and
-    t_dot_ricci.
+def condition_components(curv: CurvatureData, coeffs, kind: ConditionKind, *,
+                         strict: bool = False, variant: str = "standard") -> dict:
+    """The components of a flatness or derivation condition, which holds
+    exactly where all of them vanish.
 
-    t-flat      T(e_i,e_j)e_k = 0
+    t-flat      T(e_i,e_j)e_k = 0, keyed (i, j, k, l) as T itself
     xi-flat     T(e_i, xi, xi, e_l) = 0 (the classified insertion);
                 with strict=True the full T(e_i,e_j) xi = 0 instead
     quasi-flat  g(T(phi e_i, e_j) e_k, phi e_l) = 0
     phi-flat    g(T(phi e_i, phi e_j) phi e_k, phi e_l) = 0
+    t-dot-r     (T(xi, e_i) . R)(e_j, e_k) e_l, keyed (i, j, k, l, m) for
+                its e_m coefficient
+    t-dot-s     S(T(xi,e_i)e_j, e_k) + S(e_j, T(xi,e_i)e_k), keyed (i, j, k),
+                with the plus sign of the two-slot action as printed in its
+                source definition
 
-    Each condition is T with a matrix applied to some slots: the projector
-    onto xi, or phi^T (inserting phi e_i into a slot contracts with the
-    transpose of its matrix).  ``strict`` applies to xi-flat only and a
-    ``variant`` other than standard to t-dot-r only: elsewhere InputError.
+    Each flatness condition is T with a matrix applied to some slots: the
+    projector onto xi, or phi^T (inserting phi e_i into a slot contracts
+    with the transpose of its matrix).  The derivations act with the
+    matrices T(xi, e_i) stacked over i, lower[i, p, q] = T[xi, i, p, q].
+    variant="standard" uses the four-term derivation acting on every slot of
+    R: the action of T(xi, e_i) on the upper slot minus its actions on the
+    three lower slots.  variant="printed" reproduces a variant whose fourth
+    term reads -R(e_i, e_j) T(xi, e_i) e_l, i.e. with the first slot pair
+    repeated.  ``strict`` applies to xi-flat only and a ``variant`` other
+    than standard to t-dot-r only: elsewhere InputError.
+
+    Coefficients are numeric; the curvature's entries may be Fractions or
+    RationalExprs, and the components are of the same kind.
     """
     kind = ConditionKind.parse(kind)
     if strict and kind is not ConditionKind.XI_T_FLAT:
         raise InputError(f"strict (--strict-xi) applies to xi-flat only, not {kind.value}")
     if variant != "standard" and kind is not ConditionKind.T_DOT_R:
         raise InputError(f"variant {variant} applies to t-dot-r only, not {kind.value}")
-    if kind is ConditionKind.T_DOT_R:
-        return t_dot_riemann(curv, coeffs, variant=variant)
-    if kind is ConditionKind.T_DOT_S:
-        return t_dot_ricci(curv, coeffs)
+    if variant not in ("standard", "printed"):
+        raise InputError("variant must be 'standard' or 'printed'")
     tv = t_components(curv, coeffs)
+    if kind in (ConditionKind.T_DOT_R, ConditionKind.T_DOT_S):
+        lower = {key[1:]: v for key, v in tv.items() if key[0] == curv.xi_index}
+        rank = 2 if kind is ConditionKind.T_DOT_S else 4
+        tensor = curv.ricci if rank == 2 else curv.riemann
+        # an action of lower on slot s leaves its index pair (i, x) there, and each
+        # permutation moves i back to the front; R's upper slot 3 takes it transposed
+        acts = [_permute(_act(_permute(lower, (0, 2, 1)) if s == 3 else lower, tensor, s),
+                         (s, *range(s), *range(s + 1, rank + 1))) for s in range(rank)]
+        if variant == "printed":  # acts[2][i, j, x, k, l] = acts[2][i, i, j, k, l]
+            acts[2] = {(i, j, x, k, l): v for (i, y, j, k, l), v in acts[2].items()
+                       if y == i for x in range(curv.dim)}
+        return _lincomb((1, 1) if rank == 2 else (-1, -1, -1, 1), acts)
     on_xi = {(curv.xi_index, curv.xi_index): Fraction(1)}
     phi_t = _permute(curv.phi, (1, 0))
     insertions = {
@@ -320,56 +349,27 @@ def flatness_residual(curv: CurvatureData, coeffs, kind: ConditionKind, *,
     }
     for slot, matrix in insertions[kind].items():
         tv = _act(matrix, tv, slot)
-    return _max_abs(tv)
+    return tv
 
 
-def _lower(curv: CurvatureData, coeffs) -> dict:
-    """lower[i, p, q] = T[xi, i, p, q], the matrices of T(xi, e_i) stacked
-    over i."""
-    return {key[1:]: v for key, v in t_components(curv, coeffs).items() if key[0] == curv.xi_index}
-
-
-def t_dot_riemann_components(
-    curv: CurvatureData, coeffs, *, variant: str = "standard"
-) -> dict:
-    """Full components of (T(xi, e_i) . R)(e_j, e_k) e_l, keyed
-    (i, j, k, l, m) for its e_m coefficient.
-
-    variant="standard" uses the four-term derivation acting on every slot of
-    R: the action of T(xi, e_i) on the upper slot minus its actions on the
-    three lower slots.  variant="printed" reproduces a variant whose fourth
-    term reads -R(e_i, e_j) T(xi, e_i) e_l, i.e. with the first slot pair
-    repeated.
-    """
-    if variant not in ("standard", "printed"):
-        raise InputError("variant must be 'standard' or 'printed'")
-    lower = _lower(curv, coeffs)
-    riemann, dim = curv.riemann, curv.dim
-    # an action of lower leaves its index pair (i, x) where the contracted
-    # slot was; each permutation moves i back to the front
-    fourth = _permute(_act(lower, riemann, 2), (2, 0, 1, 3, 4))
-    if variant == "printed":  # fourth[i, j, x, k, l] = fourth[i, i, j, k, l]
-        fourth = {(i, j, x, k, l): v for (i, y, j, k, l), v in fourth.items()
-                  if y == i for x in range(dim)}
-    terms = (_permute(_act(_permute(lower, (0, 2, 1)), riemann, 3), (3, 0, 1, 2, 4)),
-             _act(lower, riemann, 0), _permute(_act(lower, riemann, 1), (1, 0, 2, 3, 4)), fourth)
-    return _lincomb((1, -1, -1, -1), terms)
+def flatness_residual(curv: CurvatureData, coeffs, kind: ConditionKind, *,
+                      strict: bool = False, variant: str = "standard") -> Fraction:
+    """Max-abs of ``condition_components`` over all frame tuples; t-dot-r and
+    t-dot-s go to t_dot_riemann (with ``variant``) and t_dot_ricci, and an
+    option they do not take falls through to condition_components' error."""
+    kind = ConditionKind.parse(kind)
+    if kind is ConditionKind.T_DOT_R and not strict:
+        return t_dot_riemann(curv, coeffs, variant=variant)
+    if kind is ConditionKind.T_DOT_S and not strict and variant == "standard":
+        return t_dot_ricci(curv, coeffs)
+    return _max_abs(condition_components(curv, coeffs, kind, strict=strict, variant=variant))
 
 
 def t_dot_riemann(curv: CurvatureData, coeffs, *, variant: str = "standard") -> Fraction:
     """Max-abs residual of (T(xi, e_i) . R)(e_j, e_k) e_l over all tuples."""
-    return _max_abs(t_dot_riemann_components(curv, coeffs, variant=variant))
-
-
-def t_dot_ricci_components(curv: CurvatureData, coeffs) -> dict:
-    """Components S(T(xi,e_i)e_j, e_k) + S(e_j, T(xi,e_i)e_k), keyed
-    (i, j, k), with the plus sign of the two-slot action as printed in its
-    source definition."""
-    lower, ricci = _lower(curv, coeffs), curv.ricci
-    terms = (_act(lower, ricci, 0), _permute(_act(lower, ricci, 1), (1, 0, 2)))
-    return _lincomb((1, 1), terms)
+    return _max_abs(condition_components(curv, coeffs, ConditionKind.T_DOT_R, variant=variant))
 
 
 def t_dot_ricci(curv: CurvatureData, coeffs) -> Fraction:
     """Max-abs residual of (T(xi, e_i) . S)(e_j, e_k) over all tuples."""
-    return _max_abs(t_dot_ricci_components(curv, coeffs))
+    return _max_abs(condition_components(curv, coeffs, ConditionKind.T_DOT_S))

@@ -22,12 +22,11 @@ from nkt.scalar_algebra import KAPPA, N, eval_at, expr
 from nkt.t_tensor import (
     ConditionKind,
     PresetName,
+    condition_components,
     flatness_residual,
     preset,
     t_dot_ricci,
-    t_dot_ricci_components,
     t_dot_riemann,
-    t_dot_riemann_components,
 )
 from helpers import random_model, random_preset_at_n1
 from oracles import t_dot_ricci_bruteforce, t_dot_riemann_bruteforce
@@ -237,7 +236,7 @@ def test_criterion_8_derivation_oracle():
         _, numeric = random_preset_at_n1(rng)
         curv = curvature(model)
         expected_r = t_dot_riemann_bruteforce(model, curv, numeric)
-        got_r = t_dot_riemann_components(curv, numeric)
+        got_r = condition_components(curv, numeric, ConditionKind.T_DOT_R)
         dim = model.dim
         for i in range(dim):
             for j in range(dim):
@@ -246,7 +245,7 @@ def test_criterion_8_derivation_oracle():
                         got = tuple(got_r.get((i, j, k, l, m), 0) for m in range(dim))
                         assert got == expected_r[(i, j, k, l)]
         expected_s = t_dot_ricci_bruteforce(model, curv, numeric)
-        got_s = t_dot_ricci_components(curv, numeric)
+        got_s = condition_components(curv, numeric, ConditionKind.T_DOT_S)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):

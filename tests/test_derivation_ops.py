@@ -10,12 +10,7 @@ import random
 from fractions import Fraction
 
 from nkt.frame_geometry import curvature
-from nkt.t_tensor import (
-    t_dot_ricci,
-    t_dot_ricci_components,
-    t_dot_riemann,
-    t_dot_riemann_components,
-)
+from nkt.t_tensor import ConditionKind, condition_components, t_dot_ricci, t_dot_riemann
 from helpers import random_model, random_preset_at_n1
 from oracles import t_dot_riemann_bruteforce, t_dot_ricci_bruteforce
 
@@ -32,7 +27,7 @@ def test_t_dot_riemann_matches_bruteforce_componentwise():
     for model, name, numeric in _pairs():
         curv = curvature(model)
         expected = t_dot_riemann_bruteforce(model, curv, numeric)
-        got = t_dot_riemann_components(curv, numeric)
+        got = condition_components(curv, numeric, ConditionKind.T_DOT_R)
         dim = model.dim
         for i in range(dim):
             for j in range(dim):
@@ -50,7 +45,7 @@ def test_t_dot_riemann_printed_variant_matches_bruteforce():
     for model, name, numeric in _pairs(count=8, seed=5):
         curv = curvature(model)
         expected = t_dot_riemann_bruteforce(model, curv, numeric, variant="printed")
-        got = t_dot_riemann_components(curv, numeric, variant="printed")
+        got = condition_components(curv, numeric, ConditionKind.T_DOT_R, variant="printed")
         dim = model.dim
         for i in range(dim):
             for j in range(dim):
@@ -64,7 +59,7 @@ def test_t_dot_ricci_matches_bruteforce_componentwise():
     for model, name, numeric in _pairs(seed=777):
         curv = curvature(model)
         expected = t_dot_ricci_bruteforce(model, curv, numeric)
-        got = t_dot_ricci_components(curv, numeric)
+        got = condition_components(curv, numeric, ConditionKind.T_DOT_S)
         dim = model.dim
         for i in range(dim):
             for j in range(dim):
@@ -83,8 +78,9 @@ def test_variants_differ_only_in_fourth_term_slots():
     for _ in range(10):
         model = random_model(rng)
         _, numeric = random_preset_at_n1(rng)
-        std = t_dot_riemann_components(curvature(model), numeric)
-        prt = t_dot_riemann_components(curvature(model), numeric, variant="printed")
+        curv, kind = curvature(model), ConditionKind.T_DOT_R
+        std = condition_components(curv, numeric, kind)
+        prt = condition_components(curv, numeric, kind, variant="printed")
         if std != prt:
             seen_difference = True
             break

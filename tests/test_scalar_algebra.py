@@ -704,11 +704,22 @@ def test_shortcuts_take_no_gcd_whose_answer_the_canonical_form_fixes(monkeypatch
     from nkt import scalar_algebra
     from nkt.scalar_algebra import _divide
 
-    real, calls = scalar_algebra.poly_gcd, []
+    real, calls, depth = scalar_algebra.poly_gcd, [], [0]
+
+    def uncounted(first, second):
+        depth[0] += 1
+        try:
+            return real(first, second)
+        finally:
+            depth[0] -= 1
 
     def counted(first, second):
-        calls.append((first, second))
-        return real(first, second)
+        # top-level calls only: Brown's interpolation recurses through
+        # poly_gcd on contents and images, whatever the shortcut did, and
+        # the gcds this test computes for its expectations are uncounted
+        if not depth[0]:
+            calls.append((first, second))
+        return uncounted(first, second)
 
     values = [parse_expr("(kappa + 1)/(n*(kappa - 1))"),
               parse_expr("(n*kappa + s)/(n^2*(kappa - 1))")]
@@ -726,14 +737,14 @@ def test_shortcuts_take_no_gcd_whose_answer_the_canonical_form_fixes(monkeypatch
     halves = with_s.num.split_s()
     calls.clear()
     with_s * without_s
-    assert calls == [(without_s.den, halves[0]), (real(without_s.den, halves[0]), halves[1]),
+    assert calls == [(without_s.den, halves[0]), (uncounted(without_s.den, halves[0]), halves[1]),
                      (with_s.den, without_s.num)]
     for first, second, want in sums:
         calls.clear()
         assert str(first + second) == want
         # past the gcd of the denominators, only its divisors meet the numerator
         assert calls[0] == (first.den, second.den)
-        shared = real(first.den, second.den)
+        shared = uncounted(first.den, second.den)
         assert all(_divide(shared, divisor)[1].is_zero() for divisor, _ in calls[1:])
 
 

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from nkt.classification import FORM_BUILDERS
-from nkt.frame_geometry import curvature, nullity_fit
-from nkt.scalar_algebra import DivisionByZero, eval_at
-from nkt.t_tensor import ConditionKind, PresetName, flatness_residual, preset
+from nkt.classification import FORM_BUILDERS, t_flat_constraint, t_flat_kappa
+from nkt.frame_geometry import CurvatureData, _lincomb, curvature, nullity_fit
+from nkt.scalar_algebra import C, DivisionByZero, eval_at, expr
+from nkt.t_tensor import ConditionKind, PresetName, condition_components, flatness_residual
+from nkt.t_tensor import preset
 from helpers import heisenberg_model, space_form_curvature
 
 
@@ -55,16 +56,48 @@ def test_space_form_at_c_1_has_constant_curvature_1(n):
     assert space_form_curvature(heisenberg_model(n), 1).riemann == want
 
 
+def _c_symbolic_space_form(model):
+    """Blair's space form with c an indeterminate: R is affine in c, so it
+    is R(-3) + (c+3)/4 (R(1) - R(-3)), with RationalExpr entries."""
+    low, high = space_form_curvature(model, -3), space_form_curvature(model, 1)
+    weight = (C + 3) / 4
+    riemann = _lincomb((1 - weight, weight), (low.riemann, high.riemann))
+    return CurvatureData(low.dim, low.xi_index, low.phi, riemann, {})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_condition_components_in_c_specialise_to_the_space_forms(n):
+    # every condition's components on the c-symbolic tensor, evaluated at
+    # c = -3 and c = 1, are the components on the Fraction tensors there
+    model = heisenberg_model(n)
+    symbolic = _c_symbolic_space_form(model)
+    at_points = {c: space_form_curvature(model, c) for c in (-3, 1)}
+    for name in PresetName:
+        numeric = preset(name).at(n, a0=Fraction(3, 2), a1=Fraction(-1, 2))
+        for kind in ConditionKind:
+            components = condition_components(symbolic, numeric, kind)
+            for c, curv in at_points.items():
+                values = {key: eval_at(expr(v), {"c": c}) for key, v in components.items()}
+                want = condition_components(curv, numeric, kind)
+                assert {key: v for key, v in values.items() if v} == want, (name, kind, c)
+
+
 def _sphere_row(curv, n, name, kind, a0=Fraction(3, 2), a1=Fraction(-1, 2)):
     """How a preset x condition row fares on the round sphere S^(2n+1):
-    the residual, then the eta-Einstein form at kappa = 1 and its r; the
-    starred presets at the free parameters (a0, a1)."""
+    the residual, then table 2's T-flat constraint at kappa = 1 (with a
+    contradiction, the kappa the table gives instead) or the eta-Einstein
+    form at kappa = 1 and its r; the starred presets at the free parameters
+    (a0, a1)."""
     point = {"n": n, "kappa": 1, "r": 2 * n * (2 * n + 1), "a0": a0, "a1": a1}
     numeric = preset(name).at(n, a0=a0, a1=a1)
     if flatness_residual(curv, numeric, kind) != 0:
         return "does not hold", None
     if kind is ConditionKind.T_FLAT:
-        return "t-flat", None
+        # the constraint binds r = 2n(2n-2+kappa), the kappa < 1 value, and
+        # keeps kappa = 1 only where it vanishes for every kappa
+        if eval_at(t_flat_constraint(preset(name)), point) == 0:
+            return "agrees", None
+        return "contradicts", eval_at(t_flat_kappa(preset(name)).root, point)
     form = FORM_BUILDERS[kind](preset(name), substitute_r=False)
     if form.is_degenerate:
         return "degenerate", None
@@ -78,8 +111,8 @@ def _sphere_row(curv, n, name, kind, a0=Fraction(3, 2), a1=Fraction(-1, 2)):
 
 def test_sphere_rows_agree_or_are_pinned_contradictions():
     # every row whose condition holds on the sphere must print S = 2n g at
-    # kappa = 1; the t-dot-s rows below print something else, a finding of
-    # the printed table 7, not a skip
+    # kappa = 1, and table 2 must admit kappa = 1; the rows below print
+    # something else, findings of the printed tables 2 and 7, not skips
     counts, found = Counter(), {}
     for n in range(1, 5):
         curv = space_form_curvature(heisenberg_model(n), 1)
@@ -89,11 +122,18 @@ def test_sphere_rows_agree_or_are_pinned_contradictions():
                 counts[verdict] += 1
                 if verdict in ("contradicts", "vanishing denominator"):
                     found[n, name.value, kind.value] = verdict, b
-    assert counts == {"does not hold": 196, "t-flat": 36, "degenerate": 100,
-                      "vanishing denominator": 2, "agrees": 118, "contradicts": 28}
+    assert counts == {"does not hold": 196, "degenerate": 100, "vanishing denominator": 2,
+                      "agrees": 127, "contradicts": 55}
     contradicted = {"P", "P_star", "W1", "W1_star", "W2", "W5", "W7"}
+    t_flat = {"C_star", "V", "P_star", "P", "M", "W0", "W1_star"}
+    # C and W2 are T-flat for any kappa; C_star's root (n-1)/n needs
+    # a0 + (2n-1) a1 != 0, and at n = 2 the point (3/2, -1/2) is on that
+    # line, where the constraint vanishes for every kappa
     assert {key for key, (verdict, _) in found.items() if verdict == "contradicts"} == {
-        (n, name, "t-dot-s") for n in range(1, 5) for name in contradicted}
+        (n, name, "t-dot-s") for n in range(1, 5) for name in contradicted} | {
+        (n, name, "t-flat") for n in range(1, 5) for name in t_flat} - {(2, "C_star", "t-flat")}
+    assert all(b == Fraction(n - 1, n) for (n, _, kind), (_, b) in found.items()
+               if kind == "t-flat")
     # P_star's quasi/phi denominator vanishes at n = 2 for a0 = 3/2, a1 = -1/2
     assert {key for key, (verdict, _) in found.items() if verdict != "contradicts"} == {
         (2, "P_star", "quasi-flat"), (2, "P_star", "phi-flat")}
@@ -103,7 +143,8 @@ def test_sphere_rows_agree_or_are_pinned_contradictions():
 def test_sphere_rows_of_the_starred_presets_at_a_second_point():
     # at (a0, a1) = (2, 1/3) no denominator vanishes: P_star's quasi/phi
     # zeros at n = 2 belong to the point (3/2, -1/2), and its t-dot-s
-    # contradiction, S = 4n^2 g against the sphere's 2n g, does not
+    # contradiction, S = 4n^2 g against the sphere's 2n g, does not; nor
+    # does table 2's kappa = (n-1)/n, here for C_star at n = 2 as well
     counts, found = Counter(), {}
     for n in range(1, 5):
         curv = space_form_curvature(heisenberg_model(n), 1)
@@ -113,5 +154,7 @@ def test_sphere_rows_of_the_starred_presets_at_a_second_point():
                 counts[verdict] += 1
                 if verdict == "contradicts":
                     found[n, name.value, kind.value] = b
-    assert counts == {"t-flat": 8, "agrees": 24, "degenerate": 12, "contradicts": 4}
-    assert found == {(n, "P_star", "t-dot-s"): (4 * n * n, 0) for n in range(1, 5)}
+    assert counts == {"agrees": 24, "degenerate": 12, "contradicts": 12}
+    assert found == {**{(n, "P_star", "t-dot-s"): (4 * n * n, 0) for n in range(1, 5)},
+                     **{(n, name, "t-flat"): Fraction(n - 1, n)
+                        for n in range(1, 5) for name in ("C_star", "P_star")}}

@@ -26,8 +26,8 @@ from nkt.frame_geometry import (
     nullity_fit,
 )
 from nkt.scalar_algebra import C, LAM, eval_at, expr
-from nkt.t_tensor import ConditionKind, flatness_residual, t_dot_ricci, t_dot_riemann
-from nkt.t_tensor import t_dot_ricci_components, t_dot_riemann_components
+from nkt.t_tensor import ConditionKind, condition_components, flatness_residual
+from nkt.t_tensor import t_dot_ricci, t_dot_riemann
 from helpers import cayley_rotation, heisenberg_model, random_numeric_coeffs, rotated_model
 from oracles import flatness_bruteforce, t_dot_ricci_bruteforce, t_dot_riemann_bruteforce
 
@@ -43,7 +43,7 @@ def _assert_residuals_match(model, numeric):
     assert flatness_residual(curv, numeric, ConditionKind.XI_T_FLAT, strict=True) == expected
     for variant in ("standard", "printed"):
         expected = t_dot_riemann_bruteforce(model, curv, numeric, variant)
-        got = t_dot_riemann_components(curv, numeric, variant=variant)
+        got = condition_components(curv, numeric, ConditionKind.T_DOT_R, variant=variant)
         dim = model.dim
         assert {key: tuple(got.get((*key, m), 0) for m in range(dim))
                 for key in expected} == expected
@@ -52,7 +52,7 @@ def _assert_residuals_match(model, numeric):
         kind = ConditionKind.T_DOT_R
         assert flatness_residual(curv, numeric, kind, variant=variant) == worst
     expected = t_dot_ricci_bruteforce(model, curv, numeric)
-    got = t_dot_ricci_components(curv, numeric)
+    got = condition_components(curv, numeric, ConditionKind.T_DOT_S)
     assert {key: got.get(key, 0) for key in expected} == expected
     worst = max((abs(v) for v in expected.values()), default=0)
     assert t_dot_ricci(curv, numeric) == worst

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from nkt.frame_geometry import build_model, curvature, nk_lie_group_3d, nullity_fit
-from nkt.scalar_algebra import N, eval_at
+from nkt.frame_geometry import _max_abs, build_model, curvature, nk_lie_group_3d, nullity_fit
+from nkt.scalar_algebra import N, eval_at, expr
 from nkt.t_tensor import (
     ConditionKind,
     PresetName,
     UnevaluatedCoefficient,
     catalog,
+    condition_components,
     flatness_residual,
     preset,
     preset_as_printed,
@@ -19,7 +20,8 @@ from nkt.t_tensor import (
     t_dot_ricci,
     t_dot_riemann,
 )
-from helpers import STANDARD_PHI, random_model, random_numeric_coeffs
+from helpers import STANDARD_PHI, heisenberg_model, random_model, random_numeric_coeffs
+from helpers import space_form_curvature
 from oracles import t_vector
 
 HALF = Fraction(1, 2)
@@ -284,6 +286,39 @@ def test_an_unevaluated_coefficient_record_is_rejected_by_name():
                  lambda: t_dot_riemann(curv, preset("W1"))):
         with pytest.raises(UnevaluatedCoefficient, match=r"\.at\(n, a0, a1\)"):
             call()
+
+
+def test_constant_expression_coefficients_are_their_numbers():
+    # a constant RationalExpr entry is read as the rational it holds; an
+    # entry with an indeterminate is named, not a TypeError from as_rational
+    _, curv = model_and_curvature()
+    numeric = preset("V").at(1)
+    as_exprs = tuple(expr(x) for x in numeric)
+    for kind in ConditionKind:
+        assert flatness_residual(curv, as_exprs, kind) == flatness_residual(curv, numeric, kind)
+    for coeffs, names in ((preset("V").a, "n"), (preset("C_star").a, "n, a0, a1"),
+                          ((expr("kappa"), *numeric[1:]), "kappa")):
+        with pytest.raises(UnevaluatedCoefficient, match=f"need values for {names}$"):
+            flatness_residual(curv, coeffs, ConditionKind.XI_T_FLAT)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_residuals_are_the_max_abs_of_the_condition_components(n):
+    # every residual reads the one component function: on the Heisenberg
+    # group and the space forms at c = -3 and c = 1, every preset (starred at
+    # two points) x condition, with strict xi-flat and printed t-dot-r
+    model = heisenberg_model(n)
+    points = ((Fraction(3, 2), Fraction(-1, 2)), (Fraction(2), Fraction(1, 3)))
+    vectors = {preset(name).at(n, a0, a1) for name in PresetName for a0, a1 in points}
+    cases = [(kind, {}) for kind in ConditionKind] + [
+        (ConditionKind.XI_T_FLAT, {"strict": True}),
+        (ConditionKind.T_DOT_R, {"variant": "printed"})]
+    curvatures = (curvature(model), *(space_form_curvature(model, c) for c in (-3, 1)))
+    for curv in curvatures:
+        for numeric in vectors:
+            for kind, options in cases:
+                want = flatness_residual(curv, numeric, kind, **options)
+                assert _max_abs(condition_components(curv, numeric, kind, **options)) == want
 
 
 def test_quasi_and_phi_sweeps_on_abelian_model():

@@ -49,10 +49,14 @@ def test_readme_command_examples_print_what_they_show():
 @pytest.mark.parametrize("argv, spans", [
     (["residual", "--lambda=1/2", "--preset", "W1", "--condition", "xi-flat"],
      ["t_tensor.flatness_residual.xi-flat.d3", "t_tensor.t_components.d3"]),
+    (["residual", "--lambda=1/2", "--preset", "W1", "--condition", "quasi-flat"],
+     ["t_tensor.flatness_residual.quasi-flat.d3", "t_tensor.t_components.d3"]),
     (["residual", "--lambda=1/2", "--preset", "W1", "--condition", "t-dot-r"],
      ["t_tensor.t_dot_riemann.d3", "t_tensor.t_components.d3"]),
+    (["residual", "--lambda=1/2", "--preset", "P", "--condition", "t-dot-s"],
+     ["t_tensor.t_dot_ricci.d3", "t_tensor.t_components.d3"]),
     (["model-build", "--lambda=1/2", "--audit"], ["frame_geometry.nullity_fit"]),
-], ids=["xi-flat", "t-dot-r", "audit"])
+], ids=["xi-flat", "quasi-flat", "t-dot-r", "t-dot-s", "audit"])
 def test_tracer_script_names_the_spans_the_benchmark_keys_on(tmp_path, argv, spans):
     # bench/tracer.py names a span from its call's arguments: args[0].dim,
     # and for flatness_residual the kind as the third positional argument
