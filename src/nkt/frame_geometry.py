@@ -126,7 +126,11 @@ def _permute(tensor: dict, order: tuple) -> dict:
 
 
 def _max_abs(tensor: dict) -> Fraction:
-    return max(map(abs, tensor.values()), default=_ZERO_Q)
+    try:
+        return max(map(abs, tensor.values()), default=_ZERO_Q)
+    except TypeError:  # abs() of a RationalExpr entry, from a symbolic R
+        raise InputError("a residual needs a numeric R; condition_components"
+                         " takes a symbolic one") from None
 
 
 # ---------------------------------------------------------------------------

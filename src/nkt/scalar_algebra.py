@@ -39,11 +39,13 @@ low bits, so integer order is lex order on exponent tuples and a monomial
 product is an integer add.  The top bit of each field is a guard: exponents
 stay at most ``MAX_EXPONENT`` (2^15 - 1), and a product that sets a guard bit
 raises :class:`ExponentOverflow` instead of carrying into the next field.
-Coefficients are Python ``int`` wherever the input is integral, and every
-coefficient division goes through one exact helper, ``_qdiv``.  ``Fraction``
-appears only at the boundary: ``Poly.constant`` of a non-integer, ``scale``
-by a fraction, and ``evaluate``/``eval_at``/``as_rational``, which always
-return ``Fraction``.
+A ``Poly`` is a polynomial over Z: every coefficient is a Python ``int``,
+and the constructor rejects anything else.  A rational constant p/q is a
+``RationalExpr`` with numerator p and denominator q.  Every divisor in the
+library is primitive, so by Gauss's lemma an exact quotient is integral and
+a coefficient that does not divide raises ``ArithmeticError`` at once.
+``Fraction`` appears only as the value of ``evaluate``/``eval_at``/
+``as_rational``, which always return ``Fraction``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, count
-from math import comb, gcd, isqrt, lcm, prod
+from math import comb, gcd, isqrt, prod
 from operator import or_
 from typing import Mapping, Optional, Union
 
@@ -186,16 +188,6 @@ def numbered_lines(text: str):
             yield lineno, line
 
 
-def _qdiv(a, b):
-    """a / b for int or Fraction coefficients: an int when the quotient is
-    integral, a Fraction otherwise (``int / int`` would be a float)."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
-
-
 def _pack(exps) -> int:
     """Packed monomial of an exponent tuple, reduced under s*s -> n."""
     if min(exps) < 0:
@@ -241,22 +233,22 @@ def _poly(terms: dict) -> "Poly":
 
 
 class Poly:
-    """Multivariate polynomial over Q in the fixed indeterminate set.
+    """Multivariate polynomial over Z in the fixed indeterminate set.
 
     ``terms`` maps packed monomials (see the module docs) to nonzero
-    coefficients: ``int`` for integral ones, ``Fraction`` otherwise.  The
-    constructor takes exponent tuples, reduces them under s*s -> n and
-    packs them; ``monomials`` reads them back as tuples.
+    ``int`` coefficients.  The constructor takes exponent tuples, reduces
+    them under s*s -> n and packs them; ``monomials`` reads them back as
+    tuples.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[tuple, Fraction]] = None):
+    def __init__(self, terms: Optional[Mapping[tuple, int]] = None):
         clean: dict = {}
         for exps, coeff in (terms or {}).items():
+            if type(coeff) is not int:
+                raise TypeError(f"a Poly coefficient is an int, not {coeff!r}")
             key = _pack(exps)
-            if type(coeff) is Fraction and coeff.denominator == 1:
-                coeff = coeff.numerator
             acc = clean.get(key, 0) + coeff
             if acc:
                 clean[key] = acc
@@ -267,9 +259,9 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, value: RationalLike) -> "Poly":
+    def constant(cls, value: int) -> "Poly":
         if type(value) is not int:
-            value = _qdiv(as_rational(value), 1)
+            raise TypeError(f"a Poly coefficient is an int, not {value!r}")
         return _poly({0: value} if value else {})
 
     @classmethod
@@ -335,13 +327,10 @@ class Poly:
             raise ExponentOverflow(f"a product has an exponent above {MAX_EXPONENT}")
         return _poly(out)
 
-    def scale(self, factor) -> "Poly":
+    def scale(self, factor: int) -> "Poly":
         if not factor:
             return Poly()
-        if type(factor) is int:
-            return _poly({e: c * factor for e, c in self.terms.items()})
-        p, q = factor.numerator, factor.denominator
-        return _poly({e: _qdiv(c * p, q) for e, c in self.terms.items()})
+        return _poly({e: c * factor for e, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -441,25 +430,17 @@ class Poly:
         return f"Poly({self})"
 
 
-def _content_parts(coeffs) -> tuple:
-    """(gcd of numerators, lcm of denominators, whether all are ints)."""
-    coeffs = list(coeffs)
-    try:
-        return gcd(*coeffs), 1, True
-    except TypeError:  # a Fraction among them
-        return (gcd(*(c.numerator for c in coeffs)),
-                lcm(*(c.denominator for c in coeffs)), False)
-
-
 def _primitive(polys: tuple, negate: bool) -> tuple:
-    """The polys scaled by one rational so that their coefficients are
-    jointly coprime ints, negated as well when ``negate`` is set."""
-    g, l, ints = _content_parts(c for p in polys for c in p.terms.values())
-    if ints and g == 1 and not negate:
+    """The polys divided by the gcd of all their coefficients, so that these
+    are jointly coprime, and negated as well when ``negate`` is set."""
+    # a list, not a generator: CPython 3.11 resizes a tuple unpacked from a
+    # generator, and its tuple free lists then keep megabytes of them
+    g = gcd(*[c for p in polys for c in p.terms.values()])
+    if g == 1 and not negate:
         return polys
     if negate:
         g = -g
-    return tuple(_poly({e: c * l // g for e, c in p.terms.items()}) for p in polys)
+    return tuple(_poly({e: c // g for e, c in p.terms.items()}) for p in polys)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +450,9 @@ def _primitive(polys: tuple, negate: bool) -> tuple:
 def _divide(num: Poly, den: Poly) -> tuple:
     """(quotient, rest): num divided by den's leading term until the leading
     monomial of rest is no multiple of den's.  rest is zero exactly when den
-    divides num, and in one variable it is the remainder.  One rest dict is
+    divides num, and in one variable it is the remainder.  A quotient
+    coefficient that is no integer raises ArithmeticError; for a primitive
+    den that divides num there is none (Gauss's lemma).  One rest dict is
     reduced in place: a quotient term cancels rest's lead and subtracts its
     multiple of den's other terms, folding s*s -> n as ``Poly.__mul__`` does."""
     den_lm, den_lc = den.leading()
@@ -481,7 +464,10 @@ def _divide(num: Poly, den: Poly) -> tuple:
         diff = lm - den_lm
         if diff & _GUARDS:
             break
-        coeff = quotient[diff] = _qdiv(rest.pop(lm), den_lc)
+        coeff, inexact = divmod(rest.pop(lm), den_lc)
+        if inexact:
+            raise ArithmeticError("inexact polynomial division")
+        quotient[diff] = coeff
         for key, c in tail:
             key += diff
             if key & _S_SQUARE:
@@ -497,7 +483,8 @@ def _divide(num: Poly, den: Poly) -> tuple:
 
 
 def _div_exact(num: Poly, den: Poly) -> Poly:
-    """Exact multivariate division; raises ArithmeticError on a remainder."""
+    """Exact multivariate division; raises ArithmeticError on a remainder
+    or a quotient coefficient that is no integer."""
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if den.is_one() or num.is_zero():
@@ -507,9 +494,9 @@ def _div_exact(num: Poly, den: Poly) -> Poly:
         out: dict = {}
         for key, coeff in num.terms.items():
             diff = key - den_lm
-            if diff & _GUARDS:
+            out[diff], inexact = divmod(coeff, den_lc)
+            if diff & _GUARDS or inexact:
                 raise ArithmeticError("inexact polynomial division")
-            out[diff] = _qdiv(coeff, den_lc)
         return _poly(out)
     quotient, rest = _divide(num, den)
     if rest.terms:
@@ -578,22 +565,29 @@ def _brown_gcd(a: Poly, b: Poly, shift: int) -> Poly:
     """gcd of integer primitive inputs by evaluation and interpolation in
     the variable y at ``shift`` (Brown 1971, J. ACM 18).
 
-    With the contents in Q[y] divided out, G = gcd(a, b) is y-primitive and
-    its leading coefficient in the other variables divides gamma, the gcd of
-    a's and b's.  At y = 0, 1, -1, 2, ... where neither of those vanishes,
-    the images' gcd is a multiple of G(y), and G(y) up to a constant if it
-    has G's leading monomial: scaled to lead with gamma(y), a value of
-    H = gamma/lc(G) * G.  Newton interpolation skips an image with a larger
-    leading monomial and restarts on a smaller one.  When a point adds
-    nothing, H's y-primitive part is G if it divides a and b, as it then
-    divides G and has G's leading monomial.  A constant image means G = 1."""
+    With the contents in Z[y] divided out, G = gcd(a, b) is y-primitive and
+    its leading coefficient in the other variables divides gamma in Z[y]:
+    the primitive gcd of a's and b's times the integer content they share.
+    At y = 0, 1, -1, 2, ... where neither of those vanishes, the images' gcd
+    is a multiple of G(y), and G(y) up to a constant if it has G's leading
+    monomial: scaled to lead with gamma(y), a value of H = gamma/lc(G) * G,
+    which is integral because lc(G) divides gamma.  Newton interpolation
+    skips an unlucky image, one with a larger leading monomial or a lead
+    that does not divide gamma(y), and restarts on a smaller leading
+    monomial.  Its divided differences are integers, an integer
+    polynomial's at integer nodes; one that is not shows that every image
+    kept so far was unlucky, and a smaller leading monomial will come.
+    When a point adds nothing, H's y-primitive part is G if it divides a
+    and b, as it then divides G and has G's leading monomial.  A constant
+    image means G = 1."""
     parts = []
     for p in (a, b):
         coeffs = _over(p, shift)
         content = reduce(poly_gcd, coeffs.values())
         parts.append((content, _div_exact(p, content), _div_exact(coeffs[max(coeffs)], content)))
     (cont_a, a, lc_a), (cont_b, b, lc_b) = parts
-    scalar, gamma = poly_gcd(cont_a, cont_b), poly_gcd(lc_a, lc_b)
+    scalar = poly_gcd(cont_a, cont_b)
+    gamma = poly_gcd(lc_a, lc_b).scale(gcd(*lc_a.terms.values(), *lc_b.terms.values()))
     mono = _GUARDS  # above every monomial
     for i in count():
         point = (i + 1) // 2 if i % 2 else -(i // 2)
@@ -603,23 +597,24 @@ def _brown_gcd(a: Poly, b: Poly, shift: int) -> Poly:
         lm, lc = image.leading()
         if not lm:
             return scalar
-        if lm > mono:
+        lead = _at(gamma, shift, point).terms[0]
+        if lm > mono or lead % lc:
             continue
-        value = image.scale(Fraction(_at(gamma, shift, point).terms[0], lc))
-        if lm < mono:
-            interpolant, mono, modulus = value, lm, Poly.constant(1)
-        elif (change := value - _at(interpolant, shift, point)).terms:
-            weight = Fraction(1, _at(modulus, shift, point).terms[0])
-            interpolant = interpolant + (change * modulus).scale(weight)
-        else:
-            h = interpolant.primitive()
-            candidate = _div_exact(h, reduce(poly_gcd, _over(h, shift).values()))
-            try:
+        value = image.scale(lead // lc)
+        try:
+            if lm < mono:
+                interpolant, mono, modulus = value, lm, Poly.constant(1)
+            elif (change := value - _at(interpolant, shift, point)).terms:
+                step = _div_exact(change, _at(modulus, shift, point))
+                interpolant = interpolant + step * modulus
+            else:
+                h = interpolant.primitive()
+                candidate = _div_exact(h, reduce(poly_gcd, _over(h, shift).values()))
                 _div_exact(a, candidate)
                 _div_exact(b, candidate)
                 return (scalar * candidate).primitive()
-            except ArithmeticError:
-                pass
+        except ArithmeticError:
+            pass
         modulus = modulus * (_poly({1 << shift: 1}) + Poly.constant(-point))
 
 
@@ -773,7 +768,8 @@ class RationalExpr:
 
     @classmethod
     def constant(cls, value: RationalLike) -> "RationalExpr":
-        return cls(Poly.constant(value))
+        value = as_rational(value)
+        return _lowest_terms(Poly.constant(value.numerator), Poly.constant(value.denominator))
 
     @classmethod
     def variable(cls, name: str) -> "RationalExpr":
@@ -790,9 +786,7 @@ class RationalExpr:
     def as_rational(self) -> Fraction:
         if not self.is_constant():
             raise UnboundIndeterminate(f"{self} is not constant")
-        if self.num.is_zero():
-            return Fraction(0)
-        return Fraction(self.num.terms[0]) / self.den.terms[0]
+        return Fraction(self.num.terms.get(0, 0), self.den.terms[0])
 
     def variables(self) -> frozenset:
         return self.num.variables() | self.den.variables()

@@ -79,6 +79,21 @@ def space_form_curvature(model: FrameModel, c) -> CurvatureData:
     return CurvatureData(dim, xi, p, riemann, {})
 
 
+def sasakian_over_surfaces(n: int, ks) -> CurvatureData:
+    """The space form of c = -3 on H^(2n+1) plus K_p (g(Y,Z)X - g(X,Z)Y) on
+    each plane span(e_p, e_(n+p)), for p < n and K_p = ks[p] a Fraction or
+    RationalExpr: the curvature of the group [e_p, e_(n+p)] = 2 xi +
+    k_p e_(n+p), phi as in ``heisenberg_model``, where K_p = -k_p^2."""
+    base = space_form_curvature(heisenberg_model(n), -3)
+    planes = {}
+    for p, k in enumerate(ks):
+        for i, j in itertools.permutations((p, n + p)):
+            planes[i, j, j, i], planes[i, j, i, j] = k, -k
+    riemann = {key: base.riemann.get(key, 0) + planes.get(key, 0)
+               for key in base.riemann.keys() | planes.keys()}
+    return base.replace(riemann={key: value for key, value in riemann.items() if value})
+
+
 def with_phi(model: FrameModel, rows) -> FrameModel:
     """The model with the phi matrix given by rows, through build_model."""
     return model.replace(phi=build_model(model.dim, [], model.xi_index, rows).phi)

@@ -5,15 +5,17 @@ the model's answers on it; at c = 1 it is the round sphere."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from nkt.classification import FORM_BUILDERS, t_flat_constraint, t_flat_kappa
-from nkt.frame_geometry import CurvatureData, _lincomb, curvature, nullity_fit
+from nkt.frame_geometry import (
+    CurvatureData, _lincomb, build_model, contact_audit, curvature, nullity_fit)
 from nkt.scalar_algebra import C, DivisionByZero, eval_at, expr
 from nkt.t_tensor import ConditionKind, PresetName, condition_components, flatness_residual
 from nkt.t_tensor import preset
-from helpers import heisenberg_model, space_form_curvature
+from helpers import heisenberg_model, sasakian_over_surfaces, space_form_curvature
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -158,3 +160,40 @@ def test_sphere_rows_of_the_starred_presets_at_a_second_point():
     assert found == {**{(n, "P_star", "t-dot-s"): (4 * n * n, 0) for n in range(1, 5)},
                      **{(n, name, "t-flat"): Fraction(n - 1, n)
                         for n in range(1, 5) for name in ("C_star", "P_star")}}
+
+
+def _group_over_surfaces(n, ks):
+    """[e_p, e_(n+p)] = 2 xi + k_p e_(n+p), with H^(2n+1)'s frame and phi."""
+    model = heisenberg_model(n)
+    dim, xi = model.dim, model.xi_index
+    brackets = [(p, n + p, xi, 2) for p in range(n)]
+    brackets += [(p, n + p, n + p, k) for p, k in enumerate(ks) if k]
+    rows = [[model.phi.get((i, j), 0) for j in range(dim)] for i in range(dim)]
+    return build_model(dim, brackets, xi, rows)
+
+
+@pytest.mark.parametrize("ks", [(1,), (2,), (Fraction(1, 2),), (1, 2), (0, 3),
+                                (1, Fraction(1, 3), 2)])
+def test_sasakian_over_surfaces_is_the_curvature_of_its_group(ks):
+    # a Sasakian group over a product of surfaces of curvature K_p = -k_p^2
+    n = len(ks)
+    model = _group_over_surfaces(n, ks)
+    curv = curvature(model)
+    assert contact_audit(model).passed
+    assert curv.h == {}
+    fit = nullity_fit(curv)
+    assert (fit.kappa, fit.mu, fit.exact) == (1, 0, True)
+    assert sasakian_over_surfaces(n, [-Fraction(k) ** 2 for k in ks]).riemann == curv.riemann
+    r = curv.riemann
+    for i, j, k, l in product(range(model.dim), repeat=4):
+        assert r.get((i, j, k, l), 0) + r.get((j, k, i, l), 0) + r.get((k, i, j, l), 0) == 0
+
+
+def test_sasakian_over_one_surface_is_a_space_form():
+    # at n = 1 the one plane is the contact distribution: c = K - 3
+    model = heisenberg_model(1)
+    for big_k in (-1, -4, Fraction(-1, 4), 0, Fraction(5, 2)):
+        want = space_form_curvature(model, big_k - 3).riemann
+        assert sasakian_over_surfaces(1, [Fraction(big_k)]).riemann == want
+        assert sasakian_over_surfaces(1, [expr(big_k)]).riemann == want
+    assert sasakian_over_surfaces(1, [C + 3]).riemann == _c_symbolic_space_form(model).riemann

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nkt.frame_geometry import _max_abs, build_model, curvature, nk_lie_group_3d, nullity_fit
-from nkt.scalar_algebra import N, eval_at, expr
+from nkt.scalar_algebra import C, InputError, N, eval_at, expr
 from nkt.t_tensor import (
     ConditionKind,
     PresetName,
@@ -21,7 +21,7 @@ from nkt.t_tensor import (
     t_dot_riemann,
 )
 from helpers import STANDARD_PHI, heisenberg_model, random_model, random_numeric_coeffs
-from helpers import space_form_curvature
+from helpers import sasakian_over_surfaces, space_form_curvature
 from oracles import t_vector
 
 HALF = Fraction(1, 2)
@@ -319,6 +319,19 @@ def test_residuals_are_the_max_abs_of_the_condition_components(n):
             for kind, options in cases:
                 want = flatness_residual(curv, numeric, kind, **options)
                 assert _max_abs(condition_components(curv, numeric, kind, **options)) == want
+
+
+def test_residuals_over_a_symbolic_curvature_name_condition_components():
+    # the c-symbolic H^3 space form: its components are RationalExprs in c,
+    # which have no max-abs; the error names the call that takes them
+    symbolic = sasakian_over_surfaces(1, [C + 3])
+    numeric = preset("V").at(1)
+    assert condition_components(symbolic, numeric, ConditionKind.XI_T_FLAT)
+    for call in (lambda: flatness_residual(symbolic, numeric, ConditionKind.XI_T_FLAT),
+                 lambda: t_dot_riemann(symbolic, numeric),
+                 lambda: t_dot_ricci(symbolic, numeric)):
+        with pytest.raises(InputError, match="needs a numeric R; condition_components"):
+            call()
 
 
 def test_quasi_and_phi_sweeps_on_abelian_model():

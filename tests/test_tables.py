@@ -117,3 +117,34 @@ def test_classification_row_is_deterministic():
     second = classification_row(3, PresetName.C_STAR)
     assert str(first.form.b1) == str(second.form.b1)
     assert first.flags == second.flags
+
+
+def _table_outcome():
+    # each row's derived strings, match and flags, and each report's ok
+    outcome = []
+    for which in range(2, 8):
+        report = reproduce_table(which)
+        rows = [(d.row.preset,
+                 (str(d.row.kappa),) if which == 2 else (str(d.row.form.b1), str(d.row.form.b2)),
+                 d.matches, d.row.flags) for d in report.rows]
+        outcome.append((report.ok, rows))
+    return outcome
+
+
+def test_tables_reproduce_with_brown_interpolation_alone(monkeypatch):
+    # the heuristic gcd answers every table gcd in a normal run; declined,
+    # the presets and rows go through Brown's interpolation instead
+    from nkt import scalar_algebra, t_tensor
+
+    want = _table_outcome()
+    brown, calls = scalar_algebra._brown_gcd, []
+    monkeypatch.setattr(scalar_algebra, "_heu_gcd", lambda a, b: None)
+    monkeypatch.setattr(scalar_algebra, "_brown_gcd", lambda *args: calls.append(1) or brown(*args))
+    for cached in (t_tensor._rows, t_tensor._printed_rows):
+        cached.cache_clear()
+    try:
+        assert _table_outcome() == want
+    finally:
+        for cached in (t_tensor._rows, t_tensor._printed_rows):
+            cached.cache_clear()
+    assert calls
