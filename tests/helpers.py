@@ -94,6 +94,33 @@ def sasakian_over_surfaces(n: int, ks) -> CurvatureData:
     return base.replace(riemann={key: value for key, value in riemann.items() if value})
 
 
+def kernel(columns) -> list:
+    """A basis of {x : sum_p x[p] columns[p] = 0} for component dicts
+    columns[p] (key -> rational), by exact Gauss-Jordan elimination over
+    Fraction: one basis vector per free column, in column order."""
+    rows = [[Fraction(col.get(key, 0)) for col in columns]
+            for key in set().union(*columns)]
+    pivots = []
+    for col in range(len(columns)):
+        done = len(pivots)
+        pivot = next((i for i in range(done, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        rows[done] = [x / rows[done][col] for x in rows[done]]
+        for i, row in enumerate(rows):
+            if i != done and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[done])]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(len(columns)) if col not in pivots):
+        vector = [Fraction(col == free) for col in range(len(columns))]
+        for place, col in enumerate(pivots):
+            vector[col] = -rows[place][free]
+        basis.append(tuple(vector))
+    return basis
+
+
 def with_phi(model: FrameModel, rows) -> FrameModel:
     """The model with the phi matrix given by rows, through build_model."""
     return model.replace(phi=build_model(model.dim, [], model.xi_index, rows).phi)

@@ -250,6 +250,21 @@ def test_bad_model_field_is_named(tmp_path, capsys, text, want):
     assert _assert_one_error_line(*invoke(capsys, "model-audit", str(path))) == f"error: {want}"
 
 
+_PHI3 = "phi 0 -1 0\nphi 1 0 0\nphi 0 0 0\n"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("dim 4\nxi 4\n" + "phi 0 0 0 0\n" * 4, "dimension must be odd and >= 3, got 4"),
+    ("dim 3\nxi 3\n" + _PHI3 + "c 1 2 3 : 2\nc 1 2 3 : 2\n", "duplicate bracket entry (1,2,3)"),
+    ("dim 3\nxi 3\nphi 0 -1\nphi 1 0 0\nphi 0 0 0\n", "phi matrix must be dim x dim"),
+], ids=["even-dim", "duplicate-bracket", "short-phi-row"])
+def test_bad_model_structure_is_named(tmp_path, capsys, text, want):
+    # checks build_model makes on what a parsed file declares
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert _assert_one_error_line(*invoke(capsys, "model-audit", str(path))) == f"error: {want}"
+
+
 def test_vanishing_denominator_names_the_binding(capsys):
     line = _assert_one_error_line(*invoke(
         capsys, "residual", "--lambda=1/2", "--coeffs", "1,0,0,0,0,0,0,1/(n-1)",
@@ -406,7 +421,7 @@ def test_golden_mismatch_exits_2(tmp_path, monkeypatch, capsys):
 
     lines = []
     for name, record in load_golden_table(2).items():
-        if record["kind"] == "any":
+        if record["kappa"] == "any":
             lines.append(f"{name.value} | any |")
         elif name is PresetName.L:
             lines.append(f"{name.value} | value | 5")
@@ -572,6 +587,14 @@ def test_golden_row_outside_the_derivable_set_exits_2(tmp_path, monkeypatch, cap
     assert code == 2
     assert "- W7.row: UNEXPECTED mismatch" in out
     assert out.count("| W7 |") == 1
+
+
+def test_unknown_table2_kind_is_located(tmp_path, monkeypatch, capsys):
+    golden = _golden_copy(tmp_path, monkeypatch)
+    path = golden / "table2.txt"
+    path.write_text("C | maybe | 1\n")
+    line = _assert_one_error_line(*invoke(capsys, "table", "2"))
+    assert line == f"error: {path}:1: unknown kind 'maybe'; expected 'any' or 'value'"
 
 
 def test_duplicate_golden_row_is_located(tmp_path, monkeypatch, capsys):

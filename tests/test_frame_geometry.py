@@ -7,6 +7,8 @@ import pytest
 
 from nkt.frame_geometry import (
     CurvatureData,
+    DegenerateFit,
+    FrameModel,
     InvalidModel,
     ModelFormatError,
     build_model,
@@ -73,6 +75,16 @@ def test_invalid_model_rejected():
     bad = build_model(3, [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 0, 1)], 2, STANDARD_PHI)
     with pytest.raises(InvalidModel):
         levi_civita(bad)
+
+
+def test_model_built_without_antisymmetry_is_rejected():
+    # build_model fills c[j][i][k] = -c[i][j][k]; a FrameModel built directly
+    # may not, and the curvature and the audit both say where
+    model = FrameModel(3, {(0, 1, 2): Fraction(2)}, 2, abelian_model().phi)
+    with pytest.raises(InvalidModel, match=r"^antisymmetry fails at c\[1\]\[2\]\[3\]$"):
+        curvature(model)
+    failures = [(c.name, c.detail) for c in contact_audit(model).failures()]
+    assert ("bracket_structure", "antisymmetry fails at c[1][2][3]") in failures
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +285,13 @@ def test_nullity_fit_rejects_inconsistent_ricci():
     curv = CurvatureData(3, 2, abelian_model().phi, riemann, h)
     assert nullity_residual(curv, Fraction(0), Fraction(1)) == 0
     with pytest.raises(InvalidModel, match=r"S\(e_1, xi\) = -1 != 0"):
+        nullity_fit(curv)
+
+
+def test_nullity_fit_rejects_an_h_with_no_frame_norm():
+    # h xi = e_1 is nonzero, but the norm sums the columns h e_i of horizontal e_i
+    curv = curvature(abelian_model()).replace(h={(0, 2): Fraction(1)})
+    with pytest.raises(DegenerateFit, match="^h is nonzero but carries no frame norm$"):
         nullity_fit(curv)
 
 

@@ -3,6 +3,7 @@ form (tests/helpers.py) on the H^(2n+1) frame.  At c = -3 it is the
 Heisenberg group's curvature, so the T layer and the nullity fit must give
 the model's answers on it; at c = 1 it is the round sphere."""
 
+import contextlib
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -14,8 +15,8 @@ from nkt.frame_geometry import (
     CurvatureData, _lincomb, build_model, contact_audit, curvature, nullity_fit)
 from nkt.scalar_algebra import C, DivisionByZero, eval_at, expr
 from nkt.t_tensor import ConditionKind, PresetName, condition_components, flatness_residual
-from nkt.t_tensor import preset
-from helpers import heisenberg_model, sasakian_over_surfaces, space_form_curvature
+from nkt.t_tensor import coeffs_from, preset
+from helpers import heisenberg_model, kernel, sasakian_over_surfaces, space_form_curvature
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -82,6 +83,36 @@ def test_condition_components_in_c_specialise_to_the_space_forms(n):
                 values = {key: eval_at(expr(v), {"c": c}) for key, v in components.items()}
                 want = condition_components(curv, numeric, kind)
                 assert {key: v for key, v in values.items() if v} == want, (name, kind, c)
+
+
+_KERNEL_KINDS = (ConditionKind.XI_T_FLAT, ConditionKind.QUASI_T_FLAT, ConditionKind.PHI_T_FLAT,
+                 ConditionKind.T_DOT_R, ConditionKind.T_DOT_S)
+
+
+@pytest.mark.parametrize("n, c, dims", [
+    (1, 1, (6, 5, 5, 6, 6)), (1, -3, (6, 4, 5, 4, 5)), (1, Fraction(1, 2), (6, 4, 5, 4, 5)),
+    (2, 1, (6, 5, 5, 6, 6)), (2, -3, (6, 3, 4, 4, 5)), (2, Fraction(1, 2), (6, 3, 4, 4, 5)),
+])
+def test_printed_forms_hold_on_the_whole_kernel_of_each_condition(n, c, dims):
+    # every condition is linear in (a0, ..., a7): its kernel on the space
+    # form is the set of coefficient vectors for which it holds there.  The
+    # printed forms give the space form's S = b1 g + b2 eta (x) eta at w and
+    # at w + v_i for every basis vector v_i, so A - b1 C and B - b2 C vanish
+    # on the whole kernel; the printed t-dot-s form gives it at none of them
+    curv = space_form_curvature(heisenberg_model(n), c)
+    units = [tuple(Fraction(p == q) for q in range(8)) for p in range(8)]
+    b1, b2 = Fraction(n * (c + 3) + c - 1, 2), -Fraction((n + 1) * (c - 1), 2)
+    point = {"n": n, "kappa": 1, "r": (2 * n + 1) * b1 + b2}
+    for kind, dim in zip(_KERNEL_KINDS, dims):
+        basis = kernel([condition_components(curv, unit, kind) for unit in units])
+        assert len(basis) == dim, kind
+        w = [sum((i + 2) * v[p] for i, v in enumerate(basis)) for p in range(8)]
+        for vector in [w] + [[x + y for x, y in zip(w, v)] for v in basis]:
+            form, values = FORM_BUILDERS[kind](coeffs_from(vector)), None
+            with contextlib.suppress(DivisionByZero):  # C may vanish at kappa = 1
+                if not form.is_degenerate:
+                    values = eval_at(form.b1, point), eval_at(form.b2, point)
+            assert (values == (b1, b2)) is (kind is not ConditionKind.T_DOT_S), (kind, vector)
 
 
 def _sphere_row(curv, n, name, kind, a0=Fraction(3, 2), a1=Fraction(-1, 2)):

@@ -359,6 +359,14 @@ def test_derivation_residual_pinned_values():
     assert t_dot_ricci(curv, preset("P").at(1)) == Fraction(9, 8)
 
 
+def test_coefficient_count_and_variant_are_checked():
+    _, curv = model_and_curvature()
+    with pytest.raises(InputError, match="^a numeric coefficient vector has exactly 8 entries$"):
+        t_components(curv, (1,) * 7)
+    with pytest.raises(InputError, match="^variant must be 'standard' or 'printed'$"):
+        condition_components(curv, ZERO8, "t-dot-r", variant="other")
+
+
 def test_flatness_residual_forwards_the_derivation_variant():
     # on this vector the two fourth-term variants of T(xi,X).R differ
     _, curv = model_and_curvature()

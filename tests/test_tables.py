@@ -2,12 +2,17 @@
 
 import time
 
+import pytest
+
 from nkt.classification import (
     classification_row,
+    golden_dir,
     load_allowlist,
     load_golden_table,
     reproduce_table,
 )
+from nkt.cli import run
+from nkt.scalar_algebra import InputError
 from nkt.t_tensor import PresetName
 
 
@@ -99,7 +104,7 @@ def test_golden_dir_override(tmp_path, monkeypatch):
     for name, record in source.items():
         if name is PresetName.V:
             continue
-        if record["kind"] == "any":
+        if record["kappa"] == "any":
             lines.append(f"{name.value} | any |")
         else:
             lines.append(f"{name.value} | value | {record['kappa']}")
@@ -110,6 +115,27 @@ def test_golden_dir_override(tmp_path, monkeypatch):
     assert not report.ok
     bad = [d for d in report.rows if d.unexpected]
     assert len(bad) == 1 and bad[0].row.preset is PresetName.V
+
+
+def test_unknown_table_is_named():
+    with pytest.raises(InputError, match=r"^no reference table 9; pick 2\.\.7$"):
+        reproduce_table(9)
+
+
+def test_golden_dir_without_allowlist_excuses_nothing(tmp_path, monkeypatch, capsys):
+    # a missing allow-list is an empty one: table 2 has no typos and still
+    # reproduces, table 3's C_star typos surface as unexpected mismatches
+    for which in (2, 3):
+        name = f"table{which}.txt"
+        (tmp_path / name).write_text((golden_dir() / name).read_text())
+    monkeypatch.setenv("NKT_GOLDEN_DIR", str(tmp_path))
+    assert load_allowlist() == {}
+    assert reproduce_table(2).ok
+    report = reproduce_table(3)
+    assert [(d.row.preset, d.unexpected) for d in report.rows if d.unexpected] == [
+        (PresetName.C_STAR, ("b1", "b2"))]
+    assert run(["table", "3"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "table 3: MISMATCH"
 
 
 def test_classification_row_is_deterministic():

@@ -70,6 +70,23 @@ def test_tracer_script_names_the_spans_the_benchmark_keys_on(tmp_path, argv, spa
     assert names["frame_geometry.curvature.d3"] == 1
 
 
+def test_tracer_script_names_the_table_spans(tmp_path):
+    # the cli-tables per-layer metrics read one golden load and one derive
+    # span per classification_row call, which reproduce_table must make
+    # through the module attribute the tracer wraps: every catalog row but
+    # Riemann, and in table 6 not the unprinted P either
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for which, derived in ((3, 19), (6, 18)):
+        out = tmp_path / f"spans{which}.json"
+        proc = subprocess.run([sys.executable, str(ROOT / "bench" / "tracer.py"), str(out), "--",
+                               "table", str(which)], capture_output=True, text=True, env=env,
+                              cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        names = Counter(span[0] for span in json.loads(out.read_text())["spans"])
+        assert names[f"classification.load_golden_table.t{which}"] == 1, names
+        assert names[f"classification.derive.t{which}"] == derived, names
+
+
 def test_library_worker_traces_the_algebra_layer(tmp_path, monkeypatch):
     # the algebra-corpus per-layer metrics come from spans named after
     # scalar_algebra's functions; a renamed or inlined traced name must fail
