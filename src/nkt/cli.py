@@ -14,6 +14,10 @@ Commands map one-to-one onto library operations:
 * ``example1``      the sqrt(n) Boeckx family check;
 * ``deform``        the D-homothetic parameter transform.
 
+Each command returns its JSON payload, its markdown and its exit code, and
+prints nothing; ``run`` tags the payload with the command's name, renders the
+one that ``--format`` picks and prints it.
+
 All numeric output is exact (rationals rendered p/q); identical argv
 produces byte-identical output.  Exit codes: 0 success; 1 an ``nkt.InputError``
 (one ``error:`` line), a failed audit or Boeckx check; 2 golden-table mismatch.
@@ -77,31 +81,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nkt", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("md", "json"), default="md")
-
-    p = sub.add_parser("presets-list", help="coefficient catalog")
-    add_format(p)
+    sub.add_parser("presets-list", help="coefficient catalog")
 
     p = sub.add_parser("model-build", help="build a 3-dimensional family member")
     p.add_argument("--lambda", dest="lam", required=True, metavar="Q")
     p.add_argument("--audit", action="store_true", help="emit the audit report")
-    add_format(p)
 
     p = sub.add_parser("model-audit", help="audit a model file")
     p.add_argument("path")
-    add_format(p)
 
     p = sub.add_parser("classify", help="symbolic classification of a preset")
     p.add_argument("--preset")
     p.add_argument("--condition", required=True)
     p.add_argument("--substitute-r", action="store_true", dest="substitute_r")
     p.add_argument("--coeffs", help="8 comma-separated coefficient expressions")
-    add_format(p)
 
     p = sub.add_parser("table", help="reproduce one reference table")
     p.add_argument("which", type=int, choices=range(2, 8))
-    add_format(p)
 
     p = sub.add_parser("residual", help="exact residual on a model")
     p.add_argument("--model", help="model file path")
@@ -115,29 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep the full T(X1,X2)xi = 0 condition")
     p.add_argument("--variant", choices=("standard", "printed"), default="standard",
                    help="fourth-term variant of the T.R derivation")
-    add_format(p)
 
     p = sub.add_parser("example1", help="sqrt(n) Boeckx family check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sign", required=True, choices=("+", "-"))
-    add_format(p)
 
     p = sub.add_parser("deform", help="D-homothetic parameter transform")
     p.add_argument("--kappa", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--c", required=True)
-    add_format(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("md", "json"), default="md")
     return parser
-
-
-def _emit(payload: dict, markdown: str, fmt: str) -> None:
-    if fmt == "json":
-        import json  # only json output loads it
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(markdown.rstrip("\n"))
 
 
 def _solution_payload(solution: LinearSolution) -> dict:
@@ -165,16 +152,14 @@ def _form_text(form) -> str:
 # commands
 
 
-def _cmd_presets_list(args) -> int:
+def _cmd_presets_list(args) -> tuple:
     data = catalog()
-    payload = {"command": "presets-list", "presets": data}
     lines = ["| preset | a0..a7 | flags |", "| --- | --- | --- |"]
     for name, row in data.items():
         coeffs = ", ".join(row["coefficients"])
         flags = "; ".join(row["flags"])
         lines.append(f"| {name} | {coeffs} | {flags} |")
-    _emit(payload, "\n".join(lines), args.format)
-    return 0
+    return {"presets": data}, "\n".join(lines), 0
 
 
 def _audit_payload(model) -> dict:
@@ -217,18 +202,14 @@ def _audit_markdown(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_model_build(args) -> int:
+def _cmd_model_build(args) -> tuple:
     lam = as_rational(args.lam)
     model = nk_lie_group_3d(lam)
     if args.audit:
-        payload = {"command": "model-build", "lambda": str(lam)}
-        payload.update(_audit_payload(model))
-        _emit(payload, f"model: lambda = {lam}\n" + _audit_markdown(payload), args.format)
-        return 0
+        payload = {"lambda": str(lam), **_audit_payload(model)}
+        return payload, f"model: lambda = {lam}\n" + _audit_markdown(payload), 0
     text = render_model(model)
-    payload = {"command": "model-build", "lambda": str(lam), "model": text}
-    _emit(payload, text, args.format)
-    return 0
+    return {"lambda": str(lam), "model": text}, text, 0
 
 
 def _read_model(path: str) -> FrameModel:
@@ -242,24 +223,22 @@ def _read_model(path: str) -> FrameModel:
     return parse_model(text)
 
 
-def _cmd_model_audit(args) -> int:
+def _cmd_model_audit(args) -> tuple:
     model = _read_model(args.path)
-    payload = {"command": "model-audit", "path": args.path}
-    payload.update(_audit_payload(model))
-    _emit(payload, _audit_markdown(payload), args.format)
-    return 0 if payload["passed"] else 1
+    payload = {"path": args.path, **_audit_payload(model)}
+    return payload, _audit_markdown(payload), 0 if payload["passed"] else 1
 
 
 def _resolve_coeffs(args) -> tuple:
     """(coefficients, label) from --coeffs or --preset, not both."""
     if args.coeffs is not None and args.preset is not None:
         raise InputError("--preset and --coeffs exclude each other")
-    if args.coeffs:
+    if args.coeffs is not None:
         parts = [p.strip() for p in args.coeffs.split(",")]
         if len(parts) != 8:
             raise InputError("--coeffs needs exactly 8 comma-separated entries")
         return coeffs_from(parts), "custom"
-    if not args.preset:
+    if args.preset is None:
         raise InputError("either --preset or --coeffs is required")
     name = PresetName.parse(args.preset)
     return preset(name), name.value
@@ -272,14 +251,13 @@ _R_FREE = {
 }
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple:
     condition = ConditionKind.parse(args.condition)
     if args.substitute_r and condition in _R_FREE:
         raise InputError(f"--substitute-r changes nothing under {condition.value}: "
                          + _R_FREE[condition])
     coeffs, label = _resolve_coeffs(args)
     payload = {
-        "command": "classify",
         "preset": label,
         "condition": condition.value,
         "flags": list(coeffs.annotations),
@@ -294,8 +272,7 @@ def _cmd_classify(args) -> int:
         text = f"{label} under {_CONDITION_LABELS[condition]}: {_form_text(form)}"
     if payload["flags"]:
         text += "\nflags: " + "; ".join(payload["flags"])
-    _emit(payload, text, args.format)
-    return 0
+    return payload, text, 0
 
 
 def _row_payload(diff) -> dict:
@@ -351,22 +328,20 @@ def _diff_cell(diff) -> str:
     return "MISMATCH: " + ", ".join(diff.unexpected)
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple:
     report = reproduce_table(args.which)
     payload = {
-        "command": "table",
         "table": report.table,
         "ok": report.ok,
         "rows": [_row_payload(d) for d in report.rows],
     }
-    _emit(payload, _table_markdown(report), args.format)
-    return 0 if report.ok else 2
+    return payload, _table_markdown(report), 0 if report.ok else 2
 
 
-def _cmd_residual(args) -> int:
-    if bool(args.model) == bool(args.lam):
+def _cmd_residual(args) -> tuple:
+    if (args.model is None) == (args.lam is None):
         raise InputError("exactly one of --model or --lambda is required")
-    if args.model:
+    if args.model is not None:
         model = _read_model(args.model)
         source = args.model
     else:
@@ -381,7 +356,6 @@ def _cmd_residual(args) -> int:
     value = flatness_residual(curvature(model), numeric, condition,
                               strict=args.strict_xi, variant=args.variant)
     payload = {
-        "command": "residual",
         "model": source,
         "preset": label,
         "condition": condition.value,
@@ -389,15 +363,13 @@ def _cmd_residual(args) -> int:
         "vanishes": value == 0,
         "flags": list(coeffs.annotations),
     }
-    _emit(payload, f"residual = {value}", args.format)
-    return 0
+    return payload, f"residual = {value}", 0
 
 
-def _cmd_example1(args) -> int:
+def _cmd_example1(args) -> tuple:
     report = boeckx_example(args.n, args.sign)
     values = {k: str(v) for k, v in report.specialized().items()}
     payload = {
-        "command": "example1",
         "n": report.n,
         "sign": "+" if report.sign > 0 else "-",
         "ok": report.ok,
@@ -413,21 +385,18 @@ def _cmd_example1(args) -> int:
         f"- Boeckx invariant = {values['invariant']} (target sqrt(n) = {values['target']})",
         f"check: {'exact match' if report.ok else 'MISMATCH'}",
     ]
-    _emit(payload, "\n".join(lines), args.format)
-    return 0 if report.ok else 1
+    return payload, "\n".join(lines), 0 if report.ok else 1
 
 
-def _cmd_deform(args) -> int:
+def _cmd_deform(args) -> tuple:
     kappa_bar, mu_bar = d_homothetic(
         expr(args.kappa), expr(args.mu), expr(args.a), expr(args.c)
     )
     payload = {
-        "command": "deform",
         "kappa_bar": str(kappa_bar),
         "mu_bar": str(mu_bar),
     }
-    _emit(payload, f"kappa_bar = {kappa_bar}\nmu_bar = {mu_bar}", args.format)
-    return 0
+    return payload, f"kappa_bar = {kappa_bar}\nmu_bar = {mu_bar}", 0
 
 
 _COMMANDS = {
@@ -448,7 +417,13 @@ def run(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
         if [] in vars(args).values():  # argparse reads "--name=--" as no value at all
             raise InputError("an option's value cannot be '--'")
-        return _COMMANDS[args.command](args)
+        payload, markdown, code = _COMMANDS[args.command](args)
+        if args.format == "json":
+            import json  # only json output loads it
+            print(json.dumps({**payload, "command": args.command}, sort_keys=True, indent=2))
+        else:
+            print(markdown.rstrip("\n"))
+        return code
     except InputError as exc:
         message = str(exc)
     except ValueError as exc:  # str() of an int past the interpreter's digit limit

@@ -143,6 +143,16 @@ def test_classify_custom_coefficients(capsys):
     assert check_json(out)["result"]["tag"] == "degenerate"
 
 
+def test_classify_markdown_ends_with_the_flags(capsys):
+    code, out, _ = invoke(capsys, "classify", "--preset", "W9", "--condition", "quasi-flat")
+    assert code == 0
+    assert out.splitlines() == [
+        "W9 under g(T(phi X1,X2)X3, phi X4) = 0: S = ((r)/(2*n + 1)) g + (0) eta(x)eta",
+        "flags: reconstructed: printed row has a3 = -a4 = -1/(2n); "
+        "the sign consistent with the classification tables is +1/(2n)",
+    ]
+
+
 def test_presets_list(capsys):
     code, out, _ = invoke(capsys, "presets-list", "--format", "json")
     assert code == 0
@@ -201,6 +211,9 @@ def test_model_audit_failure_exit_code(tmp_path, capsys):
     assert code == 1
     payload = check_json(out)
     assert payload["passed"] is False
+    code, out, _ = invoke(capsys, "model-audit", str(path), "--format", "md")
+    assert code == 1
+    assert out.splitlines()[-1] == "audit: FAILED"
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +240,29 @@ def _assert_one_error_line(code, out, err):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     return lines[0]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["classify", "--coeffs=", "--condition", "t-flat"],
+     "--coeffs needs exactly 8 comma-separated entries"),
+    (["classify", "--preset=", "--condition", "t-flat"], "unknown preset ''"),
+    (["residual", "--model=", "--lambda", "1/2", "--preset", "W2", "--condition", "t-flat"],
+     "exactly one of --model or --lambda is required"),
+    (["residual", "--model=", "--preset", "W2", "--condition", "t-flat"],
+     "cannot read model file: [Errno 2] No such file or directory: ''"),
+    (["residual", "--lambda=", "--preset", "W2", "--condition", "t-flat"],
+     "not a rational: ''"),
+], ids=["coeffs", "preset", "model-and-lambda", "model", "lambda"])
+def test_an_empty_option_value_is_a_value(capsys, argv, want):
+    # "--name=" gives the option, with the empty text as its value: it is
+    # rejected as that value, never read as an option left out
+    assert _assert_one_error_line(*invoke(capsys, *argv)) == f"error: {want}"
+
+
+def test_a_missing_model_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "absent.txt"
+    line = _assert_one_error_line(*invoke(capsys, "model-audit", str(path)))
+    assert line == f"error: cannot read model file: [Errno 2] No such file or directory: '{path}'"
 
 
 def test_bad_model_line_is_reported_once(tmp_path, capsys):
@@ -433,6 +469,11 @@ def test_golden_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     code, out, _ = invoke(capsys, "table", "2")
     assert code == 2
     assert "UNEXPECTED" in out
+    code, out, _ = invoke(capsys, "table", "2", "--format", "json")
+    assert code == 2
+    payload = check_json(out)
+    assert payload["ok"] is False
+    assert [row["mismatches"] for row in payload["rows"] if not row["match"]] == [["kappa"]]
 
 
 def test_output_is_deterministic(capsys):

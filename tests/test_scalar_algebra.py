@@ -245,6 +245,42 @@ def test_division_in_s_extension():
     assert 1 / (S / N) == S
 
 
+def test_a_float_is_neither_a_rational_nor_an_expression():
+    from nkt.scalar_algebra import as_rational
+
+    with pytest.raises(TypeError, match=r"^cannot interpret 1\.5 as a rational number$"):
+        as_rational(1.5)
+    with pytest.raises(TypeError, match=r"^cannot interpret 1\.5 as an expression$"):
+        expr(1.5)
+
+
+def test_poly_guards():
+    from nkt.scalar_algebra import InputError, _div_exact
+
+    with pytest.raises(InputError, match=r"^negative exponent in \(-1, 0, 0, 0, 0, 0, 0, 0, 0, 0\)$"):
+        Poly({(-1,) + (0,) * 9: 1})
+    # s*s folds onto n, and the two terms cancel
+    assert Poly({(0,) * 9 + (2,): 1, (1,) + (0,) * 9: -1}).is_zero()
+    p = (2 * N + 4).num
+    assert p.scale(0).is_zero()
+    with pytest.raises(InputError, match="^negative power of a polynomial$"):
+        p ** -1
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        _div_exact(p, Poly())
+    assert str(poly_gcd(Poly(), p)) == "n + 2"
+    with pytest.raises(UnboundIndeterminate, match="^n is not constant$"):
+        N.as_rational()
+
+
+@pytest.mark.parametrize("op", [
+    lambda: N + "x", lambda: N - 1.5, lambda: N * 1.5, lambda: N / 1.5, lambda: 1.5 / N,
+], ids=["add-str", "sub-float", "mul-float", "div-float", "rdiv-float"])
+def test_operators_with_other_types_raise_type_error(op):
+    # each operator returns NotImplemented, and Python raises
+    with pytest.raises(TypeError):
+        op()
+
+
 # ---------------------------------------------------------------------------
 # randomized properties
 

@@ -12,7 +12,8 @@ import pytest
 
 from nkt.classification import FORM_BUILDERS, t_flat_constraint, t_flat_kappa
 from nkt.frame_geometry import (
-    CurvatureData, _lincomb, build_model, contact_audit, curvature, nullity_fit)
+    CurvatureData, _lincomb, build_model, contact_audit, curvature, nk_lie_group_3d,
+    nullity_fit)
 from nkt.scalar_algebra import C, DivisionByZero, eval_at, expr
 from nkt.t_tensor import ConditionKind, PresetName, condition_components, flatness_residual
 from nkt.t_tensor import coeffs_from, preset
@@ -113,6 +114,38 @@ def test_printed_forms_hold_on_the_whole_kernel_of_each_condition(n, c, dims):
                 if not form.is_degenerate:
                     values = eval_at(form.b1, point), eval_at(form.b2, point)
             assert (values == (b1, b2)) is (kind is not ConditionKind.T_DOT_S), (kind, vector)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2)])
+def test_printed_forms_on_the_kernels_of_the_3d_family(lam):
+    # the same pin on an N(kappa) group at n = 1, kappa = 1 - lambda^2,
+    # where S = 0 g + 2 kappa eta (x) eta.  Some printed forms carry an
+    # (n - 1) denominator, so the check is on A - b1 C and B - b2 C with
+    # A = form.b1 * C, linear in the coefficients.  The t-dot-s form's b2
+    # fails at every checked vector: h != 0 lies outside its Killing
+    # hypothesis, so that is information, not a contradiction
+    curv = curvature(nk_lie_group_3d(lam))
+    kappa = 1 - lam * lam
+    fit = nullity_fit(curv)
+    assert (fit.kappa, fit.mu, fit.exact) == (kappa, 0, True)
+    assert curv.ricci == {(curv.xi_index, curv.xi_index): 2 * kappa}
+    assert curv.scalar == 2 * kappa
+    units = [tuple(Fraction(p == q) for q in range(8)) for p in range(8)]
+    b1, b2 = 0, 2 * kappa
+    point = {"n": 1, "kappa": kappa, "r": 2 * kappa}
+    for kind, dim in zip((ConditionKind.T_FLAT,) + _KERNEL_KINDS, (1, 6, 6, 7, 4, 6)):
+        basis = kernel([condition_components(curv, unit, kind) for unit in units])
+        assert len(basis) == dim, kind
+        if kind is ConditionKind.T_FLAT:
+            assert eval_at(t_flat_constraint(coeffs_from(basis[0])), point) == 0
+            continue
+        w = [sum((i + 2) * v[p] for i, v in enumerate(basis)) for p in range(8)]
+        for vector in [w] + [[x + y for x, y in zip(w, v)] for v in basis]:
+            form = FORM_BUILDERS[kind](coeffs_from(vector))
+            c = form.denominator_condition
+            holds = (eval_at(form.b1 * c - b1 * c, point) == 0,
+                     eval_at(form.b2 * c - b2 * c, point) == 0)
+            assert holds == (True, kind is not ConditionKind.T_DOT_S), (kind, vector)
 
 
 def _sphere_row(curv, n, name, kind, a0=Fraction(3, 2), a1=Fraction(-1, 2)):
