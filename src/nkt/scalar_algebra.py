@@ -28,10 +28,11 @@ character other than ``+ - * / ^ ( )``, are syntax errors.
 ``poly_gcd`` has one path: closed forms for monomial and constant inputs;
 else integer primitive parts and the heuristic GCD (GCDHEU on a Kronecker
 image, skipped above ``MAX_HEU_BITS``); where it declines, Brown's
-interpolation in the variable of least degree, or in one variable a coprime
-image mod 2^61 - 1 or else the primitive PRS.  ``_div_exact`` is the one
-exact division, also of an ``A + B*s`` numerator by an s-free divisor; its
-long division ``_divide`` reduces one remainder dict in place.
+interpolation in the variable of least degree, or in one variable images
+mod Mersenne primes, scaled by the leads' gcd or by rational reconstruction,
+lifted and checked by trial division.  ``_div_exact`` is the one exact
+division, also of an ``A + B*s`` numerator by an s-free divisor; its long
+division reduces one remainder dict in place.
 
 Representation.  A monomial is one packed ``int``: a 16-bit field per
 indeterminate in ``VARIABLES`` order, ``n`` in the high bits and ``s`` in the
@@ -51,10 +52,11 @@ a coefficient that does not divide raises ``ArithmeticError`` at once.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, count
-from math import comb, gcd, isqrt, prod
+from math import comb, gcd, isqrt, lcm, prod
 from operator import or_
 from typing import Mapping, Optional, Union
 
@@ -447,44 +449,12 @@ def _primitive(polys: tuple, negate: bool) -> tuple:
 # multivariate GCD (s-free polynomials only)
 
 
-def _divide(num: Poly, den: Poly) -> tuple:
-    """(quotient, rest): num divided by den's leading term until the leading
-    monomial of rest is no multiple of den's.  rest is zero exactly when den
-    divides num, and in one variable it is the remainder.  A quotient
-    coefficient that is no integer raises ArithmeticError; for a primitive
-    den that divides num there is none (Gauss's lemma).  One rest dict is
-    reduced in place: a quotient term cancels rest's lead and subtracts its
-    multiple of den's other terms, folding s*s -> n as ``Poly.__mul__`` does."""
-    den_lm, den_lc = den.leading()
-    tail = [(key, coeff) for key, coeff in den.terms.items() if key != den_lm]
-    quotient, rest = {}, dict(num.terms)
-    get = rest.get
-    while rest:
-        lm = max(rest)
-        diff = lm - den_lm
-        if diff & _GUARDS:
-            break
-        coeff, inexact = divmod(rest.pop(lm), den_lc)
-        if inexact:
-            raise ArithmeticError("inexact polynomial division")
-        quotient[diff] = coeff
-        for key, c in tail:
-            key += diff
-            if key & _S_SQUARE:
-                key += _N_UNIT - _S_SQUARE
-            if key & _GUARDS:
-                raise ExponentOverflow(f"a product has an exponent above {MAX_EXPONENT}")
-            acc = get(key, 0) - coeff * c
-            if acc:
-                rest[key] = acc
-            elif key in rest:
-                del rest[key]
-    return _poly(quotient), _poly(rest)
-
-
 def _div_exact(num: Poly, den: Poly) -> Poly:
     """Exact multivariate division; raises ArithmeticError on a remainder
-    or a quotient coefficient that is no integer."""
+    or a quotient coefficient that is no integer.  For a primitive den that
+    divides num there is none (Gauss's lemma).  One rest dict is reduced in
+    place: a quotient term cancels rest's lead and subtracts its multiple
+    of den's other terms, folding s*s -> n as ``Poly.__mul__`` does."""
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if den.is_one() or num.is_zero():
@@ -498,48 +468,77 @@ def _div_exact(num: Poly, den: Poly) -> Poly:
             if diff & _GUARDS or inexact:
                 raise ArithmeticError("inexact polynomial division")
         return _poly(out)
-    quotient, rest = _divide(num, den)
-    if rest.terms:
-        raise ArithmeticError("inexact polynomial division")
-    return quotient
+    tail = [(key, coeff) for key, coeff in den.terms.items() if key != den_lm]
+    quotient, rest = {}, dict(num.terms)
+    get = rest.get
+    while rest:
+        lm = max(rest)
+        diff = lm - den_lm
+        coeff, inexact = divmod(rest.pop(lm), den_lc)
+        if diff & _GUARDS or inexact:
+            raise ArithmeticError("inexact polynomial division")
+        quotient[diff] = coeff
+        for key, c in tail:
+            key += diff
+            if key & _S_SQUARE:
+                key += _N_UNIT - _S_SQUARE
+            if key & _GUARDS:
+                raise ExponentOverflow(f"a product has an exponent above {MAX_EXPONENT}")
+            acc = get(key, 0) - coeff * c
+            if acc:
+                rest[key] = acc
+            elif key in rest:
+                del rest[key]
+    return _poly(quotient)
 
 
-_PRIME = (1 << 61) - 1  # a Mersenne prime: _univariate_gcd's images are in GF(_PRIME)
-
-
-def _univariate_gcd_degree(a: list, b: list) -> int:
-    """Degree of the gcd of two univariate polynomials over GF(_PRIME),
-    given as coefficient lists (lowest power first) with nonzero leads."""
-    while b:
-        inverse = pow(b[-1], -1, _PRIME)
-        while len(a) >= len(b):
-            factor = a[-1] * inverse % _PRIME
-            offset = len(a) - len(b)
-            for i, x in enumerate(b):
-                a[offset + i] = (a[offset + i] - factor * x) % _PRIME
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
+# exponents k of the Mersenne primes 2^k - 1 from 2^61 - 1 on (OEIS A000043)
+_MERSENNE = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+             11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091, 756839,
+             859433, 1257787, 1398269, 2976221, 3021377)
 
 
 def _univariate_gcd(a: Poly, b: Poly, shift: int) -> Poly:
-    """gcd of integer primitive inputs in the one variable at ``shift``: 1 if
-    their images in GF(_PRIME) are coprime with nonzero leads, else the
-    primitive PRS, dividing lc^(d+1) times the dividend for integral quotients."""
-    images = [[0] * ((max(p.terms) >> shift) + 1) for p in (a, b)]
-    for image, p in zip(images, (a, b)):
-        for key, coeff in p.terms.items():
-            image[key >> shift] = coeff % _PRIME
-    if images[0][-1] and images[1][-1] and not _univariate_gcd_degree(*images):
-        return Poly.constant(1)
-    if max(a.terms) < max(b.terms):
-        a, b = b, a
-    while b.terms:
-        lm, lc = b.leading()
-        rest = _divide(a.scale(lc ** (((max(a.terms) - lm) >> shift) + 1)), b)[1]
-        a, b = b, rest.primitive()
-    return a.primitive()
+    """gcd of integer primitive inputs in the one variable at ``shift``, from
+    their images in GF(p) for the Mersenne primes p (Brown 1971, J. ACM 18).
+    Where neither lead vanishes mod p, the images' gcd is a multiple of the
+    gcd's image: a constant one answers 1.  Else the monic image is scaled
+    to lead with a multiple of lc(gcd): lead, the gcd of the leads, once
+    p > 2 lead, and below that the lcm of the denominators rational
+    reconstruction finds.  Lifted to (-p/2, p/2), its primitive part is the
+    gcd if it divides a and b, as it then divides the gcd and has at least
+    its degree; an unlucky p, or one too small, moves on to the next."""
+    lead = gcd(a.leading()[1], b.leading()[1])
+    dense = [[q.terms.get(i << shift, 0) for i in range((max(q.terms) >> shift) + 1)]
+             for q in (a, b)]
+    for p in ((1 << k) - 1 for k in _MERSENNE):
+        f, g = ([c % p for c in q] for q in dense)
+        if not (f[-1] and g[-1]):
+            continue
+        while g:
+            inverse = pow(g[-1], -1, p)
+            while len(f) >= len(g):
+                factor = f[-1] * inverse % p
+                for i, x in enumerate(g, len(f) - len(g)):
+                    f[i] = (f[i] - factor * x) % p
+                while f and not f[-1]:
+                    f.pop()
+            f, g = g, f
+        if len(f) == 1:
+            return Poly.constant(1)
+        root = isqrt(p // 2)  # inverse is that of f's lead: f is Euclid's last divisor
+        # x = u/v mod p, |u| and v < sqrt(p/2): k/v is the nearest fraction to x/p, u = xv - kp
+        multiple = lead if p > 2 * lead else lcm(*(
+            Fraction(x * inverse % p, p).limit_denominator(root).denominator for x in f if x))
+        scale = multiple * inverse % p  # a multiple of lc(gcd) over f's lead
+        lifted = {i << shift: c - p if 2 * c > p else c
+                  for i, c in enumerate(x * scale % p for x in f) if c}
+        candidate = _poly(lifted).primitive()
+        with suppress(ArithmeticError):
+            _div_exact(a, candidate)
+            _div_exact(b, candidate)
+            return candidate
+    raise ScalarAlgebraError(f"no one-variable gcd image up to the prime 2^{_MERSENNE[-1]} - 1")
 
 
 def _over(poly: Poly, shift: int) -> dict:
@@ -601,7 +600,7 @@ def _brown_gcd(a: Poly, b: Poly, shift: int) -> Poly:
         if lm > mono or lead % lc:
             continue
         value = image.scale(lead // lc)
-        try:
+        with suppress(ArithmeticError):
             if lm < mono:
                 interpolant, mono, modulus = value, lm, Poly.constant(1)
             elif (change := value - _at(interpolant, shift, point)).terms:
@@ -613,8 +612,6 @@ def _brown_gcd(a: Poly, b: Poly, shift: int) -> Poly:
                 _div_exact(a, candidate)
                 _div_exact(b, candidate)
                 return (scalar * candidate).primitive()
-        except ArithmeticError:
-            pass
         modulus = modulus * (_poly({1 << shift: 1}) + Poly.constant(-point))
 
 
@@ -661,12 +658,10 @@ def _heu_gcd(a: Poly, b: Poly) -> Optional[Poly]:
         if not value:
             lo = reduce(_mono_min, terms)
             candidate = _poly({k - lo + common: c for k, c in terms.items()}).primitive()
-            try:
+            with suppress(ArithmeticError):
                 _div_exact(a, candidate)
                 _div_exact(b, candidate)
                 return candidate
-            except ArithmeticError:
-                pass
         xi = xi * isqrt(isqrt(xi)) * 3 // 2
     return None
 
@@ -676,7 +671,7 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
     for monomials and constants, integer primitive parts, then the heuristic
     GCD (``_heu_gcd``).  Where that declines, Brown's evaluation and
     interpolation in the variable of least degree (``_brown_gcd``), or in one
-    variable ``_univariate_gcd``."""
+    variable ``_univariate_gcd``'s images mod Mersenne primes."""
     if first.is_zero():
         return second.primitive()
     if second.is_zero():
@@ -705,7 +700,7 @@ def poly_gcd(first: Poly, second: Poly) -> Poly:
 def _gcd_against_sfree(num: Poly, den: Poly) -> Poly:
     """gcd of a possibly s-carrying polynomial with an s-free one.  The
     denominator goes first: it is often small or constant, and then the gcd
-    ends in a divisibility test, not a PRS on the numerator's two halves."""
+    ends in a divisibility test, not a gcd of the numerator's two halves."""
     a, b = num.split_s()
     common = poly_gcd(den, a)
     return poly_gcd(common, b) if b.terms else common

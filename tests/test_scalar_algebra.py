@@ -166,7 +166,8 @@ def test_exact_division_of_an_s_carrying_numerator():
 
 def _decline_heuristic(monkeypatch):
     # the heuristic gcd answers these inputs first; declining it drives the
-    # fallback, Brown's interpolation and the one-variable PRS
+    # fallback, Brown's interpolation and the one-variable images mod
+    # Mersenne primes
     from nkt import scalar_algebra
 
     monkeypatch.setattr(scalar_algebra, "_heu_gcd", lambda a, b: None)
@@ -209,9 +210,22 @@ def test_fallback_gcd_rejects_a_candidate_that_divides_one_input(monkeypatch):
     # coprime pairs that needed a modular degree bound ahead of the PRS
     ("(n+kappa+a+1)^14+1", "(n-kappa+a+2)^14+3", "1", 1),
     ("(n+kappa+a+c+1)^9+1", "(n-kappa+a-c+2)^9+3", "1", 1),
-    # one variable: a coprime image mod 2^61 - 1 answers before any PRS
+    # one variable: a constant image mod 2^61 - 1 answers 1
     ("(2^100+1)*n^1000 + 3*n^7 + 1", "(2^100+3)*n^999 + n + 5", "1", 0.1),
-], ids=["overflow", "slow", "dense", "coprime-3", "coprime-4", "coprime-1"])
+    # the same pair with a common factor: the primitive PRS took 1.2-1.7 s,
+    # the image mod 2^61 - 1 lifts to the answer
+    ("(2^100+1)*n^1000 + 3*n^7 + 1", "(2^100+3)*n^999 + n + 5", "n^2 + n + 1", 0.1),
+    # leads of 32001 bits: 2^61 - 1 answers, by a constant image or by
+    # rational reconstruction, far below the first prime above twice their gcd
+    ("2^32000*n + 3", "2^32000*n + 5", "n + 1", 0.25),
+    ("2^32000*n^2 + 3", "2^32000*n^2 + 5", "1", 0.25),
+    ("2^32000*n^1000 + 3*n^7 + 1", "2^32000*n^999 + n + 5", "1", 0.1),
+    ("2^32000*n^1000 + 3*n^7 + 1", "2^32000*n^999 + n + 5", "2*n + 1", 0.1),
+    # a gcd whose lead is the leads' gcd: reconstruction fails below
+    # 2^23209 - 1, which lifts the image scaled to that lead
+    ("n + 2", "n + 3", "2^22000*n + 1", 0.5),
+], ids=["overflow", "slow", "dense", "coprime-3", "coprime-4", "coprime-1", "common-1",
+        "giant-lead-1", "giant-coprime-1", "giant-coprime-1000", "giant-lead-1000", "giant-gcd-1"])
 def test_gcd_fallback_runs_on_the_variable_of_least_degree(first, second, common, seconds):
     from nkt.scalar_algebra import _heu_gcd
 
@@ -221,6 +235,81 @@ def test_gcd_fallback_runs_on_the_variable_of_least_degree(first, second, common
     start = time.perf_counter()
     assert poly_gcd(first, second) == common
     assert time.perf_counter() - start < seconds
+
+
+def test_univariate_gcd_skips_an_unlucky_prime(monkeypatch):
+    from nkt import scalar_algebra
+
+    # mod 2^61 - 1, n + 2^61 is n + 1: the images share (n + 3)*(n + 1),
+    # which fails the trial division, and 2^89 - 1 answers
+    first, second = ((N + 3) * (N + 1)).num, ((N + 3) * (N + 2 ** 61)).num
+    _decline_heuristic(monkeypatch)
+    assert poly_gcd(first, second) == (N + 3).num
+    monkeypatch.setattr(scalar_algebra, "_MERSENNE", (61,))
+    with pytest.raises(ScalarAlgebraError, match=r"2\^61 - 1"):
+        poly_gcd(first, second)
+
+
+def test_univariate_gcd_raises_past_the_last_prime(monkeypatch):
+    from nkt import scalar_algebra
+
+    # leads 2^70 need a prime above 2^71: none is left, and the error names the last
+    common = parse_expr("2^70*n + 1").num
+    first, second = common * (N + 2).num, common * (N + 3).num
+    _decline_heuristic(monkeypatch)
+    monkeypatch.setattr(scalar_algebra, "_MERSENNE", (61,))
+    with pytest.raises(ScalarAlgebraError, match=r"up to the prime 2\^61 - 1"):
+        poly_gcd(first, second)
+
+
+def test_mersenne_exponents_give_primes():
+    from nkt.scalar_algebra import _MERSENNE
+
+    # Lucas-Lehmer: 2^k - 1 is prime iff s = 4, then s = s^2 - 2 mod 2^k - 1,
+    # k - 2 times, ends at 0; the larger exponents are those of OEIS A000043.
+    # A composite p would make the inverse mod p raise
+    assert list(_MERSENNE) == sorted(set(_MERSENNE))
+    for k in (k for k in _MERSENNE if k <= 4423):
+        p, s = (1 << k) - 1, 4
+        for _ in range(k - 2):
+            s = (s * s - 2) % p
+        assert s == 0, k
+
+
+def _univariate(coeffs):
+    # the polynomial in n with these coefficients, lowest power first
+    return Poly({(i,) + (0,) * (len(VARIABLES) - 1): c for i, c in enumerate(coeffs) if c})
+
+
+@st.composite
+def _univariate_coeffs(draw, lead_bits, low_bits):
+    # lowest power first: a nonzero constant of over ``low_bits`` bits, up to
+    # three more below 2^200, and a nonzero lead of at most ``lead_bits`` bits
+    sign, lead_sign = draw(st.sampled_from((-1, 1))), draw(st.sampled_from((-1, 1)))
+    constant = sign * draw(st.integers(min_value=2 ** low_bits, max_value=2 ** 200))
+    middle = draw(st.lists(st.integers(min_value=-(2 ** 200), max_value=2 ** 200), max_size=3))
+    return [constant, *middle, lead_sign * draw(st.integers(min_value=1, max_value=2 ** lead_bits))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(_univariate_coeffs(8, 62), _univariate_coeffs(16, 0), _univariate_coeffs(16, 0),
+       st.integers(min_value=1, max_value=2 ** 600))
+# the leads' gcd 3 lifts the image scaled to it from 2^89 - 1 on; 3*2^600
+# leaves it to rational reconstruction, which answers at 2^127 - 1
+@example([2 ** 62 + 1, 3], [1, 2], [1, 1], 1)
+@example([2 ** 62 + 1, 3], [1, 2], [1, 1], 2 ** 600)
+def test_univariate_gcd_matches_sympy(common, first, second, shared):
+    # a planted factor with a small lead and a constant past 2^62, too large
+    # to lift mod 2^61 - 1, and cofactors whose leads share the content
+    # ``shared``: a larger prime answers, by scaling with the leads' gcd above
+    # twice that gcd and by rational reconstruction below it
+    sympy = pytest.importorskip("sympy")
+    first[-1] *= shared
+    second[-1] *= shared
+    a, b = (_univariate(common) * _univariate(f) for f in (first, second))
+    got = _fallback_gcd(a, b)
+    want = sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b))
+    assert sympy.cancel(_to_sympy(sympy, got) / want).is_number
 
 
 def test_unknown_indeterminate_rejected():
@@ -736,7 +825,7 @@ def test_squares_cancel_only_powers_of_n(value, want):
 
 def test_shortcuts_take_no_gcd_whose_answer_the_canonical_form_fixes(monkeypatch):
     from nkt import scalar_algebra
-    from nkt.scalar_algebra import _divide
+    from nkt.scalar_algebra import _div_exact
 
     real, calls, depth = scalar_algebra.poly_gcd, [], [0]
 
@@ -779,7 +868,8 @@ def test_shortcuts_take_no_gcd_whose_answer_the_canonical_form_fixes(monkeypatch
         # past the gcd of the denominators, only its divisors meet the numerator
         assert calls[0] == (first.den, second.den)
         shared = uncounted(first.den, second.den)
-        assert all(_divide(shared, divisor)[1].is_zero() for divisor, _ in calls[1:])
+        for divisor, _ in calls[1:]:
+            _div_exact(shared, divisor)  # raises on a remainder
 
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
@@ -926,7 +1016,7 @@ _DIVIDE_TERMS = [tuple_terms(k, ("n", "kappa", "a", "s"), st.integers(0, 3)) for
 @example(*(parse_expr(text).num.monomials() for text in ("3*n*kappa*s + 1", "2*kappa*a - n", "5*s")))
 @example(*(parse_expr(text).num.monomials() for text in ("s", "kappa - 2*s", "2*n + 7")))
 def test_division_matches_tuple_oracle(quotient, divisor, rest):
-    from nkt.scalar_algebra import _divide
+    from nkt.scalar_algebra import _div_exact
 
     if not divisor:
         return
@@ -934,18 +1024,19 @@ def test_division_matches_tuple_oracle(quotient, divisor, rest):
     # quotient terms before rest ends it
     num = tuple_mul(quotient, divisor)
     num = tuple_poly({e: num.get(e, 0) + rest.get(e, 0) for e in {**num, **rest}})
-    want = tuple_divide(num, divisor)
-    if any(c.denominator != 1 for c in want[0].values()):
-        # a Poly is over Z: a quotient coefficient that is no integer raises
+    want, left = tuple_divide(num, divisor)
+    if left or any(c.denominator != 1 for c in want.values()):
+        # a Poly is over Z: a remainder, or a quotient coefficient that is no
+        # integer, raises
         with pytest.raises(ArithmeticError):
-            _divide(Poly(num), Poly(divisor))
+            _div_exact(Poly(num), Poly(divisor))
         return
-    assert [part.monomials() for part in _divide(Poly(num), Poly(divisor))] == \
-        [dict(sorted(part.items(), reverse=True)) for part in want]
+    got = _div_exact(Poly(num), Poly(divisor))
+    assert got.monomials() == dict(sorted(want.items(), reverse=True))
 
 
 def test_division_raises_where_a_quotient_term_overflows_a_field():
-    from nkt.scalar_algebra import _divide
+    from nkt.scalar_algebra import _div_exact
 
     # the quotient term a times the divisor's a^MAX needs a^(MAX + 1), and
     # the quotient term s times n^MAX*s folds s*s into n^(MAX + 1)
@@ -953,7 +1044,7 @@ def test_division_raises_where_a_quotient_term_overflows_a_field():
     for num, den in (("kappa*a", f"kappa + a^{top}"),
                      (f"n^{top}*kappa*s", f"n^{top}*kappa + n^{top}*s")):
         with pytest.raises(ExponentOverflow):
-            _divide(parse_expr(num).num, parse_expr(den).num)
+            _div_exact(parse_expr(num).num, parse_expr(den).num)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1031,7 +1122,7 @@ def test_gcd_intermediates_hold_ints(monkeypatch):
 
     # every polynomial the run builds passes _poly: Brown's images, values
     # and interpolants too
-    calls = {"_divide": 0, "_div_exact": 0, "_poly": 0}
+    calls = {"_univariate_gcd": 0, "_div_exact": 0, "_poly": 0}
 
     def checked(name, fn):
         def wrapper(*args):
@@ -1047,7 +1138,7 @@ def test_gcd_intermediates_hold_ints(monkeypatch):
         monkeypatch.setattr(scalar_algebra, name, checked(name, getattr(scalar_algebra, name)))
     _decline_heuristic(monkeypatch)
     # the heavy corpus entry: its e*e - e runs Brown's interpolation, whose
-    # images run the one-variable PRS
+    # images run the one-variable gcd mod Mersenne primes
     e = parse_expr("(90*n^2*a - 135*n^2*c + 108*n*kappa*c + 10*n*a^2*s - 15*n*a*c*s"
                    " - 30*n*a + 45*n*c + 216*n + 12*kappa*a*c*s - 36*kappa*c + 24*a*s - 72)"
                    "/(162*n^2 - 2*n*a^2 - 108*n + 18)")
