@@ -75,14 +75,10 @@ from .classification import (
     boeckx_example,
     consistency_kappa,
     d_homothetic,
-    phi_flat_form,
-    quasi_flat_form,
+    eta_einstein_form,
     reproduce_table,
-    t_dot_ricci_form,
-    t_dot_riemann_form,
     t_flat_constraint,
     t_flat_kappa,
-    xi_flat_form,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,11 +15,13 @@ coefficient vector:
   (the derivation is diffed against the transcription, so any such row
   surfaces as an explicit, documented mismatch rather than a silent fix).
 
-Each eta-Einstein form is a hypothesis denominator C and numerators (A, B),
-with b1 = A/C and b2 = B/C; a vanishing C is degenerate.  The scalar
-curvature r stays a symbol in the derived forms unless ``substitute_r=True``
-binds it to 2n(2n - 2 + kappa) while A and B are built (the golden tables
-are transcribed with r substituted).
+Every printed formula is linear in (a0, ..., a7), so each is stored as rows
+of eight coefficients and evaluated by one dot product: the T-flat
+constraint is one row, and an eta-Einstein form is a hypothesis row C and
+numerator rows (A, B), with b1 = A.a/C.a and b2 = B.a/C.a; a vanishing C.a
+is degenerate.  The scalar curvature r stays a symbol in the rows unless
+``substitute_r=True`` binds it to 2n(2n - 2 + kappa) (the golden tables are
+transcribed with r substituted).
 
 The golden files are the tables.  A reference table is a map from preset
 to its fields, kappa for table 2 and (tag, b1, b2) for tables 3-7, and a
@@ -34,7 +36,9 @@ from __future__ import annotations
 
 import os
 from enum import Enum
+from functools import cache, reduce
 from math import isqrt
+from operator import add
 from pathlib import Path
 from typing import Optional, Union
 
@@ -91,17 +95,53 @@ class EtaEinsteinForm(Record):
         return self.tag is FormTag.DEGENERATE
 
 
+@cache
+def _form_rows(condition: ConditionKind, substitute_r: bool) -> tuple:
+    """The rows of 8 coefficients of one condition, position i holding a_i's:
+    the T-flat constraint row, or the rows (C, A, B) of an eta-Einstein form.
+    Entries are polynomials in n, kappa and r, with r the symbol or, with
+    ``substitute_r``, 2n(2n - 2 + kappa) itself."""
+    r = SCALAR_CURVATURE if substitute_r else R
+    k, nk = KAPPA, 2 * N * KAPPA
+    if condition is ConditionKind.T_FLAT:
+        return ((k, 2 * N - 2 + k, k, k, (2 * N + 1) * k, k, k, r),)
+    if condition is ConditionKind.T_DOT_R:  # T(xi, X).R = 0, with no r
+        return ((0, 1, 0, 0, 0, 1, 0, 0),
+                (0, 0, -nk, 0, -nk, 0, 0, 0),
+                (0, nk, nk, 0, nk, nk, 0, 0))
+    if condition is ConditionKind.T_DOT_S:  # T(xi, X).S = 0 under a Killing xi (h = 0)
+        p, q, m = nk - 2 * N + 2, nk ** 2, 2 * nk * (N - 1)
+        return ((0, -1, 0, 0, 0, -1, 0, 0),
+                (k * p, 0, m, 0, q, 0, 0, r * p),
+                (-k * p, q, 2 * q - m, 2 * q, q, 2 * q - m, 2 * q, -r * p))
+    # quasi: g(T(phi X1, X2) X3, phi X4) = 0; xi: T(X1, xi, xi, X4) = 0;
+    # phi: g(T(phi X1, phi X2) phi X3, phi X4) = 0, whose trace pins b2 = 2n kappa - b1
+    quasi_c, quasi_a = (1, 2 * N, 1, 1, 0, 1, 1, 0), (k, 0, 0, 0, nk - r, 0, 0, (1 - 2 * N) * r)
+    quasi_b = (-k, 0, nk, nk, 0, nk, nk, -r)
+    if condition is ConditionKind.XI_T_FLAT:
+        return (0, 0, 0, 0, 1, 0, 0, 0), (-k, -nk, 0, 0, 0, 0, 0, -r), tuple(-b for b in quasi_b)
+    if condition is ConditionKind.PHI_T_FLAT:
+        quasi_b = tuple(nk * c - a for c, a in zip(quasi_c, quasi_a))
+    return quasi_c, quasi_a, quasi_b
+
+
+def _dot(row: tuple, a: tuple) -> RationalExpr:
+    """sum of row[i] * a[i].  The a[i] that share a row value are summed
+    first, so each distinct value multiplies once."""
+    groups = {}
+    for value, entry in zip(row, a):
+        if value:
+            groups.setdefault(value, []).append(entry)
+    terms = [reduce(add, entries) * value for value, entries in groups.items()]
+    return reduce(add, terms)
+
+
 def t_flat_constraint(coeffs: TCoeffs) -> RationalExpr:
     """The scalar constraint satisfied by every T-flat manifold:
 
     a1 (2n-2+kappa) + (a0+a2+a3+(2n+1)a4+a5+a6) kappa + 2n(2n-2+kappa) a7.
     """
-    a = coeffs.a
-    return (
-        a[1] * (2 * N - 2 + KAPPA)
-        + (a[0] + a[2] + a[3] + (2 * N + 1) * a[4] + a[5] + a[6]) * KAPPA
-        + SCALAR_CURVATURE * a[7]
-    )
+    return _dot(_form_rows(ConditionKind.T_FLAT, True)[0], coeffs.a)
 
 
 def t_flat_kappa(coeffs: TCoeffs) -> LinearSolution:
@@ -114,102 +154,21 @@ def t_flat_kappa(coeffs: TCoeffs) -> LinearSolution:
     return solve_linear(t_flat_constraint(coeffs), "kappa")
 
 
-def _eta_einstein(c: RationalExpr, substitute_r: bool, numerators) -> EtaEinsteinForm:
-    """S = (A/C) g + (B/C) eta (x) eta from the hypothesis denominator C and
-    a function building the numerators (A, B) from the scalar curvature r:
-    the symbol r, or 2n(2n - 2 + kappa) itself with ``substitute_r``.  A
-    vanishing C is degenerate and the numerators are never built: built
-    eagerly, they took in-process reproduction of tables 5, 6 and 7 from
-    3.3, 2.2 and 7.4 ms to 5.3, 3.3 and 13.1 ms (medians of 15, 2 vCPUs)."""
+def eta_einstein_form(
+    condition: ConditionKind, coeffs: TCoeffs, substitute_r: bool = False
+) -> EtaEinsteinForm:
+    """S = b1 g + b2 eta (x) eta forced by one of the five eta-Einstein
+    conditions, b1 = A.a / C.a and b2 = B.a / C.a from its rows (C, A, B).
+    A vanishing C.a is degenerate, and A.a and B.a are then never formed."""
+    if condition is ConditionKind.T_FLAT:
+        raise InputError("t-flat forces kappa, not an eta-Einstein form")
+    c_row, a_row, b_row = _form_rows(condition, substitute_r)
+    c = _dot(c_row, coeffs.a)
     if c.is_zero():
         return EtaEinsteinForm(None, None, FormTag.DEGENERATE, c)
-    big_a, big_b = numerators(SCALAR_CURVATURE if substitute_r else R)
-    b1, b2 = big_a / c, big_b / c
+    b1, b2 = _dot(a_row, coeffs.a) / c, _dot(b_row, coeffs.a) / c
     tag = FormTag.EINSTEIN if b2.is_zero() else FormTag.ETA_EINSTEIN
     return EtaEinsteinForm(b1, b2, tag, c)
-
-
-def _quasi_denominator(a: tuple) -> RationalExpr:
-    return a[0] + 2 * N * a[1] + a[2] + a[3] + a[5] + a[6]
-
-
-def _quasi_g_numerator(a: tuple, r: RationalExpr) -> RationalExpr:
-    return a[0] * KAPPA + a[4] * (2 * N * KAPPA - r) + a[7] * r * (1 - 2 * N)
-
-
-def _quasi_eta_numerator(a: tuple, r: RationalExpr) -> RationalExpr:
-    return -a[0] * KAPPA + 2 * N * KAPPA * (a[2] + a[3] + a[5] + a[6]) - a[7] * r
-
-
-def quasi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
-    """eta-Einstein form forced by g(T(phi X1, X2) X3, phi X4) = 0."""
-    a = coeffs.a
-    return _eta_einstein(_quasi_denominator(a), substitute_r,
-                         lambda r: (_quasi_g_numerator(a, r), _quasi_eta_numerator(a, r)))
-
-
-def phi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
-    """eta-Einstein form forced by g(T(phi X1, phi X2) phi X3, phi X4) = 0.
-
-    Shares numerator A and denominator C with the quasi condition; the
-    eta-coefficient is pinned by the trace: b2 = 2 n kappa - b1.
-    """
-    a = coeffs.a
-    c = _quasi_denominator(a)
-
-    def numerators(r):
-        big_a = _quasi_g_numerator(a, r)
-        return big_a, 2 * N * KAPPA * c - big_a
-
-    return _eta_einstein(c, substitute_r, numerators)
-
-
-def xi_flat_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
-    """eta-Einstein form forced by T(X1, xi, xi, X4) = 0; needs a4 != 0."""
-    a = coeffs.a
-    return _eta_einstein(a[4], substitute_r, lambda r: (
-        -(a[0] * KAPPA + 2 * N * KAPPA * a[1] + a[7] * r), -_quasi_eta_numerator(a, r)))
-
-
-def t_dot_riemann_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
-    """eta-Einstein form forced by T(xi, X).R = 0; needs a1 + a5 != 0.  The
-    form carries no scalar curvature, so ``substitute_r`` changes nothing."""
-    a = coeffs.a
-    return _eta_einstein(a[1] + a[5], substitute_r, lambda r: (
-        -2 * N * KAPPA * (a[2] + a[4]), 2 * N * KAPPA * (a[1] + a[2] + a[4] + a[5])))
-
-
-def t_dot_ricci_form(coeffs: TCoeffs, substitute_r: bool = False) -> EtaEinsteinForm:
-    """eta-Einstein form forced by T(xi, X).S = 0 under a Killing Reeb field
-    (h = 0); needs a1 + a5 != 0."""
-    a = coeffs.a
-
-    def numerators(r):
-        core = a[0] * KAPPA + a[7] * r
-        big_a = (
-            (2 * N * KAPPA - 2 * N + 2) * core
-            + 4 * N * KAPPA * (N - 1) * a[2]
-            + 4 * N ** 2 * KAPPA ** 2 * a[4]
-        )
-        big_b = (
-            (2 * N - 2 * N * KAPPA - 2) * core
-            + 4 * N ** 2 * KAPPA ** 2
-            * (a[1] + 2 * a[2] + 2 * a[3] + a[4] + 2 * a[5] + 2 * a[6])
-            - 4 * N * KAPPA * (N - 1) * (a[2] + a[5])
-        )
-        return big_a, big_b
-
-    return _eta_einstein(-a[1] - a[5], substitute_r, numerators)
-
-
-# condition -> eta-Einstein form builder(coeffs, substitute_r)
-FORM_BUILDERS = {
-    ConditionKind.QUASI_T_FLAT: quasi_flat_form,
-    ConditionKind.PHI_T_FLAT: phi_flat_form,
-    ConditionKind.XI_T_FLAT: xi_flat_form,
-    ConditionKind.T_DOT_R: t_dot_riemann_form,
-    ConditionKind.T_DOT_S: t_dot_ricci_form,
-}
 
 
 def consistency_kappa(form: EtaEinsteinForm) -> LinearSolution:
@@ -473,7 +432,7 @@ def classification_row(which: int, name: PresetName) -> ClassificationRow:
     coeffs = preset(name)
     condition = _TABLE_CONDITIONS[which]
     solution = t_flat_kappa(coeffs) if which == 2 else None
-    form = None if which == 2 else FORM_BUILDERS[condition](coeffs, substitute_r=True)
+    form = None if which == 2 else eta_einstein_form(condition, coeffs, substitute_r=True)
     flags = _row_flags(coeffs, solution, form)
     return ClassificationRow(name, condition, solution, form, flags)
 

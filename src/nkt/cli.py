@@ -267,7 +267,7 @@ def _cmd_classify(args) -> tuple:
         payload["result"] = _solution_payload(solution)
         text = f"{label} under {_CONDITION_LABELS[condition]}: kappa = {solution}"
     else:
-        form = classification.FORM_BUILDERS[condition](coeffs, substitute_r=args.substitute_r)
+        form = classification.eta_einstein_form(condition, coeffs, args.substitute_r)
         payload["result"] = _form_payload(form)
         text = f"{label} under {_CONDITION_LABELS[condition]}: {_form_text(form)}"
     if payload["flags"]:

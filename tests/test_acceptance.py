@@ -12,10 +12,9 @@ from nkt.classification import (
     boeckx_example,
     consistency_kappa,
     d_homothetic,
+    eta_einstein_form,
     load_allowlist,
-    quasi_flat_form,
     reproduce_table,
-    xi_flat_form,
 )
 from nkt.frame_geometry import contact_audit, curvature, nk_lie_group_3d, nullity_fit
 from nkt.scalar_algebra import KAPPA, N, eval_at, expr
@@ -125,7 +124,8 @@ def test_criterion_3_trace_consistency():
         "V": lambda s: s.is_unique and s.root == (N - 1) / N,
     }
     for name, ok in checks.items():
-        solution = consistency_kappa(quasi_flat_form(preset(name), substitute_r=True))
+        form = eta_einstein_form(ConditionKind.QUASI_T_FLAT, preset(name), substitute_r=True)
+        solution = consistency_kappa(form)
         assert ok(solution), name
 
 
@@ -163,7 +163,7 @@ def test_criterion_5_flatness_cross_check():
     point = {"n": 1, "kappa": Fraction(3, 4)}
 
     def ricci_gap(name):
-        form = xi_flat_form(preset(name), substitute_r=True)
+        form = eta_einstein_form(ConditionKind.XI_T_FLAT, preset(name), substitute_r=True)
         b1 = eval_at(form.b1, point)
         b2 = eval_at(form.b2, point)
         worst = Fraction(0)

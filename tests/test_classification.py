@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from nkt.classification import (
-    FORM_BUILDERS,
     SCALAR_CURVATURE,
     FormTag,
     SasakianInput,
@@ -15,19 +14,20 @@ from nkt.classification import (
     boeckx_example,
     consistency_kappa,
     d_homothetic,
+    eta_einstein_form,
     load_golden_table,
-    phi_flat_form,
-    quasi_flat_form,
-    t_dot_ricci_form,
-    t_dot_riemann_form,
     t_flat_constraint,
     t_flat_kappa,
-    xi_flat_form,
 )
 from nkt.scalar_algebra import A0, A1, KAPPA, N, S, InputError, eval_at, expr, substitute
-from nkt.t_tensor import PresetName, coeffs_from, preset
+from nkt.t_tensor import ConditionKind, PresetName, coeffs_from, preset
 
 ZERO_COEFFS = coeffs_from([0] * 8)
+ETA_CONDITIONS = [kind for kind in ConditionKind if kind is not ConditionKind.T_FLAT]
+
+
+def _quasi(name, substitute_r=True):
+    return eta_einstein_form(ConditionKind.QUASI_T_FLAT, preset(name), substitute_r)
 
 
 # ---------------------------------------------------------------------------
@@ -92,26 +92,26 @@ def test_side_condition_for_free_parameter_rows():
 
 
 def test_quasi_flat_anchors():
-    form = quasi_flat_form(preset("C"), substitute_r=True)
+    form = _quasi("C")
     assert form.b1 == 2 * N - 2
     assert form.b2 == 2 * (N * KAPPA - N + 1)
     assert form.tag is FormTag.ETA_EINSTEIN
 
-    form = quasi_flat_form(preset("P"), substitute_r=True)
+    form = _quasi("P")
     assert form.b1 == 2 * N * KAPPA and form.b2.is_zero()
     assert form.tag is FormTag.EINSTEIN
 
-    form = quasi_flat_form(preset("L"), substitute_r=True)
+    form = _quasi("L")
     assert form.b1 == KAPPA * (2 * N - 1) + 4 * (N - 1) * N
     assert form.b2 == 2 * N * KAPPA + KAPPA
 
 
 def test_phi_flat_anchors():
-    form = phi_flat_form(preset("M"), substitute_r=True)
+    form = eta_einstein_form(ConditionKind.PHI_T_FLAT, preset("M"), substitute_r=True)
     assert form.b1 == 2 * N * (KAPPA + N - 1) / (N + 1)
     assert form.b2 == 2 * N * (N * KAPPA - N + 1) / (N + 1)
 
-    form = phi_flat_form(preset("W6"), substitute_r=True)
+    form = eta_einstein_form(ConditionKind.PHI_T_FLAT, preset("W6"), substitute_r=True)
     assert form.b1 == 2 * N * KAPPA and form.b2.is_zero()
 
 
@@ -119,28 +119,28 @@ def test_phi_flat_trace_is_forced():
     rng = random.Random(2)
     for _ in range(10):
         entries = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(8)]
-        form = phi_flat_form(coeffs_from(entries), substitute_r=True)
+        form = eta_einstein_form(ConditionKind.PHI_T_FLAT, coeffs_from(entries), substitute_r=True)
         if form.is_degenerate:
             continue
         assert (form.b1 + form.b2 - 2 * N * KAPPA).is_zero()
 
 
 def test_xi_flat_anchors():
-    form = xi_flat_form(preset("L"), substitute_r=True)
+    form = eta_einstein_form(ConditionKind.XI_T_FLAT, preset("L"), substitute_r=True)
     assert form.b1 == -KAPPA
     assert form.b2 == 2 * N * KAPPA + KAPPA
 
-    form = xi_flat_form(preset("W7"), substitute_r=True)
+    form = eta_einstein_form(ConditionKind.XI_T_FLAT, preset("W7"), substitute_r=True)
     assert form.b1.is_zero() and form.b2 == 2 * N * KAPPA
 
-    assert xi_flat_form(preset("V")).is_degenerate  # a4 = 0
+    assert eta_einstein_form(ConditionKind.XI_T_FLAT, preset("V")).is_degenerate  # a4 = 0
 
 
 def test_quasi_and_phi_share_numerator_and_hypothesis():
     for name in PresetName:
         coeffs = preset(name)
-        quasi = quasi_flat_form(coeffs, substitute_r=True)
-        phi = phi_flat_form(coeffs, substitute_r=True)
+        quasi = eta_einstein_form(ConditionKind.QUASI_T_FLAT, coeffs, substitute_r=True)
+        phi = eta_einstein_form(ConditionKind.PHI_T_FLAT, coeffs, substitute_r=True)
         assert quasi.denominator_condition == phi.denominator_condition
         if not quasi.is_degenerate:
             assert quasi.b1 == phi.b1
@@ -150,8 +150,9 @@ def test_forms_built_with_r_bound_equal_the_substituted_symbolic_forms():
     # the reference pipeline: build with the symbol r, then substitute it
     for name in PresetName:
         coeffs = preset(name)
-        for condition, build in FORM_BUILDERS.items():
-            bound, symbolic = build(coeffs, substitute_r=True), build(coeffs)
+        for condition in ETA_CONDITIONS:
+            bound = eta_einstein_form(condition, coeffs, substitute_r=True)
+            symbolic = eta_einstein_form(condition, coeffs)
             assert bound.denominator_condition == symbolic.denominator_condition
             if symbolic.is_degenerate:
                 assert bound.is_degenerate, (name, condition)
@@ -161,25 +162,30 @@ def test_forms_built_with_r_bound_equal_the_substituted_symbolic_forms():
             assert (bound.b1, bound.b2, bound.tag) == (b1, b2, tag), (name, condition)
 
 
+def test_t_flat_has_no_eta_einstein_form():
+    with pytest.raises(InputError, match="forces kappa"):
+        eta_einstein_form(ConditionKind.T_FLAT, preset("P"))
+
+
 def test_t_dot_riemann_anchors():
-    form = t_dot_riemann_form(preset("W1"))
+    form = eta_einstein_form(ConditionKind.T_DOT_R, preset("W1"))
     assert form.b1 == 2 * N * KAPPA and form.b2.is_zero()
 
-    form = t_dot_riemann_form(preset("W4"))
+    form = eta_einstein_form(ConditionKind.T_DOT_R, preset("W4"))
     assert form.b1.is_zero() and form.b2 == 2 * N * KAPPA
 
-    assert t_dot_riemann_form(preset("V")).is_degenerate  # a1 = a5 = 0
+    assert eta_einstein_form(ConditionKind.T_DOT_R, preset("V")).is_degenerate  # a1 = a5 = 0
 
 
 def test_t_dot_ricci_anchors():
-    form = t_dot_ricci_form(preset("P"), substitute_r=True)
+    form = eta_einstein_form(ConditionKind.T_DOT_S, preset("P"), substitute_r=True)
     assert form.b1 == 4 * N ** 2 * KAPPA ** 2 and form.b2.is_zero()
 
-    form = t_dot_ricci_form(preset("W1"), substitute_r=True)
+    form = eta_einstein_form(ConditionKind.T_DOT_S, preset("W1"), substitute_r=True)
     assert form.b1 == 4 * N * KAPPA * (-N * KAPPA + 2 * N - 2)
     assert form.b2 == 8 * N * KAPPA * (-N + 1 + N * KAPPA)
 
-    assert t_dot_ricci_form(preset("V")).is_degenerate
+    assert eta_einstein_form(ConditionKind.T_DOT_S, preset("V")).is_degenerate
 
 
 def test_table_7_rows_miss_the_sasakian_trace():
@@ -188,7 +194,7 @@ def test_table_7_rows_miss_the_sasakian_trace():
     # there, for any r; a finding about the printed table, pinned as found
     off = {}
     for name in load_golden_table(7):
-        form = t_dot_ricci_form(preset(name), substitute_r=False)
+        form = eta_einstein_form(ConditionKind.T_DOT_S, preset(name), substitute_r=False)
         off[name.value] = substitute(form.b1 + form.b2, "kappa", 1) - 2 * N
     assert off == {
         **dict.fromkeys(("P", "P_star", "W1", "W1_star", "W6", "W7", "W8"), 4 * N ** 2 - 2 * N),
@@ -199,18 +205,18 @@ def test_table_7_rows_miss_the_sasakian_trace():
 def test_consistency_kappa_against_flat_classification():
     # the trace constraint applied to the quasi forms recovers the T-flat
     # kappa classification on the anchor rows
-    assert consistency_kappa(quasi_flat_form(preset("C"), substitute_r=True)).is_identity
-    sol = consistency_kappa(quasi_flat_form(preset("L"), substitute_r=True))
+    assert consistency_kappa(_quasi("C")).is_identity
+    sol = consistency_kappa(_quasi("L"))
     assert sol.is_unique and sol.root == 2 - 2 * N
-    sol = consistency_kappa(quasi_flat_form(preset("V"), substitute_r=True))
+    sol = consistency_kappa(_quasi("V"))
     assert sol.is_unique and sol.root == (N - 1) / N
 
 
 def test_consistency_kappa_requires_substituted_r():
     with pytest.raises(ValueError):
-        consistency_kappa(quasi_flat_form(preset("V"), substitute_r=False))
+        consistency_kappa(_quasi("V", substitute_r=False))
     with pytest.raises(ValueError):
-        consistency_kappa(xi_flat_form(preset("V")))
+        consistency_kappa(eta_einstein_form(ConditionKind.XI_T_FLAT, preset("V")))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI surface: commands, formats, exit codes, determinism, schema."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nkt.cli import run
 from nkt.frame_geometry import nk_lie_group_3d, render_model
+from nkt.t_tensor import ConditionKind, PresetName
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "nkt" / "data" / "schema"
@@ -153,6 +155,32 @@ def test_classify_markdown_ends_with_the_flags(capsys):
     ]
 
 
+# sha256 over (exit code, stdout, stderr) of `classify --preset P --condition K
+# [--substitute-r] --format json`, for every preset, plain then with r bound
+CLASSIFY_DIGESTS = {
+    "t-flat": "682cff10b7c865f555a15752b3f7290fd517fc77fc3977834a613f2aa5abbf64",
+    "xi-flat": "d9e94955dffe11c866557dd4ff59d9260217ac25cb72fbeda1c5c20b76c4481b",
+    "quasi-flat": "1b9b6bef23bc7590b11d7efd888f55da8e87b527437d59615c059ffdfea841dd",
+    "phi-flat": "3e0d2f2f29dadc8fd452bba4f563dae7ce58aaaf96dd38551cbc0a3385fa0cfa",
+    "t-dot-r": "429ab4cb8afdda4e164ac9e63e6217989d6d0aabff1c911169bda9dd196fa5f5",
+    "t-dot-s": "c445fb410c227e41e8f1638ce4635ce5ad5664d029baae3d42db31fc84801655",
+}
+
+
+def test_every_classify_answer_is_pinned(capsys):
+    # the symbolic-r forms of every preset too, which no table prints
+    digests = {}
+    for kind in ConditionKind:
+        digest = hashlib.sha256()
+        for name in PresetName:
+            for extra in ([], ["--substitute-r"]):
+                code, out, err = invoke(capsys, "classify", "--preset", name.value,
+                                        "--condition", kind.value, *extra, "--format", "json")
+                digest.update(f"{code}\0{out}\0{err}\0".encode())
+        digests[kind.value] = digest.hexdigest()
+    assert digests == CLASSIFY_DIGESTS
+
+
 def test_presets_list(capsys):
     code, out, _ = invoke(capsys, "presets-list", "--format", "json")
     assert code == 0
@@ -200,6 +228,17 @@ def test_values_past_the_heuristic_gcd_finish(capsys):
     # the shared factor cancels: the value prints as the quotient of the cofactors
     assert outputs[1] == invoke(capsys, "deform", "--kappa", f"({top})/({bottom})",
                                 "--mu", "0", "--a", "1", "--c", "1")[1]
+
+
+def test_many_distinct_denominators_finish(capsys):
+    # eight coprime denominators of degree 30 under the widest printed form:
+    # 0.3 s on 2 vCPUs, and 2.5 s when each coefficient vector was evaluated
+    # over one common denominator of all eight
+    coeffs = ",".join(f"1/(n+{i})^30" for i in range(1, 9))
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, "classify", "--coeffs", coeffs, "--condition", "t-dot-s")
+    assert time.perf_counter() - start < 1.5
+    assert (code, err) == (0, "")
 
 
 def test_model_audit_failure_exit_code(tmp_path, capsys):

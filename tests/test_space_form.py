@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from nkt.classification import FORM_BUILDERS, t_flat_constraint, t_flat_kappa
+from nkt.classification import eta_einstein_form, t_flat_constraint, t_flat_kappa
 from nkt.frame_geometry import (
     CurvatureData, _lincomb, build_model, contact_audit, curvature, nk_lie_group_3d,
     nullity_fit)
@@ -109,7 +109,7 @@ def test_printed_forms_hold_on_the_whole_kernel_of_each_condition(n, c, dims):
         assert len(basis) == dim, kind
         w = [sum((i + 2) * v[p] for i, v in enumerate(basis)) for p in range(8)]
         for vector in [w] + [[x + y for x, y in zip(w, v)] for v in basis]:
-            form, values = FORM_BUILDERS[kind](coeffs_from(vector)), None
+            form, values = eta_einstein_form(kind, coeffs_from(vector)), None
             with contextlib.suppress(DivisionByZero):  # C may vanish at kappa = 1
                 if not form.is_degenerate:
                     values = eval_at(form.b1, point), eval_at(form.b2, point)
@@ -141,7 +141,7 @@ def test_printed_forms_on_the_kernels_of_the_3d_family(lam):
             continue
         w = [sum((i + 2) * v[p] for i, v in enumerate(basis)) for p in range(8)]
         for vector in [w] + [[x + y for x, y in zip(w, v)] for v in basis]:
-            form = FORM_BUILDERS[kind](coeffs_from(vector))
+            form = eta_einstein_form(kind, coeffs_from(vector))
             c = form.denominator_condition
             holds = (eval_at(form.b1 * c - b1 * c, point) == 0,
                      eval_at(form.b2 * c - b2 * c, point) == 0)
@@ -164,7 +164,7 @@ def _sphere_row(curv, n, name, kind, a0=Fraction(3, 2), a1=Fraction(-1, 2)):
         if eval_at(t_flat_constraint(preset(name)), point) == 0:
             return "agrees", None
         return "contradicts", eval_at(t_flat_kappa(preset(name)).root, point)
-    form = FORM_BUILDERS[kind](preset(name), substitute_r=False)
+    form = eta_einstein_form(kind, preset(name), substitute_r=False)
     if form.is_degenerate:
         return "degenerate", None
     try:

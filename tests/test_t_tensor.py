@@ -257,9 +257,9 @@ def test_conharmonic_is_not_xi_flat_on_the_model():
     assert value != 0
     # the residual is a4 times the gap between the model Ricci and the
     # classified eta-Einstein form evaluated at n = 1, kappa = 3/4
-    from nkt.classification import xi_flat_form
+    from nkt.classification import eta_einstein_form
 
-    form = xi_flat_form(preset("L"), substitute_r=True)
+    form = eta_einstein_form(ConditionKind.XI_T_FLAT, preset("L"), substitute_r=True)
     point = {"n": 1, "kappa": Fraction(3, 4)}
     b1 = eval_at(form.b1, point)
     b2 = eval_at(form.b2, point)
